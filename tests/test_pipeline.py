@@ -206,6 +206,16 @@ class TestReportPrivacy:
         with pytest.raises(ConfigurationError, match="required"):
             report_privacy(config, dataset_size=1000)
 
+    def test_overflowed_orders_are_listed(self):
+        # (j - 1) * j / (2 sigma1^2) * (t_hat + 1) passes the double range
+        # from order 41 on at this sigma1
+        config = noiseless_config(sigma1=3e-153, sigma0=10.0, sigma2=3.0, m=10)
+        report = report_privacy(config, dataset_size=120000, label_counts={l: 30000 for l in LABELS})
+        for mode in ("dataset", "label"):
+            entry = report["epsilon"][mode]
+            assert entry["excluded_alphas"] == list(range(41, 65))
+            assert entry["best_alpha"] == 2
+
     def test_per_token_components_reported(self):
         config = noiseless_config(sigma1=0.58, sigma0=10.0, sigma2=3.0, t_hat=1, t_max=100)
         report = report_privacy(config, dataset_size=120000)
