@@ -9,17 +9,13 @@ from .accountant import (
     DEFAULT_ALPHA_GRID,
     AmplificationOverflowError,
     DpBudget,
-    LinearRdpCurve,
     MechanismProfile,
     SubsamplingContext,
     UnachievableBudgetError,
     binary_search_iterations,
     calibrate_sigma1,
-    compose_iterations,
     gaussian_rdp,
     matched_baseline_sigma,
-    per_iteration_curve,
-    per_iteration_rdp,
     rdp_to_dp,
     subsample_amplify,
     total_epsilon,
@@ -29,11 +25,10 @@ from .aggregate import (
     AggregationTrace,
     adaptive_aggregate,
     baseline_aggregate,
-    noisy_projected_mean,
     radius_coverage_check,
     select_token,
 )
-from .data import Example, PromptTemplate, build_prompt, load_dataset, partition_subsets
+from .data import Example, PromptTemplate, load_dataset, partition_subsets
 from .pipeline import (
     ConfigurationError,
     RunConfig,
@@ -55,13 +50,12 @@ from .providers import (
     next_token_generation,
     restrict_topk,
 )
-from .radius import dp_binary_search, good_radius, l_function
+from .radius import dp_binary_search, good_radius
 from .rng import NoiseStreams, substream
 from .simplex import (
     SIMPLEX_RADIUS,
     Ball,
     coverage_count,
-    l2_distance,
     min_ball_radius_oracle,
     project_to_ball,
     project_to_simplex,

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-SIMPLEX_RADIUS = math.sqrt(2.0) / 2.0
+from .simplex import SIMPLEX_RADIUS
 
 #: Integer Renyi orders scanned by default.  The subsampling theorem is
 #: stated for integer orders only; 64 covers every regime this package
@@ -46,19 +46,6 @@ class AmplificationOverflowError(OverflowError):
 
 class UnachievableBudgetError(ValueError):
     """The target epsilon lies outside the calibration bracket."""
-
-
-@dataclass(frozen=True)
-class LinearRdpCurve:
-    """An RDP curve of the form tau(alpha) = coeff * alpha."""
-
-    coeff: float
-    label: str = ""
-
-    def __call__(self, alpha: float) -> float:
-        if alpha <= 1:
-            raise ValueError(f"RDP order must be > 1, got {alpha}")
-        return self.coeff * alpha
 
 
 @dataclass(frozen=True)
@@ -82,8 +69,8 @@ class MechanismProfile:
             raise ValueError("sigma1 must be positive when set")
         if self.t_hat < 0 or int(self.t_hat) != self.t_hat:
             raise ValueError(f"t_hat must be a nonnegative integer, got {self.t_hat}")
-        if not 0.0 < self.theta < SIMPLEX_RADIUS:
-            raise ValueError(f"theta must lie in (0, sqrt(2)/2), got {self.theta}")
+        if not 0.0 < self.theta <= SIMPLEX_RADIUS:
+            raise ValueError(f"theta must lie in (0, sqrt(2)/2], got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -142,17 +129,6 @@ def per_iteration_coefficient(profile: MechanismProfile) -> float:
     return radius_c + (profile.t_hat + 1) * mean_c + profile.t_hat * check_c
 
 
-def per_iteration_rdp(profile: MechanismProfile, alpha: float) -> float:
-    """Worst-case per-token RDP: radius search + (t_hat+1) means + t_hat checks."""
-    if alpha <= 1:
-        raise ValueError(f"RDP order must be > 1, got {alpha}")
-    return per_iteration_coefficient(profile) * alpha
-
-
-def per_iteration_curve(profile: MechanismProfile) -> LinearRdpCurve:
-    return LinearRdpCurve(per_iteration_coefficient(profile), label="per-token")
-
-
 def _log_expm1(t: float) -> float:
     """log(e^t - 1), stable for large t; -inf at t == 0."""
     if t <= 0.0:
@@ -171,8 +147,9 @@ def _logsumexp(terms: list[float]) -> float:
     return peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
 
 
-def subsample_amplify(curve, ctx: SubsamplingContext, alpha: int) -> float:
-    """Amplified RDP of the subsampled mechanism at integer order alpha >= 2.
+def subsample_amplify(coeff: float, ctx: SubsamplingContext, alpha: int) -> float:
+    """Amplified RDP at integer order alpha >= 2 of a mechanism whose RDP
+    curve is tau(alpha) = coeff * alpha.
 
     Implements the without-replacement bound
 
@@ -191,14 +168,14 @@ def subsample_amplify(curve, ctx: SubsamplingContext, alpha: int) -> float:
         raise ValueError(f"order must be >= 2, got {alpha}")
     gamma = ctx.gamma
     log_gamma = math.log(gamma)
-    tau2 = curve(2)
+    tau2 = coeff * 2
     pair_term = min(math.log(4.0) + _log_expm1(tau2), math.log(2.0) + tau2)
     terms = [0.0, 2.0 * log_gamma + math.log(math.comb(alpha, 2)) + pair_term]
     for j in range(3, alpha + 1):
         terms.append(
             j * log_gamma
             + math.lgamma(alpha + 1) - math.lgamma(j + 1) - math.lgamma(alpha - j + 1)
-            + (j - 1) * curve(j)
+            + (j - 1) * (coeff * j)
             + math.log(2.0)
         )
     if not all(t < math.inf and not math.isnan(t) for t in terms):
@@ -206,13 +183,6 @@ def subsample_amplify(curve, ctx: SubsamplingContext, alpha: int) -> float:
             f"amplification bound not representable at alpha={alpha}, gamma={gamma}"
         )
     return _logsumexp(terms) / (alpha - 1)
-
-
-def compose_iterations(tau_prime_at, t_max: int, alpha: float) -> float:
-    """Sequential composition across the t_max token positions."""
-    if t_max < 1:
-        raise ValueError("t_max must be positive")
-    return t_max * tau_prime_at(alpha)
 
 
 def rdp_to_dp(alpha: float, tau: float, delta: float) -> float:
@@ -231,18 +201,41 @@ def rdp_to_dp(alpha: float, tau: float, delta: float) -> float:
     return tau + math.log((alpha - 1) / alpha) - (math.log(delta) + math.log(alpha)) / (alpha - 1)
 
 
-def epsilon_at_order(
+def amplified_rdp(
     profile: MechanismProfile,
     ctx: SubsamplingContext,
-    t_max: int,
-    delta: float,
-    alpha: int,
-) -> float:
-    """The full pipeline evaluated at a single order."""
-    curve = per_iteration_curve(profile)
-    amplified = subsample_amplify(curve, ctx, alpha)
-    total = compose_iterations(lambda _: amplified, t_max, alpha)
-    return rdp_to_dp(alpha, total, delta)
+    alpha_grid: tuple[int, ...] = DEFAULT_ALPHA_GRID,
+) -> dict[int, float]:
+    """Subsampled per-token RDP at each order of the grid, in ascending order.
+
+    Orders at which the amplification bound overflows are left out.
+    """
+    coeff = per_iteration_coefficient(profile)
+    amplified = {}
+    for alpha in sorted(alpha_grid):
+        try:
+            amplified[alpha] = subsample_amplify(coeff, ctx, alpha)
+        except AmplificationOverflowError:
+            continue
+    return amplified
+
+
+def best_epsilon(amplified: dict[int, float], t_max: int, delta: float) -> tuple[float, int]:
+    """Compose t_max token positions at every order, convert to (epsilon, delta)
+    and return (epsilon, order) of the smallest; ties go to the first order.
+    """
+    if t_max < 1:
+        raise ValueError("t_max must be positive")
+    best_eps = math.inf
+    best_alpha = None
+    for alpha, tau in amplified.items():
+        eps = rdp_to_dp(alpha, t_max * tau, delta)
+        if eps < best_eps:
+            best_eps = eps
+            best_alpha = alpha
+    if best_alpha is None:
+        raise AmplificationOverflowError("no order of the grid gives a finite epsilon")
+    return best_eps, best_alpha
 
 
 def total_epsilon(
@@ -255,25 +248,11 @@ def total_epsilon(
     """(epsilon, best order) minimized over the grid; ties go to the smaller order.
 
     Orders at which the amplification bound overflows are excluded from the
-    minimization; if every order overflows the error propagates.
+    minimization; if every order overflows, AmplificationOverflowError is raised.
     """
     if not alpha_grid:
         raise ValueError("alpha_grid must be non-empty")
-    best_eps = math.inf
-    best_alpha = None
-    last_error: AmplificationOverflowError | None = None
-    for alpha in sorted(alpha_grid):
-        try:
-            eps = epsilon_at_order(profile, ctx, t_max, delta, alpha)
-        except AmplificationOverflowError as err:
-            last_error = err
-            continue
-        if eps < best_eps:
-            best_eps = eps
-            best_alpha = alpha
-    if best_alpha is None:
-        raise last_error if last_error is not None else ValueError("empty minimization")
-    return best_eps, best_alpha
+    return best_epsilon(amplified_rdp(profile, ctx, alpha_grid), t_max, delta)
 
 
 def calibrate_sigma1(

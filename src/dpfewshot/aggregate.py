@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .radius import RadiusSearchStep, good_radius
 from .rng import NoiseStreams, resolve_streams, substream
-from .simplex import SIMPLEX_RADIUS, Ball, coverage_count, project_to_ball, project_to_simplex_flagged
+from .simplex import SIMPLEX_RADIUS, Ball, coverage_count, project_to_ball, project_to_simplex
 
 BREAK_MAX_ITERS = "max_iters"
 BREAK_COVERAGE_FAILED = "coverage_failed"
@@ -91,11 +91,7 @@ class AggregationTrace:
     break_reason: str
     degenerate_simplex_events: int
     mean_estimates: int
-    radius_search_steps: list[RadiusSearchStep] = field(default_factory=list)
-
-    @property
-    def coverage_check_count(self) -> int:
-        return len(self.coverage_checks)
+    goodradius_steps: list[RadiusSearchStep]
 
 
 def noisy_mean_raw(
@@ -106,18 +102,6 @@ def noisy_mean_raw(
     m, k = points.shape
     noise = 2.0 * radius * sigma1 * rng.standard_normal(k)
     return (points.sum(axis=0) + noise) / m
-
-
-def noisy_projected_mean(
-    points: np.ndarray, radius: float, sigma1: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Noisy mean mapped back onto the probability simplex."""
-    out, _ = _noisy_mean_step(points, radius, sigma1, rng)
-    return out
-
-
-def _noisy_mean_step(points, radius, sigma1, rng) -> tuple[np.ndarray, bool]:
-    return project_to_simplex_flagged(noisy_mean_raw(points, radius, sigma1, rng))
 
 
 def radius_coverage_check(
@@ -161,7 +145,7 @@ def adaptive_aggregate(
 
     current_r = SIMPLEX_RADIUS
     radius_sequence = [current_r]
-    center, degenerate = _noisy_mean_step(points, current_r, cfg.sigma1, streams.mean)
+    center, degenerate = project_to_simplex(noisy_mean_raw(points, current_r, cfg.sigma1, streams.mean))
     degenerate_events = int(degenerate)
     mean_estimates = 1
     checks: list[tuple[int, float]] = []
@@ -182,7 +166,9 @@ def adaptive_aggregate(
         radius_sequence.append(current_r)
         ball = Ball(center, current_r)
         projected = np.stack([project_to_ball(p, ball) for p in points])
-        center, degenerate = _noisy_mean_step(projected, current_r, cfg.sigma1, streams.mean)
+        center, degenerate = project_to_simplex(
+            noisy_mean_raw(projected, current_r, cfg.sigma1, streams.mean)
+        )
         degenerate_events += int(degenerate)
         mean_estimates += 1
 
@@ -193,7 +179,7 @@ def adaptive_aggregate(
         break_reason=break_reason,
         degenerate_simplex_events=degenerate_events,
         mean_estimates=mean_estimates,
-        radius_search_steps=search_steps,
+        goodradius_steps=search_steps,
     )
     return center, trace
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .accountant import UnachievableBudgetError
@@ -148,10 +149,7 @@ def _dataset_stats(config: RunConfig, override_size: int | None):
     """(dataset_size, label_counts) for privacy reporting."""
     if config.dataset_path is not None:
         dataset = load_dataset(config.dataset_path, config.dataset_format, config.labels or None)
-        counts: dict[str, int] = {}
-        for ex in dataset:
-            counts[ex.label] = counts.get(ex.label, 0) + 1
-        return len(dataset), counts
+        return len(dataset), Counter(ex.label for ex in dataset)
     if override_size is not None:
         return override_size, None
     raise ConfigurationError("report needs a dataset file or --dataset-size")

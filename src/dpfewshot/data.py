@@ -101,6 +101,9 @@ class PromptTemplate:
             raise ValueError("query_format must use {generated}")
 
     def render(self, subset, label: str, generated: str = "") -> str:
+        """Instruction, then the subset label-first, then the query ending in
+        generated.  An empty subset yields the public (instruction-only) prompt.
+        """
         parts = [self.instruction]
         parts.extend(self.example_format.format(label=ex.label, text=ex.text) for ex in subset)
         parts.append(self.query_format.format(label=label, generated=generated))
@@ -130,14 +133,6 @@ GENERIC_TEMPLATE = PromptTemplate(
     example_format="Label: {label}\nText: {text}",
     query_format="Label: {label}\nText:{generated}",
 )
-
-
-def build_prompt(template: PromptTemplate, subset, label: str, prefix: str = "") -> str:
-    """Instruction, then the subset label-first, then the query ending in prefix.
-
-    An empty subset yields the public (instruction-only) prompt.
-    """
-    return template.render(subset, label, prefix)
 
 
 def partition_subsets(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,21 +21,22 @@ from .accountant import (
     DpBudget,
     MechanismProfile,
     SubsamplingContext,
+    amplified_rdp,
+    best_epsilon,
     binary_search_iterations,
     calibrate_sigma1,
-    epsilon_at_order,
     matched_baseline_sigma,
     per_iteration_coefficient,
-    total_epsilon,
 )
 from .aggregate import (
     AggregationConfig,
+    AggregationTrace,
     adaptive_aggregate,
     baseline_aggregate,
     select_token,
 )
 from .data import Example, GENERIC_TEMPLATE, PromptTemplate, load_dataset
-from .providers import ProviderSpec, next_token_generation
+from .providers import NextTokenBatch, ProviderSpec, next_token_generation
 from .radius import good_radius
 from .rng import NoiseStreams, substream
 from .simplex import min_ball_radius_oracle
@@ -106,10 +108,21 @@ class RunConfig:
         if self.sigma1 is None and self.epsilon is None:
             raise ConfigurationError("one of sigma1 or a target epsilon is required")
 
+    def mechanism(self, sigma1: float | None) -> MechanismProfile:
+        """The per-token mechanism the accountant charges (sigma1 None before calibration)."""
+        return MechanismProfile(
+            sigma0=self.sigma0, sigma1=sigma1, sigma2=self.sigma2,
+            t_hat=self.t_hat, theta=self.theta,
+        )
+
 
 @dataclass(frozen=True)
 class TokenTrace:
-    """Per-token audit record, serialized alongside the demos."""
+    """Per-token audit record, serialized alongside the demos.
+
+    The record is flat: the aggregation trace's fields sit next to the
+    token's own.
+    """
 
     trace_id: str
     position: int
@@ -117,19 +130,11 @@ class TokenTrace:
     chosen_token: str
     support_size: int
     fallback_count: int
-    target_radius: float
-    radius_sequence: tuple[float, ...]
-    coverage_checks: tuple[tuple[int, float], ...]
-    break_reason: str
-    degenerate_simplex_events: int
-    mean_estimates: int
-    goodradius_steps: tuple[dict, ...]
+    aggregation: AggregationTrace
 
     def to_record(self) -> dict:
         record = dataclasses.asdict(self)
-        record["radius_sequence"] = list(self.radius_sequence)
-        record["coverage_checks"] = [[raw, noisy] for raw, noisy in self.coverage_checks]
-        record["goodradius_steps"] = list(self.goodradius_steps)
+        record.update(record.pop("aggregation"))
         return record
 
 
@@ -221,25 +226,15 @@ def resolve_run(config: RunConfig, provider=None) -> ResolvedRun:
     if sigma1 is None:
         if delta is None:
             delta = 1.0 / len(dataset)
-        ctx = _subsampling_context(config, len(dataset), _label_counts(dataset))
-        profile = MechanismProfile(
-            sigma0=config.sigma0, sigma1=None, sigma2=config.sigma2,
-            t_hat=config.t_hat, theta=config.theta,
-        )
+        ctx = _subsampling_context(config, len(dataset), Counter(ex.label for ex in dataset))
         sigma1 = calibrate_sigma1(
-            DpBudget(config.epsilon, delta), profile, ctx, config.t_max, config.alpha_grid
+            DpBudget(config.epsilon, delta), config.mechanism(None), ctx,
+            config.t_max, config.alpha_grid,
         )
     return ResolvedRun(
         config=config, dataset=dataset, labels=labels, template=template,
         provider=provider, sigma1=sigma1, delta=delta,
     )
-
-
-def _label_counts(dataset) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for ex in dataset:
-        counts[ex.label] = counts.get(ex.label, 0) + 1
-    return counts
 
 
 def _subsampling_context(config: RunConfig, dataset_size: int, label_counts) -> SubsamplingContext:
@@ -253,12 +248,34 @@ def _subsampling_context(config: RunConfig, dataset_size: int, label_counts) -> 
     return SubsamplingContext(m=drawn, n=population)
 
 
-def _aggregation_config(config: RunConfig, sigma1: float, k: int) -> AggregationConfig:
-    return AggregationConfig(
-        m=config.m, k=k, lam=config.lam, t_hat=config.t_hat,
-        sigma0=config.sigma0, sigma1=sigma1, sigma2=config.sigma2,
+def token_step(
+    run: ResolvedRun, label: str, prefix: str, position: int,
+    draw_path: tuple, noise_path: tuple | None = None,
+) -> tuple[NextTokenBatch, str | None, AggregationTrace | None]:
+    """One token position: draw M subsets, query the model M+1 times and
+    restrict to the public top-K; given noise_path, also aggregate the M
+    vectors adaptively and select the token.
+
+    draw_path and noise_path name the substreams of the subset draw and of
+    the aggregator's noise.  Returns (batch, token, aggregation trace); the
+    last two are None without noise_path.
+    """
+    config = run.config
+    batch = next_token_generation(
+        run.provider, run.dataset, label, config.m, config.n, config.k,
+        run.template, prefix, substream(config.seed, *draw_path), position=position,
+    )
+    if noise_path is None:
+        return batch, None, None
+    cfg = AggregationConfig(
+        m=config.m, k=len(batch.support), lam=config.lam, t_hat=config.t_hat,
+        sigma0=config.sigma0, sigma1=run.sigma1, sigma2=config.sigma2,
         mu=config.mu, rho=config.rho, theta=config.theta,
     )
+    vector, trace = adaptive_aggregate(
+        batch.private_vectors, cfg, NoiseStreams.from_seed(config.seed, *noise_path)
+    )
+    return batch, select_token(vector, batch.support), trace
 
 
 def generate_demo(run: ResolvedRun, label: str, demo_index: int) -> tuple[SyntheticDemo, list[TokenTrace]]:
@@ -270,16 +287,8 @@ def generate_demo(run: ResolvedRun, label: str, demo_index: int) -> tuple[Synthe
     traces: list[TokenTrace] = []
     stop_rule = "t_max"
     for position in range(config.t_max):
-        draw_rng = substream(config.seed, "demo", demo_index, "token", position, "subsample")
-        batch = next_token_generation(
-            run.provider, run.dataset, label, config.m, config.n, config.k,
-            run.template, prefix, draw_rng, position=position,
-        )
-        k_actual = len(batch.support)
-        cfg = _aggregation_config(config, run.sigma1, k_actual)
-        streams = NoiseStreams.from_seed(config.seed, "demo", demo_index, "token", position)
-        vector, trace = adaptive_aggregate(batch.private_vectors, cfg, streams)
-        token = select_token(vector, batch.support)
+        path = ("demo", demo_index, "token", position)
+        batch, token, aggregation = token_step(run, label, prefix, position, (*path, "subsample"), path)
         tokens.append(token)
         prefix += token
         traces.append(
@@ -288,15 +297,9 @@ def generate_demo(run: ResolvedRun, label: str, demo_index: int) -> tuple[Synthe
                 position=position,
                 label=label,
                 chosen_token=token,
-                support_size=k_actual,
+                support_size=len(batch.support),
                 fallback_count=len(batch.fallback_indices),
-                target_radius=trace.target_radius,
-                radius_sequence=tuple(trace.radius_sequence),
-                coverage_checks=tuple(trace.coverage_checks),
-                break_reason=trace.break_reason,
-                degenerate_simplex_events=trace.degenerate_simplex_events,
-                mean_estimates=trace.mean_estimates,
-                goodradius_steps=tuple(dataclasses.asdict(s) for s in trace.radius_search_steps),
+                aggregation=aggregation,
             )
         )
         if token in config.stop_tokens:
@@ -343,17 +346,18 @@ def read_demos(path) -> list[SyntheticDemo]:
 def audit_traces(traces, config: RunConfig) -> dict:
     """Compare noise events consumed in traces against the charged worst case."""
     search_iters = binary_search_iterations(config.theta)
+    aggregations = [t.aggregation for t in traces]
     per_token_ok = all(
-        t.mean_estimates <= config.t_hat + 1
-        and len(t.coverage_checks) <= config.t_hat
-        and len(t.goodradius_steps) == search_iters
-        for t in traces
+        a.mean_estimates <= config.t_hat + 1
+        and len(a.coverage_checks) <= config.t_hat
+        and len(a.goodradius_steps) == search_iters
+        for a in aggregations
     )
     n_tokens = len(traces)
     consumed = {
-        "mean_estimates": sum(t.mean_estimates for t in traces),
-        "coverage_checks": sum(len(t.coverage_checks) for t in traces),
-        "goodradius_draws": sum(2 * len(t.goodradius_steps) for t in traces),
+        "mean_estimates": sum(a.mean_estimates for a in aggregations),
+        "coverage_checks": sum(len(a.coverage_checks) for a in aggregations),
+        "goodradius_draws": sum(2 * len(a.goodradius_steps) for a in aggregations),
     }
     charged = {
         "mean_estimates": n_tokens * (config.t_hat + 1),
@@ -388,11 +392,8 @@ def measure_cluster_radius(run: ResolvedRun) -> dict:
         prefix = ""
         radii: list[float] = []
         for position in range(config.t_max):
-            draw_rng = substream(config.seed, "radius", run_idx, "token", position, "subsample")
-            batch = next_token_generation(
-                run.provider, run.dataset, label, config.m, config.n, config.k,
-                run.template, prefix, draw_rng, position=position,
-            )
+            path = ("radius", run_idx, "token", position)
+            batch, _, _ = token_step(run, label, prefix, position, (*path, "subsample"))
             points = batch.private_vectors
             if config.radius_mode == "oracle":
                 radius = min_ball_radius_oracle(points, config.rho)
@@ -402,12 +403,10 @@ def measure_cluster_radius(run: ResolvedRun) -> dict:
                     math.ceil(config.rho * config.m),
                     config.sigma0,
                     config.theta,
-                    substream(config.seed, "radius", run_idx, "token", position, "goodradius"),
+                    substream(config.seed, *path, "goodradius"),
                 )
             radii.append(radius)
-            mean_vec = baseline_aggregate(
-                points, 0.0, substream(config.seed, "radius", run_idx, "token", position, "path")
-            )
+            mean_vec = baseline_aggregate(points, 0.0, substream(config.seed, *path, "path"))
             prefix += select_token(mean_vec, batch.support)
         per_run.append(radii)
     flat = np.array(per_run, dtype=float)
@@ -437,29 +436,18 @@ def run_utility_comparison(run: ResolvedRun) -> dict:
     if min(config.sigma0, run.sigma1, config.sigma2) == 0.0:
         sigma_baseline = 0.0  # an infinite budget is matched by zero noise
     else:
-        profile = MechanismProfile(
-            sigma0=config.sigma0, sigma1=run.sigma1, sigma2=config.sigma2,
-            t_hat=config.t_hat, theta=config.theta,
-        )
-        sigma_baseline = matched_baseline_sigma(profile)
+        sigma_baseline = matched_baseline_sigma(config.mechanism(run.sigma1))
     adaptive_hits = 0
     baseline_hits = 0
     only_adaptive = 0
     only_baseline = 0
     for trial in range(config.n_trials):
         label = run.labels[trial % len(run.labels)]
-        draw_rng = substream(config.seed, "utility", trial, "subsample")
-        batch = next_token_generation(
-            run.provider, run.dataset, label, config.m, config.n, config.k,
-            run.template, "", draw_rng, position=trial,
+        batch, adaptive_token, _ = token_step(
+            run, label, "", trial, ("utility", trial, "subsample"), ("utility", trial, "adaptive")
         )
         points = batch.private_vectors
         consensus = select_token(points.mean(axis=0), batch.support)
-        cfg = _aggregation_config(config, run.sigma1, len(batch.support))
-        vector, _ = adaptive_aggregate(
-            points, cfg, NoiseStreams.from_seed(config.seed, "utility", trial, "adaptive")
-        )
-        adaptive_token = select_token(vector, batch.support)
         baseline_vec = baseline_aggregate(
             points, sigma_baseline, substream(config.seed, "utility", trial, "baseline")
         )
@@ -524,21 +512,14 @@ def report_privacy(config: RunConfig, dataset_size: int, label_counts=None) -> d
         sigma1 = config.sigma1
         report["sigma1"] = sigma1
     else:
-        ctx = contexts[config.gamma_mode]
-        profile = MechanismProfile(
-            sigma0=config.sigma0, sigma1=None, sigma2=config.sigma2,
-            t_hat=config.t_hat, theta=config.theta,
-        )
         sigma1 = calibrate_sigma1(
-            DpBudget(config.epsilon, delta), profile, ctx, config.t_max, config.alpha_grid
+            DpBudget(config.epsilon, delta), config.mechanism(None), contexts[config.gamma_mode],
+            config.t_max, config.alpha_grid,
         )
         report["sigma1"] = sigma1
         report["calibration"] = {"target_epsilon": config.epsilon, "gamma_mode": config.gamma_mode}
 
-    profile = MechanismProfile(
-        sigma0=config.sigma0, sigma1=sigma1, sigma2=config.sigma2,
-        t_hat=config.t_hat, theta=config.theta,
-    )
+    profile = config.mechanism(sigma1)
     search_iters = binary_search_iterations(config.theta)
     report["per_token_rdp"] = {
         "coefficient": per_iteration_coefficient(profile),
@@ -548,10 +529,11 @@ def report_privacy(config: RunConfig, dataset_size: int, label_counts=None) -> d
         "binary_search_iterations": search_iters,
     }
 
+    coeffs = report["per_token_rdp"]
     epsilons = {}
     for mode, ctx in contexts.items():
-        eps, alpha = total_epsilon(profile, ctx, config.t_max, delta, config.alpha_grid)
-        coeffs = report["per_token_rdp"]
+        amplified = amplified_rdp(profile, ctx, config.alpha_grid)
+        eps, alpha = best_epsilon(amplified, config.t_max, delta)
         entry = {
             "epsilon": eps,
             "best_alpha": alpha,
@@ -563,17 +545,10 @@ def report_privacy(config: RunConfig, dataset_size: int, label_counts=None) -> d
                 "per_token_total": coeffs["coefficient"] * alpha,
             },
         }
-        eps_run, alpha_run = total_epsilon(
-            profile, ctx, config.t_max * config.n_shots, delta, config.alpha_grid
-        )
+        eps_run, alpha_run = best_epsilon(amplified, config.t_max * config.n_shots, delta)
         entry["full_run_epsilon"] = eps_run
         entry["full_run_best_alpha"] = alpha_run
-        excluded = []
-        for a in config.alpha_grid:
-            try:
-                epsilon_at_order(profile, ctx, config.t_max, delta, a)
-            except OverflowError:
-                excluded.append(a)
+        excluded = [a for a in config.alpha_grid if a not in amplified]
         if excluded:
             entry["excluded_alphas"] = excluded
         epsilons[mode] = entry

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import build_prompt, partition_subsets
+from .data import partition_subsets
 from .rng import substream
 
 logger = logging.getLogger(__name__)
@@ -268,8 +268,8 @@ def next_token_generation(
     public support comes from the instruction-only prompt, computed once.
     """
     subsets = partition_subsets(data, label, m, n, rng)
-    public_prompt = build_prompt(template, [], label, prefix)
-    private_prompts = [build_prompt(template, subset, label, prefix) for subset in subsets]
+    public_prompt = template.render([], label, prefix)
+    private_prompts = [template.render(subset, label, prefix) for subset in subsets]
     try:
         public_p = provider.next_token_distribution(
             public_prompt, label=label, position=position, subset_index=None, top_n=k

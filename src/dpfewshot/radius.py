@@ -52,14 +52,6 @@ class CoverageScore:
         return float(top.sum()) / t
 
 
-def ball_count(points: np.ndarray, center_index: int, r: float) -> int:
-    return CoverageScore(points).ball_count(center_index, r)
-
-
-def l_function(points: np.ndarray, t: int, r: float) -> float:
-    return CoverageScore(points).l_value(t, r)
-
-
 def dp_binary_search(
     score,
     t: int,

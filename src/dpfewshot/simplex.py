@@ -1,9 +1,9 @@
 """Vector primitives over the probability simplex.
 
 Vectors are 1-D float arrays of length K.  A probability vector is
-nonnegative and sums to 1 within PROB_SUM_TOL.  The enclosing ball of the
-whole simplex has radius sqrt(2)/2, which is the starting point of every
-radius search in this package.
+nonnegative and sums to 1.  The enclosing ball of the whole simplex has
+radius sqrt(2)/2, which is the starting point of every radius search in
+this package.
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SIMPLEX_RADIUS = math.sqrt(2.0) / 2.0
-
-# Absolute tolerance on sum(p) == 1: loose enough for K ~ 100 accumulation,
-# tight enough to catch a missing renormalization.
-PROB_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -36,24 +32,13 @@ class Ball:
         object.__setattr__(self, "center", center)
 
 
-def is_prob_vector(v: np.ndarray, tol: float = PROB_SUM_TOL) -> bool:
-    v = np.asarray(v, dtype=float)
-    return bool(np.all(v >= 0.0) and abs(float(v.sum()) - 1.0) <= tol)
-
-
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
+def project_to_simplex(v: np.ndarray) -> tuple[np.ndarray, bool]:
     """Truncate negatives and renormalize to unit l1 mass.
 
-    If truncation leaves the all-zero vector the formula is undefined;
-    the uniform distribution is returned instead (see
-    project_to_simplex_flagged to observe that fallback).
+    If truncation leaves the all-zero vector the formula is undefined; the
+    uniform distribution is returned instead.  The flag reports whether
+    that fallback fired.
     """
-    out, _ = project_to_simplex_flagged(v)
-    return out
-
-
-def project_to_simplex_flagged(v: np.ndarray) -> tuple[np.ndarray, bool]:
-    """As project_to_simplex, also reporting whether the fallback fired."""
     v = np.asarray(v, dtype=float)
     clipped = np.maximum(v, 0.0)
     mass = float(clipped.sum())
@@ -77,14 +62,6 @@ def project_to_ball(p: np.ndarray, ball: Ball) -> np.ndarray:
     if ball.radius == 0.0:
         return ball.center.copy()
     return ball.center + (p - ball.center) / (d / ball.radius)
-
-
-def l2_distance(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
 
 
 def coverage_count(points: np.ndarray, ball: Ball) -> int:

@@ -19,14 +19,13 @@ import pytest
 import helpers
 from dpfewshot.accountant import (
     DpBudget,
-    LinearRdpCurve,
     MechanismProfile,
     SubsamplingContext,
     binary_search_iterations,
     calibrate_sigma1,
     gaussian_rdp,
     matched_baseline_sigma,
-    per_iteration_rdp,
+    per_iteration_coefficient,
     rdp_to_dp,
     subsample_amplify,
     total_epsilon,
@@ -112,7 +111,7 @@ def test_accountant_closed_forms():
         want = _per_iteration_oracle(
             profile.sigma0, profile.sigma1, profile.sigma2, profile.t_hat, profile.theta, alpha
         )
-        assert per_iteration_rdp(profile, alpha) == pytest.approx(want, rel=1e-12)
+        assert per_iteration_coefficient(profile) * alpha == pytest.approx(want, rel=1e-12)
 
     assert binary_search_iterations(0.1) == 3
     counter = DrawCounter()
@@ -131,15 +130,16 @@ def test_accountant_closed_forms():
 # criterion 2: subsampling amplification vs straight-line transcription
 # --------------------------------------------------------------------------
 
-def _transcribed_bound(curve, gamma, alpha):
-    """The bound exactly as stated, in extended precision (no log tricks)."""
+def _transcribed_bound(coeff, gamma, alpha):
+    """The bound exactly as stated for tau(alpha) = coeff * alpha, in extended
+    precision (no log tricks)."""
     one = np.longdouble(1.0)
     g = np.longdouble(gamma)
-    t2 = np.longdouble(curve(2))
+    t2 = np.longdouble(coeff * 2)
     pair = min(4 * (np.exp(t2) - one), 2 * np.exp(t2))
     total = one + g**2 * math.comb(alpha, 2) * pair
     for j in range(3, alpha + 1):
-        total += g**j * math.comb(alpha, j) * np.exp((j - 1) * np.longdouble(curve(j))) * 2
+        total += g**j * math.comb(alpha, j) * np.exp((j - 1) * np.longdouble(coeff * j)) * 2
     return float(np.log(total) / (alpha - 1))
 
 
@@ -150,18 +150,16 @@ def test_subsampling_amplification_oracle():
     for n in populations:
         ctx = SubsamplingContext(1, n)
         for coeff in (1e-3, 1e-2, 1e-1, 1.0):
-            curve = LinearRdpCurve(coeff)
             for alpha in range(2, 65):
-                got = subsample_amplify(curve, ctx, alpha)
-                want = _transcribed_bound(curve, ctx.gamma, alpha)
+                got = subsample_amplify(coeff, ctx, alpha)
+                want = _transcribed_bound(coeff, ctx.gamma, alpha)
                 assert got == pytest.approx(want, rel=1e-10), (n, coeff, alpha)
                 checked += 1
     # monotone in gamma throughout the same grid
     for coeff in (1e-3, 1e-2, 1e-1, 1.0):
-        curve = LinearRdpCurve(coeff)
         for alpha in (2, 9, 33, 64):
             values = [
-                subsample_amplify(curve, SubsamplingContext(1, n), alpha)
+                subsample_amplify(coeff, SubsamplingContext(1, n), alpha)
                 for n in sorted(populations, reverse=True)
             ]
             assert values == sorted(values), (coeff, alpha)
@@ -397,7 +395,7 @@ def test_aggregator_replay_fidelity():
         assert containment_ok, case
         # budget ceiling and radius monotonicity on the mechanism's trace
         assert trace.mean_estimates <= cfg.t_hat + 1
-        assert trace.coverage_check_count <= cfg.t_hat
+        assert len(trace.coverage_checks) <= cfg.t_hat
         for previous, updated in zip(trace.radius_sequence, trace.radius_sequence[1:]):
             assert updated == pytest.approx(trace.target_radius + cfg.margin(previous), abs=1e-15)
             assert updated <= previous

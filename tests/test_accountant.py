@@ -7,18 +7,15 @@ from dpfewshot.accountant import (
     DEFAULT_ALPHA_GRID,
     AmplificationOverflowError,
     DpBudget,
-    LinearRdpCurve,
     MechanismProfile,
     SubsamplingContext,
     UnachievableBudgetError,
+    best_epsilon,
     binary_search_iterations,
     calibrate_sigma1,
-    compose_iterations,
     gaussian_rdp,
     matched_baseline_sigma,
     per_iteration_coefficient,
-    per_iteration_curve,
-    per_iteration_rdp,
     rdp_to_dp,
     subsample_amplify,
     total_epsilon,
@@ -27,16 +24,16 @@ from dpfewshot.accountant import (
 PROFILE = MechanismProfile(sigma0=10.0, sigma1=1.0, sigma2=3.0, t_hat=1, theta=0.1)
 
 
-def reference_amplified(curve, gamma, alpha):
+def reference_amplified(coeff, gamma, alpha):
     """Straight-line transcription of the without-replacement bound in
-    extended precision (no log-space tricks)."""
+    extended precision (no log-space tricks) for tau(alpha) = coeff * alpha."""
     one = np.longdouble(1.0)
     g = np.longdouble(gamma)
-    t2 = np.longdouble(curve(2))
+    t2 = np.longdouble(coeff * 2)
     pair = min(4 * (np.exp(t2) - one), 2 * np.exp(t2))
     total = one + g**2 * math.comb(alpha, 2) * pair
     for j in range(3, alpha + 1):
-        total += g**j * math.comb(alpha, j) * np.exp((j - 1) * np.longdouble(curve(j))) * 2
+        total += g**j * math.comb(alpha, j) * np.exp((j - 1) * np.longdouble(coeff * j)) * 2
     return float(np.log(total) / (alpha - 1))
 
 
@@ -82,20 +79,20 @@ class TestGaussianRdp:
 class TestPerIterationRdp:
     def test_worked_example(self):
         # tau0 = 2*3/100, two mean estimates at 2/2 each, one check at 2/18
-        tau = per_iteration_rdp(PROFILE, 2.0)
+        tau = per_iteration_coefficient(PROFILE) * 2.0
         assert tau == pytest.approx(0.06 + 2.0 + 2.0 / 18.0, rel=1e-12)
 
     def test_large_sigma1_leaves_radius_and_check_costs(self):
         profile = MechanismProfile(sigma0=10.0, sigma1=1e9, sigma2=3.0, t_hat=1, theta=0.1)
         tau0 = 2 * 3 / 100
         tau2 = 2 / 18
-        assert per_iteration_rdp(profile, 2.0) == pytest.approx(tau0 + tau2, abs=1e-12)
+        assert per_iteration_coefficient(profile) * 2.0 == pytest.approx(tau0 + tau2, abs=1e-12)
 
     def test_zero_inner_iterations_degenerates(self):
         profile = MechanismProfile(sigma0=10.0, sigma1=1.0, sigma2=3.0, t_hat=0, theta=0.1)
         tau0 = 2 * 3 / 100
         tau1 = 2 / 2
-        assert per_iteration_rdp(profile, 2.0) == pytest.approx(tau0 + tau1, rel=1e-12)
+        assert per_iteration_coefficient(profile) * 2.0 == pytest.approx(tau0 + tau1, rel=1e-12)
 
     def test_matches_component_sum(self):
         rng = np.random.default_rng(3)
@@ -113,7 +110,7 @@ class TestPerIterationRdp:
                 + (profile.t_hat + 1) * gaussian_rdp(1.0, profile.sigma1, alpha)
                 + profile.t_hat * gaussian_rdp(1.0, profile.sigma2, alpha)
             )
-            assert per_iteration_rdp(profile, alpha) == pytest.approx(expected, rel=1e-12)
+            assert per_iteration_coefficient(profile) * alpha == pytest.approx(expected, rel=1e-12)
 
 
 class TestRdpToDp:
@@ -142,15 +139,14 @@ class TestSubsampleAmplify:
     def test_gamma_one_alpha_two_instantiation(self):
         ctx = SubsamplingContext(10, 10)
         for t in (0.02, 0.4, 2.0):
-            got = subsample_amplify(LinearRdpCurve(t / 2), ctx, 2)
+            got = subsample_amplify(t / 2, ctx, 2)
             expected = math.log(1 + min(4 * (math.e**t - 1), 2 * math.e**t))
             assert got == pytest.approx(expected, rel=1e-12)
             assert got >= 0.0
 
     def test_vanishes_as_gamma_shrinks(self):
-        curve = LinearRdpCurve(0.05)
         values = [
-            subsample_amplify(curve, SubsamplingContext(1, n), 8)
+            subsample_amplify(0.05, SubsamplingContext(1, n), 8)
             for n in (10, 1000, 10**6, 10**9)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -158,25 +154,23 @@ class TestSubsampleAmplify:
 
     def test_rejects_non_integer_order(self):
         with pytest.raises(ValueError):
-            subsample_amplify(LinearRdpCurve(0.1), SubsamplingContext(1, 100), 2.5)
+            subsample_amplify(0.1, SubsamplingContext(1, 100), 2.5)
         with pytest.raises(ValueError):
-            subsample_amplify(LinearRdpCurve(0.1), SubsamplingContext(1, 100), 1)
+            subsample_amplify(0.1, SubsamplingContext(1, 100), 1)
 
     def test_matches_transcription_oracle(self):
         for gamma in (1e-4, 1e-3, 0.01, 0.05):
             ctx = SubsamplingContext(1, round(1 / gamma))
             for c in (1e-3, 0.03, 0.3):
-                curve = LinearRdpCurve(c)
                 for alpha in (2, 3, 5, 16, 64):
-                    got = subsample_amplify(curve, ctx, alpha)
-                    want = reference_amplified(curve, ctx.gamma, alpha)
+                    got = subsample_amplify(c, ctx, alpha)
+                    want = reference_amplified(c, ctx.gamma, alpha)
                     assert got == pytest.approx(want, rel=1e-10), (gamma, c, alpha)
 
     def test_monotone_in_gamma(self):
-        curve = LinearRdpCurve(0.2)
         for alpha in (2, 7, 33, 64):
             values = [
-                subsample_amplify(curve, SubsamplingContext(m, 10**6), alpha)
+                subsample_amplify(0.2, SubsamplingContext(m, 10**6), alpha)
                 for m in (1, 10, 100, 5000, 50000, 10**6)
             ]
             assert values == sorted(values)
@@ -186,35 +180,37 @@ class TestSubsampleAmplify:
         # ~0.01 (real profiles sit in 0.17..3.1); for much flatter curves the
         # bound's constant-2 tail can exceed the unamplified value.
         for c in (0.01, 0.05, 0.17, 0.5, 1.0, 3.0):
-            curve = LinearRdpCurve(c)
             for gamma_inv in (20, 100, 10**4):
                 ctx = SubsamplingContext(1, gamma_inv)
                 for alpha in (2, 8, 32, 64):
-                    assert subsample_amplify(curve, ctx, alpha) <= curve(alpha) + 1e-12
+                    assert subsample_amplify(c, ctx, alpha) <= c * alpha + 1e-12
 
     def test_overflow_is_signaled(self):
         with pytest.raises(AmplificationOverflowError):
-            subsample_amplify(LinearRdpCurve(5e307), SubsamplingContext(1, 100), 8)
+            subsample_amplify(5e307, SubsamplingContext(1, 100), 8)
 
 
 class TestComposeAndTotal:
     def test_single_iteration_is_identity(self):
-        assert compose_iterations(lambda a: 0.37, 1, 8) == 0.37
+        assert best_epsilon({8: 0.37}, 1, 1e-5) == (rdp_to_dp(8, 0.37, 1e-5), 8)
 
     def test_linearity(self):
-        assert compose_iterations(lambda a: 0.002, 100, 8) == pytest.approx(0.2)
+        eps, _ = best_epsilon({8: 0.002}, 100, 1e-5)
+        assert eps == pytest.approx(rdp_to_dp(8, 0.2, 1e-5))
 
     def test_additivity_of_two_curves(self):
-        first, second = LinearRdpCurve(0.2), LinearRdpCurve(0.5)
+        # Gaussian curves with coefficients 0.2 and 0.5 compose to one with 0.7
         alpha = 6
-        assert first(alpha) + second(alpha) == pytest.approx(LinearRdpCurve(0.7)(alpha))
+        first = gaussian_rdp(1.0, math.sqrt(1 / 0.4), alpha)
+        second = gaussian_rdp(1.0, 1.0, alpha)
+        assert first + second == pytest.approx(0.7 * alpha)
 
     def test_singleton_grid_equals_pipeline(self):
         ctx = SubsamplingContext(20, 10000)
         alpha = 9
         eps, best = total_epsilon(PROFILE, ctx, 50, 1e-5, (alpha,))
-        curve = per_iteration_curve(PROFILE)
-        expected = rdp_to_dp(alpha, 50 * subsample_amplify(curve, ctx, alpha), 1e-5)
+        coeff = per_iteration_coefficient(PROFILE)
+        expected = rdp_to_dp(alpha, 50 * subsample_amplify(coeff, ctx, alpha), 1e-5)
         assert best == alpha
         assert eps == pytest.approx(expected, rel=1e-12)
 
@@ -228,8 +224,8 @@ class TestComposeAndTotal:
         ctx = SubsamplingContext(40, 3000)
         eps, best = total_epsilon(PROFILE, ctx, 20, 1e-4)
         for alpha in DEFAULT_ALPHA_GRID:
-            curve = per_iteration_curve(PROFILE)
-            other = rdp_to_dp(alpha, 20 * subsample_amplify(curve, ctx, alpha), 1e-4)
+            coeff = per_iteration_coefficient(PROFILE)
+            other = rdp_to_dp(alpha, 20 * subsample_amplify(coeff, ctx, alpha), 1e-4)
             assert eps <= other + 1e-12
             if alpha == best:
                 assert eps == pytest.approx(other, rel=1e-12)

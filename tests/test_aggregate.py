@@ -12,7 +12,6 @@ from dpfewshot.aggregate import (
     adaptive_aggregate,
     baseline_aggregate,
     noisy_mean_raw,
-    noisy_projected_mean,
     radius_coverage_check,
     select_token,
 )
@@ -35,7 +34,7 @@ class TestNoisyMean:
     def test_identical_points_pass_through(self):
         p = np.array([0.2, 0.3, 0.5])
         points = np.tile(p, (9, 1))
-        out = noisy_projected_mean(points, 0.7, 0.0, substream(1, "m"))
+        out, _ = project_to_simplex(noisy_mean_raw(points, 0.7, 0.0, substream(1, "m")))
         np.testing.assert_allclose(out, p, atol=1e-15)
 
     def test_noise_scale_on_sum(self):
@@ -162,7 +161,7 @@ class TestAdaptiveAggregate:
         assert trace.mean_estimates == 1
         assert len(trace.radius_sequence) == 1
         mirror = baseline_aggregate(points, 0.3, NoiseStreams.from_seed(seed).mean)
-        np.testing.assert_allclose(out, project_to_simplex(mirror), atol=1e-15)
+        np.testing.assert_allclose(out, project_to_simplex(mirror)[0], atol=1e-15)
 
     def test_noiseless_clustered_shrinks_radius(self):
         rng = np.random.default_rng(42)
@@ -185,7 +184,7 @@ class TestAdaptiveAggregate:
         cfg = make_cfg(20, 6, t_hat=1)
         out, trace = adaptive_aggregate(points, cfg, 0)
         assert trace.break_reason == BREAK_COVERAGE_FAILED
-        np.testing.assert_allclose(out, project_to_simplex(points.mean(axis=0)), atol=1e-12)
+        np.testing.assert_allclose(out, project_to_simplex(points.mean(axis=0))[0], atol=1e-12)
 
     def test_budget_ceiling_and_draw_accounting(self):
         for seed in range(25):
@@ -200,8 +199,8 @@ class TestAdaptiveAggregate:
             )
             _, trace = adaptive_aggregate(points, cfg, seed)
             assert trace.mean_estimates <= cfg.t_hat + 1
-            assert trace.coverage_check_count <= cfg.t_hat
-            assert len(trace.radius_search_steps) == 3
+            assert len(trace.coverage_checks) <= cfg.t_hat
+            assert len(trace.goodradius_steps) == 3
             assert trace.mean_estimates == len(trace.radius_sequence)
 
     def test_radius_updates_follow_margin_formula(self):

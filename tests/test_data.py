@@ -8,7 +8,6 @@ from dpfewshot.data import (
     Example,
     GENERIC_TEMPLATE,
     PromptTemplate,
-    build_prompt,
     load_dataset,
     partition_subsets,
 )
@@ -80,7 +79,7 @@ class TestLoadDataset:
 
 class TestPromptTemplate:
     def test_public_prompt_is_instruction_plus_query(self):
-        prompt = build_prompt(NEWS_TEMPLATE, [], "World")
+        prompt = NEWS_TEMPLATE.render([], "World")
         assert prompt == (
             "Given a label of news type, generate the chosen type of news accordingly."
             "\n\nNews Type: World\nText:"
@@ -88,7 +87,7 @@ class TestPromptTemplate:
 
     def test_one_example_label_first(self):
         subset = [Example("Australia boosts anti-terror measures", "World")]
-        prompt = build_prompt(NEWS_TEMPLATE, subset, "World")
+        prompt = NEWS_TEMPLATE.render(subset, "World")
         assert prompt == (
             "Given a label of news type, generate the chosen type of news accordingly."
             "\n\nNews Type: World\nText: Australia boosts anti-terror measures"
@@ -96,7 +95,7 @@ class TestPromptTemplate:
         )
 
     def test_prefix_ends_prompt_verbatim(self):
-        prompt = build_prompt(NEWS_TEMPLATE, [], "World", prefix=" New York")
+        prompt = NEWS_TEMPLATE.render([], "World", generated=" New York")
         assert prompt.endswith("Text: New York")
 
     def test_from_file(self, tmp_path):
@@ -123,7 +122,7 @@ class TestPromptTemplate:
             PromptTemplate("i", "{label} {text}", "no placeholder")
 
     def test_generic_template_renders(self):
-        prompt = build_prompt(GENERIC_TEMPLATE, [Example("body", "tag")], "tag", " x")
+        prompt = GENERIC_TEMPLATE.render([Example("body", "tag")], "tag", " x")
         assert "Label: tag\nText: body" in prompt
         assert prompt.endswith("Text: x")
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -215,6 +216,12 @@ class TestReportPrivacy:
             entry = report["epsilon"][mode]
             assert entry["excluded_alphas"] == list(range(41, 65))
             assert entry["best_alpha"] == 2
+
+    def test_theta_at_simplex_radius_skips_the_search(self):
+        config = noiseless_config(sigma1=0.6, sigma0=10.0, sigma2=3.0, theta=math.sqrt(2) / 2)
+        parts = report_privacy(config, dataset_size=120000)["per_token_rdp"]
+        assert parts["binary_search_iterations"] == 0
+        assert parts["radius_search_coeff"] == 0
 
     def test_per_token_components_reported(self):
         config = noiseless_config(sigma1=0.58, sigma0=10.0, sigma2=3.0, t_hat=1, t_max=100)

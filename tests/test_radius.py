@@ -5,13 +5,7 @@ import pytest
 
 import helpers
 from dpfewshot.accountant import binary_search_iterations
-from dpfewshot.radius import (
-    CoverageScore,
-    ball_count,
-    dp_binary_search,
-    good_radius,
-    l_function,
-)
+from dpfewshot.radius import CoverageScore, dp_binary_search, good_radius
 from dpfewshot.rng import substream
 from dpfewshot.simplex import SIMPLEX_RADIUS
 
@@ -38,19 +32,20 @@ def line_on_simplex(offsets):
 class TestBallCount:
     def test_zero_radius_counts_duplicates(self):
         points = np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]])
-        assert ball_count(points, 0, 0.0) == 2
-        assert ball_count(points, 2, 0.0) == 1
+        score = CoverageScore(points)
+        assert score.ball_count(0, 0.0) == 2
+        assert score.ball_count(2, 0.0) == 1
 
     def test_max_pairwise_distance_covers_all(self):
         rng = np.random.default_rng(0)
         points = rng.random((12, 4))
         max_dist = max(np.linalg.norm(a - b) for a in points for b in points)
         for i in range(12):
-            assert ball_count(points, i, max_dist) == 12
+            assert CoverageScore(points).ball_count(i, max_dist) == 12
 
     def test_collinear_points(self):
         points = line_on_simplex([0.0, 0.1, 0.3])
-        assert ball_count(points, 1, 0.15) == 2
+        assert CoverageScore(points).ball_count(1, 0.15) == 2
 
 
 class TestLFunction:
@@ -58,22 +53,22 @@ class TestLFunction:
         points = np.tile([0.25, 0.75], (6, 1))
         for t in (1, 3, 6):
             for r in (0.0, 0.2, 1.0):
-                assert l_function(points, t, r) == t
+                assert CoverageScore(points).l_value(t, r) == t
 
     def test_distinct_points_at_zero_radius(self):
         points = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        assert l_function(points, 2, 0.0) == 1.0
+        assert CoverageScore(points).l_value(2, 0.0) == 1.0
 
     def test_three_point_instance(self):
         points = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        assert l_function(points, 2, 0.75) == 2.0
+        assert CoverageScore(points).l_value(2, 0.75) == 2.0
 
     def test_non_decreasing_in_radius(self):
         for seed in range(30):
             rng = np.random.default_rng(seed)
             points, _ = helpers.clustered_points(rng, int(rng.integers(3, 25)), 6)
             t = int(rng.integers(1, points.shape[0] + 1))
-            values = [l_function(points, t, r) for r in np.linspace(0, 1.6, 25)]
+            values = [CoverageScore(points).l_value(t, r) for r in np.linspace(0, 1.6, 25)]
             assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_neighbor_sensitivity_at_most_two(self):
@@ -86,7 +81,7 @@ class TestLFunction:
             neighbor[rng.integers(m)] = helpers.peaked_center(rng, 5)
             t = int(rng.integers(1, m + 1))
             for r in grid:
-                delta = abs(l_function(points, t, r) - l_function(neighbor, t, r))
+                delta = abs(CoverageScore(points).l_value(t, r) - CoverageScore(neighbor).l_value(t, r))
                 assert delta <= 2.0 + 1e-9
 
 

@@ -10,12 +10,9 @@ from dpfewshot.simplex import (
     SIMPLEX_RADIUS,
     Ball,
     coverage_count,
-    is_prob_vector,
-    l2_distance,
     min_ball_radius_oracle,
     project_to_ball,
     project_to_simplex,
-    project_to_simplex_flagged,
 )
 
 finite_vectors = arrays(
@@ -27,32 +24,33 @@ finite_vectors = arrays(
 
 class TestProjectToSimplex:
     def test_fixed_point_on_simplex(self):
-        np.testing.assert_allclose(project_to_simplex(np.array([0.2, 0.3, 0.5])), [0.2, 0.3, 0.5])
+        np.testing.assert_allclose(project_to_simplex(np.array([0.2, 0.3, 0.5]))[0], [0.2, 0.3, 0.5])
 
     def test_truncates_and_renormalizes(self):
-        out = project_to_simplex(np.array([0.5, -0.1, 0.6]))
+        out, _ = project_to_simplex(np.array([0.5, -0.1, 0.6]))
         np.testing.assert_allclose(out, [0.5 / 1.1, 0.0, 0.6 / 1.1], atol=1e-12)
 
     def test_all_negative_falls_back_to_uniform(self):
-        out, degenerate = project_to_simplex_flagged(np.array([-1.0, -2.0, -3.0]))
+        out, degenerate = project_to_simplex(np.array([-1.0, -2.0, -3.0]))
         assert degenerate
         np.testing.assert_allclose(out, [1 / 3, 1 / 3, 1 / 3])
 
     def test_normal_input_not_flagged(self):
-        _, degenerate = project_to_simplex_flagged(np.array([0.5, 0.2]))
+        _, degenerate = project_to_simplex(np.array([0.5, 0.2]))
         assert not degenerate
 
     @given(finite_vectors)
     @settings(max_examples=300)
     def test_idempotent(self, v):
-        once = project_to_simplex(v)
-        twice = project_to_simplex(once)
+        once, _ = project_to_simplex(v)
+        twice, _ = project_to_simplex(once)
         assert np.all(np.abs(twice - once) <= 1e-12)
 
     @given(finite_vectors)
     @settings(max_examples=300)
     def test_output_is_prob_vector(self, v):
-        assert is_prob_vector(project_to_simplex(v))
+        out, _ = project_to_simplex(v)
+        assert np.all(out >= 0.0) and abs(float(out.sum()) - 1.0) <= 1e-9
 
 
 class TestProjectToBall:
@@ -88,22 +86,24 @@ class TestProjectToBall:
 
 
 class TestL2Distance:
+    """The distance between two points is the radius that covers both."""
+
     def test_identity(self):
-        assert l2_distance(np.array([0.2, 0.8]), np.array([0.2, 0.8])) == 0.0
+        assert min_ball_radius_oracle(np.array([[0.2, 0.8], [0.2, 0.8]]), 1.0) == 0.0
 
     def test_simplex_vertices(self):
-        assert l2_distance(np.array([1.0, 0, 0]), np.array([0, 1.0, 0])) == pytest.approx(
+        assert min_ball_radius_oracle(np.array([[1.0, 0, 0], [0, 1.0, 0]]), 1.0) == pytest.approx(
             math.sqrt(2)
         )
 
     def test_plain_arithmetic(self):
-        assert l2_distance(np.array([0.5, 0.5]), np.array([0.8, 0.2])) == pytest.approx(
+        assert min_ball_radius_oracle(np.array([[0.5, 0.5], [0.8, 0.2]]), 1.0) == pytest.approx(
             math.sqrt(0.18)
         )
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            l2_distance(np.array([1.0]), np.array([1.0, 2.0]))
+            min_ball_radius_oracle([[1.0], [1.0, 2.0]], 1.0)
 
 
 class TestCoverageCount:
