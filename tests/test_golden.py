@@ -1,7 +1,7 @@
 """Golden outputs of every loop that runs the per-token step.
 
 The README quickstart settings (synthetic provider, M=10, K=100, t_max=20,
-4 shots) drive `generate`, both modes of `measure_cluster_radius`,
+4 shots) drive `generate` (its files and its stdout), both modes of `measure_cluster_radius`,
 `run_utility_comparison` and `report_privacy`.  Each output is pinned by
 its SHA-256 digest, so a refactor of the token loop or the accountant that
 changes a single byte of a fixed-seed output fails here.  The benchmark
@@ -50,6 +50,7 @@ CONFIG = RunConfig(
 
 GOLDEN = {
     "demos": "75c63a3bc74761ecb8f797c056b51c5e46b7e203a7fa52f404bd269024da9989",
+    "generate_stdout": "eb8783a03b6c69571f7856c73be68f005a295ca3c0db433ef5c1346284aa7758",
     "traces": "228f3dd5d15eca4f54185b2718d600ee06a162e07b4cf01e9a258b30b80f8124",
     "radius_oracle": "5c78d579358482d21c49b166827fbac0c28b7210f16144ac820aff6cb53911f8",
     "radius_goodradius": "7be6535a6b0a70343978169ffe8a31de5c99626f1e7ab4a6775c44c6110164af",
@@ -67,7 +68,7 @@ def json_digest(report: dict) -> str:
     return digest(json.dumps(report, sort_keys=True).encode("utf-8"))
 
 
-def test_generate_files(tmp_path):
+def test_generate_files(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text(QUICKSTART)
     demos, traces = tmp_path / "demos.jsonl", tmp_path / "traces.jsonl"
@@ -76,6 +77,9 @@ def test_generate_files(tmp_path):
         "--demos-out", str(demos), "--traces-out", str(traces),
     ])
     assert code == 0
+    # the sigma1 line and the audit line, with the output paths masked
+    stdout = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
+    assert digest(stdout.encode("utf-8")) == GOLDEN["generate_stdout"]
     assert digest(demos.read_bytes()) == GOLDEN["demos"]
     assert digest(traces.read_bytes()) == GOLDEN["traces"]
 

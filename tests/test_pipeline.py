@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dpfewshot.pipeline import (
     run_utility_comparison,
     write_outputs,
 )
+from dpfewshot.data import load_dataset
 from dpfewshot.providers import ProviderSpec, SyntheticProvider
 
 LABELS = ("World", "Sports", "Business", "Technology")
@@ -260,3 +262,22 @@ class TestResolveRun:
         run = resolve_run(config)
         assert run.delta == pytest.approx(1 / 32)
         assert run.sigma1 > 0
+
+    @pytest.mark.parametrize("gamma_mode", ["dataset", "label"])
+    def test_agrees_with_report_privacy(self, tmp_path, gamma_mode):
+        path = tmp_path / "d.jsonl"
+        rows = [
+            {"text": f"x{i}", "label": label}
+            for label, count in zip(LABELS, (40, 25, 30, 60))
+            for i in range(count)
+        ]
+        path.write_text("\n".join(json.dumps(r) for r in rows))
+        config = noiseless_config(
+            sigma1=None, epsilon=6.0, sigma0=10.0, sigma2=3.0, gamma_mode=gamma_mode,
+            dataset_path=str(path), m=2, n=2, t_max=3,
+        )
+        run = resolve_run(config)
+        dataset = load_dataset(path)
+        report = report_privacy(config, len(dataset), Counter(ex.label for ex in dataset))
+        assert run.delta == report["delta"] == 1 / 155
+        assert run.sigma1 == report["sigma1"]
