@@ -1,12 +1,12 @@
 """Renyi-DP accounting for the full synthesis run.
 
-The per-token mechanism is a fixed composition of Gaussian mechanisms:
-one radius search (2 * binary_search_iterations(theta) noisy counts at
-noise std 2*sigma0, sensitivity 2), at most t_hat + 1 projected mean
-estimates (noise std 2*R*sigma1 on a sum of sensitivity 2R, so the R
-cancels), and at most t_hat coverage checks (noise std sigma2 on a count
-of sensitivity 1).  Every primitive therefore has an exactly linear RDP
-curve tau(alpha) = c * alpha.
+The per-token mechanism is a fixed composition of Gaussian mechanisms, and
+charged_events lists what each token is billed for.  Each event's noise is
+its noise multiplier times its sensitivity: a radius-search draw adds noise
+std 2*sigma0 to a count of sensitivity 2, a projected mean estimate adds
+2*R*sigma1 to a sum of sensitivity 2R (so the R cancels), and a coverage
+check adds sigma2 to a count of sensitivity 1.  Every primitive therefore
+has an exactly linear RDP curve tau(alpha) = alpha / (2 multiplier^2).
 
 Accounting pipeline, evaluated per integer order alpha and minimized over
 a grid:
@@ -20,7 +20,7 @@ carries a factor e^{(j-1) tau(j)} that overflows double precision for
 moderate tau.
 
 Charging is worst-case over the data: the inner loop is always billed for
-t_hat + 1 mean estimates and t_hat checks even when it breaks early, so a
+its full count of mean estimates and checks even when it breaks early, so a
 data-dependent early stop can never reduce the charged budget.
 """
 
@@ -119,14 +119,48 @@ def gaussian_rdp(sensitivity: float, noise_std: float, alpha: float) -> float:
     return alpha * sensitivity**2 / (2.0 * noise_std**2)
 
 
+@dataclass(frozen=True)
+class ChargedEvent:
+    """count Gaussian releases per token, each at noise_multiplier times its
+    sensitivity (None for a sigma1 not yet calibrated)."""
+
+    count: int
+    noise_multiplier: float | None
+
+    @property
+    def coefficient(self) -> float:
+        """RDP coefficient of one release: tau(alpha) = coefficient * alpha."""
+        return 1.0 / (2.0 * self.noise_multiplier**2)
+
+    @property
+    def total(self) -> float:
+        """RDP coefficient of all count releases."""
+        return self.count / (2.0 * self.noise_multiplier**2)
+
+
+def charged_events(profile: MechanismProfile) -> dict[str, ChargedEvent]:
+    """The worst-case releases charged for one token, by trace counter name."""
+    return {
+        "goodradius_draws": ChargedEvent(2 * binary_search_iterations(profile.theta), profile.sigma0),
+        "mean_estimates": ChargedEvent(profile.t_hat + 1, profile.sigma1),
+        "coverage_checks": ChargedEvent(profile.t_hat, profile.sigma2),
+    }
+
+
 def per_iteration_coefficient(profile: MechanismProfile) -> float:
     """Linear coefficient c of the per-token curve tau(alpha) = c * alpha."""
     if profile.sigma1 is None:
         raise ValueError("profile has no sigma1; calibrate or set it first")
-    radius_c = binary_search_iterations(profile.theta) / profile.sigma0**2
-    mean_c = 1.0 / (2.0 * profile.sigma1**2)
-    check_c = 1.0 / (2.0 * profile.sigma2**2)
-    return radius_c + (profile.t_hat + 1) * mean_c + profile.t_hat * check_c
+    events = charged_events(profile)
+    means, checks = events["mean_estimates"], events["coverage_checks"]
+    # The radius search enters as one total and the loop release by release:
+    # the published epsilons were computed so, and the two forms can differ
+    # in the last bit.
+    return (
+        events["goodradius_draws"].total
+        + means.count * means.coefficient
+        + checks.count * checks.coefficient
+    )
 
 
 def _log_expm1(t: float) -> float:

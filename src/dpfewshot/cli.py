@@ -19,7 +19,6 @@ from .accountant import UnachievableBudgetError
 from .data import DatasetError, load_dataset
 from .pipeline import (
     ConfigurationError,
-    ResolvedRun,
     RunConfig,
     audit_traces,
     generate_shots,
@@ -145,19 +144,21 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return build_run_config(file_values, flag_values)
 
 
-def _dataset_stats(config: RunConfig, override_size: int | None):
-    """(dataset_size, label_counts) for privacy reporting."""
+def _privacy_report(config: RunConfig, dataset_size: int | None) -> dict:
+    """report_privacy over the dataset file (rows and label counts) or over
+    --dataset-size rows."""
     if config.dataset_path is not None:
         dataset = load_dataset(config.dataset_path, config.dataset_format, config.labels or None)
-        return len(dataset), Counter(ex.label for ex in dataset)
-    if override_size is not None:
-        return override_size, None
-    raise ConfigurationError("report needs a dataset file or --dataset-size")
+        return report_privacy(config, len(dataset), Counter(ex.label for ex in dataset))
+    if dataset_size is None:
+        raise ConfigurationError("report needs a dataset file or --dataset-size")
+    return report_privacy(config, dataset_size)
 
 
 def cmd_generate(args) -> int:
     config = _config_from_args(args)
-    run: ResolvedRun = resolve_run(config)
+    run = resolve_run(config)
+    config.mechanism(run.sigma1)  # refuses a mechanism the accountant cannot charge
     demos, traces = generate_shots(run)
     write_outputs(demos, traces, config.demos_path, config.traces_path)
     audit = audit_traces(traces, config)
@@ -182,9 +183,7 @@ def cmd_measure_radius(args) -> int:
 
 
 def cmd_report_privacy(args) -> int:
-    config = _config_from_args(args)
-    size, counts = _dataset_stats(config, args.dataset_size)
-    report = report_privacy(config, size, counts)
+    report = _privacy_report(_config_from_args(args), args.dataset_size)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -200,10 +199,8 @@ def cmd_calibrate(args) -> int:
     config = _config_from_args(args)
     if config.epsilon is None:
         raise ConfigurationError("calibrate needs a target --epsilon")
-    size, counts = _dataset_stats(config, args.dataset_size)
-    report = report_privacy(config, size, counts)
-    sigma1 = report["sigma1"]
-    print(f"sigma1 = {sigma1:.9g}")
+    report = _privacy_report(config, args.dataset_size)
+    print(f"sigma1 = {report['sigma1']:.9g}")
     print(json.dumps(report["epsilon"], indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -23,8 +23,8 @@ from .accountant import (
     SubsamplingContext,
     amplified_rdp,
     best_epsilon,
-    binary_search_iterations,
     calibrate_sigma1,
+    charged_events,
     matched_baseline_sigma,
     per_iteration_coefficient,
 )
@@ -55,8 +55,8 @@ class RunConfig:
     """Complete description of a synthesis run.
 
     Exactly one of sigma1 / epsilon must be set: a given sigma1 is used
-    directly, a given epsilon target triggers calibration (delta defaults
-    to 1/|dataset| when not set).
+    directly, a given epsilon target triggers calibration (see
+    settle_privacy).
     """
 
     task: str = "task"
@@ -91,8 +91,8 @@ class RunConfig:
     n_trials: int = 500
 
     def __post_init__(self):
-        if min(self.m, self.n, self.k, self.t_max, self.n_shots) < 1:
-            raise ConfigurationError("m, n, k, t_max, n_shots must be positive")
+        if min(self.m, self.n, self.k, self.t_max, self.n_shots, self.t_hat) < 1:
+            raise ConfigurationError("m, n, k, t_max, n_shots, t_hat must be positive")
         if self.gamma_mode not in (GAMMA_DATASET, GAMMA_LABEL):
             raise ConfigurationError(f"unknown gamma_mode {self.gamma_mode!r}")
         if self.radius_mode not in ("oracle", "goodradius"):
@@ -103,10 +103,6 @@ class RunConfig:
     @property
     def alpha_grid(self) -> tuple[int, ...]:
         return tuple(range(2, self.alpha_max + 1))
-
-    def require_noise_source(self):
-        if self.sigma1 is None and self.epsilon is None:
-            raise ConfigurationError("one of sigma1 or a target epsilon is required")
 
     def mechanism(self, sigma1: float | None) -> MechanismProfile:
         """The per-token mechanism the accountant charges (sigma1 None before calibration)."""
@@ -147,24 +143,12 @@ class SyntheticDemo:
     stop_rule: str  # "t_max" | "stop_token"
 
     def to_record(self) -> dict:
-        return {
-            "label": self.label,
-            "text": self.text,
-            "tokens": list(self.tokens),
-            "token_count": len(self.tokens),
-            "trace_id": self.trace_id,
-            "stop_rule": self.stop_rule,
-        }
+        return {**dataclasses.asdict(self), "tokens": list(self.tokens), "token_count": len(self.tokens)}
 
     @classmethod
     def from_record(cls, record: dict) -> "SyntheticDemo":
-        return cls(
-            label=record["label"],
-            text=record["text"],
-            tokens=tuple(record["tokens"]),
-            trace_id=record["trace_id"],
-            stop_rule=record["stop_rule"],
-        )
+        fields = {f.name: record[f.name] for f in dataclasses.fields(cls)}
+        return cls(**{**fields, "tokens": tuple(record["tokens"])})
 
 
 @dataclass
@@ -180,33 +164,26 @@ class ResolvedRun:
     delta: float | None
 
 
-def _placeholder_pool(labels, per_label: int) -> list[Example]:
-    # The synthetic provider ignores prompt content; this pool only exists so
-    # the subset-partitioning path runs unchanged.
-    return [
-        Example(text=f"synthetic corpus item {i}", label=label)
-        for label in labels
-        for i in range(per_label)
-    ]
-
-
 def resolve_run(config: RunConfig, provider=None) -> ResolvedRun:
-    """Load data and template, infer labels, and settle sigma1.
-
-    With an epsilon target, sigma1 is calibrated against the configured
-    gamma interpretation; delta defaults to 1/|dataset|.
-    """
-    config.require_noise_source()
+    """Load data and template, infer labels, and settle sigma1 and delta."""
     if config.dataset_path is not None:
         dataset = load_dataset(
             config.dataset_path, config.dataset_format, config.labels or None
         )
         labels = config.labels or tuple(sorted({ex.label for ex in dataset}))
+        dataset_size = len(dataset)
     else:
         if not config.labels:
             raise ConfigurationError("labels are required when no dataset file is given")
         labels = config.labels
-        dataset = _placeholder_pool(labels, config.m * config.n)
+        # The synthetic provider ignores prompt content; this pool only exists
+        # so the subset draw runs unchanged.  It is no population to account for.
+        dataset = [
+            Example(text=f"synthetic corpus item {i}", label=label)
+            for label in labels
+            for i in range(config.m * config.n)
+        ]
+        dataset_size = None
     if not labels:
         raise ConfigurationError("the label set is empty")
     if config.n_shots > len(labels):
@@ -220,32 +197,47 @@ def resolve_run(config: RunConfig, provider=None) -> ResolvedRun:
     )
     if provider is None:
         provider = config.provider.build()
-
-    delta = config.delta
-    sigma1 = config.sigma1
-    if sigma1 is None:
-        if delta is None:
-            delta = 1.0 / len(dataset)
-        ctx = _subsampling_context(config, len(dataset), Counter(ex.label for ex in dataset))
-        sigma1 = calibrate_sigma1(
-            DpBudget(config.epsilon, delta), config.mechanism(None), ctx,
-            config.t_max, config.alpha_grid,
-        )
+    counts = Counter(ex.label for ex in dataset) if config.gamma_mode == GAMMA_LABEL else None
+    sigma1, delta, _ = settle_privacy(config, dataset_size, counts)
     return ResolvedRun(
         config=config, dataset=dataset, labels=labels, template=template,
         provider=provider, sigma1=sigma1, delta=delta,
     )
 
 
-def _subsampling_context(config: RunConfig, dataset_size: int, label_counts) -> SubsamplingContext:
+def settle_privacy(
+    config: RunConfig, dataset_size: int | None, label_counts=None
+) -> tuple[float, float | None, dict[str, SubsamplingContext]]:
+    """(sigma1, delta, subsampling context of each gamma mode) of a run.
+
+    Each token draws m*n records: from the whole dataset (gamma_mode
+    "dataset") or, given label counts, from the smallest label's pool
+    ("label").  delta defaults to 1/dataset_size.  Without a dataset
+    (dataset_size None) only a given sigma1 is accepted; an epsilon target
+    calibrates sigma1 for gamma_mode.
+    """
+    if config.sigma1 is None and config.epsilon is None:
+        raise ConfigurationError("one of sigma1 or a target epsilon is required")
+    if dataset_size is None:
+        if config.sigma1 is None:
+            raise ConfigurationError("an epsilon target needs a dataset file or a dataset size")
+        return config.sigma1, config.delta, {}
+    if dataset_size < 1:
+        raise ConfigurationError(f"cannot account for a dataset of {dataset_size} rows")
+    delta = config.delta if config.delta is not None else 1.0 / dataset_size
     drawn = config.m * config.n
-    if config.gamma_mode == GAMMA_LABEL:
-        if not label_counts:
-            raise ConfigurationError("per-label gamma needs label counts")
-        population = min(label_counts.values())
-    else:
-        population = dataset_size
-    return SubsamplingContext(m=drawn, n=population)
+    subsampling = {GAMMA_DATASET: SubsamplingContext(drawn, dataset_size)}
+    if label_counts:
+        subsampling[GAMMA_LABEL] = SubsamplingContext(drawn, min(label_counts.values()))
+    if config.gamma_mode not in subsampling:
+        raise ConfigurationError("per-label gamma requested but no label counts available")
+    sigma1 = config.sigma1
+    if sigma1 is None:
+        sigma1 = calibrate_sigma1(
+            DpBudget(config.epsilon, delta), config.mechanism(None),
+            subsampling[config.gamma_mode], config.t_max, config.alpha_grid,
+        )
+    return sigma1, delta, subsampling
 
 
 def token_step(
@@ -344,32 +336,25 @@ def read_demos(path) -> list[SyntheticDemo]:
 
 
 def audit_traces(traces, config: RunConfig) -> dict:
-    """Compare noise events consumed in traces against the charged worst case."""
-    search_iters = binary_search_iterations(config.theta)
+    """Compare noise events consumed in traces against the charged worst case.
+
+    Every token must stay within its charge, and its radius search must run
+    all of its iterations.
+    """
+    events = charged_events(config.mechanism(None))
     aggregations = [t.aggregation for t in traces]
-    per_token_ok = all(
-        a.mean_estimates <= config.t_hat + 1
-        and len(a.coverage_checks) <= config.t_hat
-        and len(a.goodradius_steps) == search_iters
-        for a in aggregations
-    )
-    n_tokens = len(traces)
-    consumed = {
-        "mean_estimates": sum(a.mean_estimates for a in aggregations),
-        "coverage_checks": sum(len(a.coverage_checks) for a in aggregations),
-        "goodradius_draws": sum(2 * len(a.goodradius_steps) for a in aggregations),
+    used = {
+        "mean_estimates": [a.mean_estimates for a in aggregations],
+        "coverage_checks": [len(a.coverage_checks) for a in aggregations],
+        "goodradius_draws": [2 * len(a.goodradius_steps) for a in aggregations],
     }
-    charged = {
-        "mean_estimates": n_tokens * (config.t_hat + 1),
-        "coverage_checks": n_tokens * config.t_hat,
-        "goodradius_draws": n_tokens * 2 * search_iters,
-    }
-    within = all(consumed[key] <= charged[key] for key in consumed)
+    search = events["goodradius_draws"].count
+    ok = all(n <= events[name].count for name, ns in used.items() for n in ns)
     return {
-        "tokens": n_tokens,
-        "consumed": consumed,
-        "charged": charged,
-        "ok": bool(per_token_ok and within),
+        "tokens": len(traces),
+        "consumed": {name: sum(ns) for name, ns in used.items()},
+        "charged": {name: len(traces) * events[name].count for name in used},
+        "ok": ok and all(n == search for n in used["goodradius_draws"]),
     }
 
 
@@ -484,13 +469,7 @@ def report_privacy(config: RunConfig, dataset_size: int, label_counts=None) -> d
     the per-label number uses the smallest label count (largest gamma).  An
     informational full-run epsilon composes n_shots * t_max positions.
     """
-    config.require_noise_source()
-    delta = config.delta if config.delta is not None else 1.0 / dataset_size
-    drawn = config.m * config.n
-    contexts = {GAMMA_DATASET: SubsamplingContext(drawn, dataset_size)}
-    if label_counts:
-        contexts[GAMMA_LABEL] = SubsamplingContext(drawn, min(label_counts.values()))
-
+    sigma1, delta, subsampling = settle_privacy(config, dataset_size, label_counts)
     report: dict = {
         "task": config.task,
         "delta": delta,
@@ -498,56 +477,42 @@ def report_privacy(config: RunConfig, dataset_size: int, label_counts=None) -> d
         "t_max": config.t_max,
         "n_shots": config.n_shots,
         "sigma0": config.sigma0,
+        "sigma1": sigma1,
         "sigma2": config.sigma2,
         "t_hat": config.t_hat,
         "theta": config.theta,
         "alpha_grid": [config.alpha_grid[0], config.alpha_grid[-1]],
-        "gamma": {mode: ctx.gamma for mode, ctx in contexts.items()},
+        "gamma": {mode: ctx.gamma for mode, ctx in subsampling.items()},
     }
-
-    if config.gamma_mode not in contexts:
-        raise ConfigurationError("per-label gamma requested but no label counts available")
-
-    if config.sigma1 is not None:
-        sigma1 = config.sigma1
-        report["sigma1"] = sigma1
-    else:
-        sigma1 = calibrate_sigma1(
-            DpBudget(config.epsilon, delta), config.mechanism(None), contexts[config.gamma_mode],
-            config.t_max, config.alpha_grid,
-        )
-        report["sigma1"] = sigma1
+    if config.sigma1 is None:
         report["calibration"] = {"target_epsilon": config.epsilon, "gamma_mode": config.gamma_mode}
 
     profile = config.mechanism(sigma1)
-    search_iters = binary_search_iterations(config.theta)
+    events = charged_events(profile)
+    parts = {
+        "radius_search": events["goodradius_draws"].total,
+        "mean_estimates": events["mean_estimates"].total,
+        "coverage_checks": events["coverage_checks"].total,
+        "per_token_total": per_iteration_coefficient(profile),
+    }
     report["per_token_rdp"] = {
-        "coefficient": per_iteration_coefficient(profile),
-        "radius_search_coeff": search_iters / config.sigma0**2,
-        "mean_estimate_coeff": (config.t_hat + 1) / (2.0 * sigma1**2),
-        "coverage_check_coeff": config.t_hat / (2.0 * config.sigma2**2),
-        "binary_search_iterations": search_iters,
+        "coefficient": parts["per_token_total"],
+        "radius_search_coeff": parts["radius_search"],
+        "mean_estimate_coeff": parts["mean_estimates"],
+        "coverage_check_coeff": parts["coverage_checks"],
+        "binary_search_iterations": events["goodradius_draws"].count // 2,
     }
 
-    coeffs = report["per_token_rdp"]
     epsilons = {}
-    for mode, ctx in contexts.items():
+    for mode, ctx in subsampling.items():
         amplified = amplified_rdp(profile, ctx, config.alpha_grid)
         eps, alpha = best_epsilon(amplified, config.t_max, delta)
-        entry = {
-            "epsilon": eps,
-            "best_alpha": alpha,
-            "gamma": ctx.gamma,
-            "tau_at_best_alpha": {
-                "radius_search": coeffs["radius_search_coeff"] * alpha,
-                "mean_estimates": coeffs["mean_estimate_coeff"] * alpha,
-                "coverage_checks": coeffs["coverage_check_coeff"] * alpha,
-                "per_token_total": coeffs["coefficient"] * alpha,
-            },
-        }
         eps_run, alpha_run = best_epsilon(amplified, config.t_max * config.n_shots, delta)
-        entry["full_run_epsilon"] = eps_run
-        entry["full_run_best_alpha"] = alpha_run
+        entry = {
+            "epsilon": eps, "best_alpha": alpha, "gamma": ctx.gamma,
+            "tau_at_best_alpha": {part: c * alpha for part, c in parts.items()},
+            "full_run_epsilon": eps_run, "full_run_best_alpha": alpha_run,
+        }
         excluded = [a for a in config.alpha_grid if a not in amplified]
         if excluded:
             entry["excluded_alphas"] = excluded

@@ -13,6 +13,7 @@ from dpfewshot.accountant import (
     best_epsilon,
     binary_search_iterations,
     calibrate_sigma1,
+    charged_events,
     gaussian_rdp,
     matched_baseline_sigma,
     per_iteration_coefficient,
@@ -74,6 +75,37 @@ class TestGaussianRdp:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             gaussian_rdp(1.0, 1.0, 1.0)
+
+
+class TestChargedEvents:
+    def test_each_event_is_its_gaussian_release(self):
+        # a radius-search draw adds 2*sigma0 to a count of sensitivity 2, a
+        # mean estimate 2*R*sigma1 to a sum of sensitivity 2R (R = 0.3 here),
+        # a coverage check sigma2 to a count of sensitivity 1
+        profile = MechanismProfile(sigma0=10.0, sigma1=0.6, sigma2=3.0, t_hat=2, theta=0.1)
+        alpha = 7
+        expected = {
+            "goodradius_draws": (6, gaussian_rdp(2.0, 20.0, alpha)),
+            "mean_estimates": (3, gaussian_rdp(0.6, 0.6 * 0.6, alpha)),
+            "coverage_checks": (2, gaussian_rdp(1.0, 3.0, alpha)),
+        }
+        events = charged_events(profile)
+        assert set(events) == set(expected)
+        for name, (count, one_release) in expected.items():
+            assert events[name].count == count
+            assert events[name].coefficient * alpha == pytest.approx(one_release, rel=1e-12)
+            assert events[name].total == pytest.approx(count * events[name].coefficient, rel=1e-12)
+
+    def test_per_token_coefficient_sums_the_events(self):
+        events = charged_events(PROFILE)
+        total = sum(event.total for event in events.values())
+        assert per_iteration_coefficient(PROFILE) == pytest.approx(total, rel=1e-12)
+
+    def test_uncalibrated_sigma1_still_counts(self):
+        events = charged_events(MechanismProfile(sigma0=10.0, sigma1=None, sigma2=3.0, t_hat=1))
+        assert {name: e.count for name, e in events.items()} == {
+            "goodradius_draws": 6, "mean_estimates": 2, "coverage_checks": 1,
+        }
 
 
 class TestPerIterationRdp:

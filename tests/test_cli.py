@@ -108,6 +108,39 @@ class TestGenerate:
         assert "provider error" in capsys.readouterr().err
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("argv", [
+        ("generate", "--dataset", "{empty}", "--labels", "a,b", "--n-shots", "1", "--epsilon", "4"),
+        ("report-privacy", "--dataset", "{empty}", "--labels", "a,b", "--epsilon", "4"),
+        ("report-privacy", "--dataset-size", "0", "--sigma1", "0.5"),
+        ("calibrate", "--dataset-size", "0", "--epsilon", "4"),
+    ])
+    def test_empty_dataset_exits_2(self, tmp_path, capsys, argv):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        code = run_cli(*(arg.format(empty=empty) for arg in argv))
+        assert code == EXIT_CONFIG
+        assert "cannot account for a dataset of 0 rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generate", "report-privacy", "calibrate"])
+    @pytest.mark.parametrize("flag, message", [
+        ("--t-hat", "t_hat must be positive"),
+        ("--sigma0", "noise multipliers must be positive"),
+    ])
+    def test_every_command_refuses_the_same_mechanism(self, tmp_path, capsys, command, flag, message):
+        path = tmp_path / "run.cfg"
+        if command == "calibrate":
+            path.write_text(BASE_CONFIG.replace("sigma1 = 0.5", "epsilon = 4"))
+        else:
+            path.write_text(BASE_CONFIG)
+        extra = {
+            "generate": ("--demos-out", str(tmp_path / "d.jsonl"), "--traces-out", str(tmp_path / "t.jsonl")),
+        }.get(command, ("--dataset-size", "1000"))
+        code = run_cli(command, "--config", str(path), flag, "0", *extra)
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+
 class TestReports:
     def test_report_privacy_json(self, config_file, capsys):
         code = run_cli(

@@ -251,6 +251,11 @@ class TestResolveRun:
         with pytest.raises(ConfigurationError, match="labels"):
             resolve_run(noiseless_config(labels=()))
 
+    def test_epsilon_target_needs_a_dataset(self):
+        config = RunConfig(labels=("a", "b", "c", "d"), n_shots=1, epsilon=4.0)
+        with pytest.raises(ConfigurationError, match="needs a dataset"):
+            resolve_run(config)
+
     def test_calibration_uses_dataset_delta(self, tmp_path):
         path = tmp_path / "d.jsonl"
         rows = [{"text": f"x{i}", "label": l} for l in LABELS for i in range(8)]
