@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dpfewshot import cli
 from dpfewshot.cli import (
     EXIT_CALIBRATION,
     EXIT_CONFIG,
@@ -29,6 +30,71 @@ sigma0 = 2
 sigma2 = 1
 seed = 123
 """
+
+
+#: Every config key and flag: key -> (RunConfig field or provider.* field, converter kind).
+CLI_SURFACE = {
+    "task": ("task", "str"),
+    "dataset": ("dataset_path", "str"),
+    "format": ("dataset_format", "str"),
+    "labels": ("labels", "csv"),
+    "template": ("template_path", "str"),
+    "m": ("m", "int"),
+    "n": ("n", "int"),
+    "k": ("k", "int"),
+    "t_max": ("t_max", "int"),
+    "n_shots": ("n_shots", "int"),
+    "lambda": ("lam", "float"),
+    "t_hat": ("t_hat", "int"),
+    "mu": ("mu", "float"),
+    "rho": ("rho", "float"),
+    "theta": ("theta", "float"),
+    "sigma0": ("sigma0", "float"),
+    "sigma1": ("sigma1", "float"),
+    "sigma2": ("sigma2", "float"),
+    "epsilon": ("epsilon", "float"),
+    "delta": ("delta", "float"),
+    "gamma_mode": ("gamma_mode", "str"),
+    "alpha_max": ("alpha_max", "int"),
+    "seed": ("seed", "int"),
+    "demos_out": ("demos_path", "str"),
+    "traces_out": ("traces_path", "str"),
+    "stop_tokens": ("stop_tokens", "csv"),
+    "radius_mode": ("radius_mode", "str"),
+    "runs": ("n_runs", "int"),
+    "trials": ("n_trials", "int"),
+    "provider": ("provider.kind", "str"),
+    "provider_seed": ("provider.seed", "int"),
+    "vocab_size": ("provider.vocab_size", "int"),
+    "spread": ("provider.spread", "float"),
+    "outlier_fraction": ("provider.outlier_fraction", "float"),
+    "base_url": ("provider.base_url", "str"),
+    "model": ("provider.model", "str"),
+    "max_logprobs": ("provider.max_logprobs", "int"),
+    "auth_env": ("provider.auth_env", "str"),
+    "timeout": ("provider.timeout", "float"),
+    "max_retries": ("provider.max_retries", "int"),
+}
+
+
+class TestSurface:
+    def test_option_table_is_pinned(self):
+        kinds = {int: "int", float: "float", str: "str", cli._csv_tuple: "csv"}
+        table = {key: (target, kinds[convert]) for key, (target, convert) in cli._OPTIONS.items()}
+        assert table == CLI_SURFACE
+
+    @pytest.mark.parametrize("command", ["generate", "measure-radius", "report-privacy", "compare-utility", "calibrate"])
+    def test_every_command_takes_every_key(self, command):
+        sub = cli.build_parser()._subparsers._group_actions[0].choices[command]
+        numeric = {"int": int, "float": float}
+        flags = {
+            action.dest: (action.option_strings, action.type)
+            for action in sub._actions if action.dest in CLI_SURFACE
+        }
+        assert flags == {
+            key: (["--" + key.replace("_", "-")], numeric.get(kind))
+            for key, (_, kind) in CLI_SURFACE.items()
+        }
 
 
 @pytest.fixture
