@@ -50,10 +50,12 @@ class UnachievableBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class MechanismProfile:
-    """Noise multipliers and loop bound of the per-token mechanism.
+    """Noise multipliers and loop bound of the per-token mechanism: the
+    fields the charge depends on, each checked here and nowhere else.
 
-    sigma1 may be left None for profiles that are inputs to calibration;
-    any cost evaluation will then raise until it is filled in.
+    sigma1 may be left None for profiles that are inputs to calibration.  A
+    zero multiplier runs noiselessly but cannot be charged: any cost
+    evaluation raises (see ChargedEvent), as it does while sigma1 is None.
     """
 
     sigma0: float
@@ -63,12 +65,10 @@ class MechanismProfile:
     theta: float = 0.1
 
     def __post_init__(self):
-        if self.sigma0 <= 0 or self.sigma2 <= 0:
-            raise ValueError("noise multipliers must be positive")
-        if self.sigma1 is not None and self.sigma1 <= 0:
-            raise ValueError("sigma1 must be positive when set")
-        if self.t_hat < 0 or int(self.t_hat) != self.t_hat:
-            raise ValueError(f"t_hat must be a nonnegative integer, got {self.t_hat}")
+        if min(self.sigma0, self.sigma2, self.sigma1 or 0.0) < 0:
+            raise ValueError("noise multipliers must be nonnegative")
+        if self.t_hat < 1 or int(self.t_hat) != self.t_hat:
+            raise ValueError(f"t_hat must be positive, got {self.t_hat}")
         if not 0.0 < self.theta <= SIMPLEX_RADIUS:
             raise ValueError(f"theta must lie in (0, sqrt(2)/2], got {self.theta}")
 
@@ -126,6 +126,10 @@ class ChargedEvent:
 
     count: int
     noise_multiplier: float | None
+
+    def __post_init__(self):
+        if self.noise_multiplier is not None and self.noise_multiplier <= 0:
+            raise ValueError("noise multipliers must be positive")
 
     @property
     def coefficient(self) -> float:

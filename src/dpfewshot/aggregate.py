@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .accountant import MechanismProfile
 from .radius import RadiusSearchStep, good_radius
 from .rng import NoiseStreams, resolve_streams, substream
 from .simplex import SIMPLEX_RADIUS, Ball, coverage_count, project_to_ball, project_to_simplex
@@ -30,39 +31,30 @@ BREAK_COVERAGE_FAILED = "coverage_failed"
 BREAK_RADIUS_FLOOR = "radius_floor"
 
 
-@dataclass(frozen=True)
-class AggregationConfig:
-    """Knobs of the adaptive aggregator for M vectors of dimension K.
+@dataclass(frozen=True, kw_only=True)
+class AggregationConfig(MechanismProfile):
+    """The charged mechanism plus the adaptive aggregator's run-time knobs
+    for M vectors of dimension K, which the charge does not depend on.
 
-    lam scales the coverage-check margin; t_hat bounds the inner loop; mu is
-    the fraction the noisy check must cover; rho the fraction the radius
-    search targets.  sigma0/sigma1/sigma2 are the noise multipliers of the
-    radius search, mean estimate, and coverage check (0 disables noise at
-    that site but still consumes its draws).
+    lam scales the coverage-check margin; mu is the fraction the noisy check
+    must cover; rho the fraction the radius search targets.  A zero noise
+    multiplier disables noise at its site but still consumes its draws.
     """
 
     m: int
     k: int
     lam: float
-    t_hat: int
-    sigma0: float
-    sigma1: float
-    sigma2: float
     mu: float = 0.55
     rho: float = 0.8
-    theta: float = 0.1
 
     def __post_init__(self):
+        super().__post_init__()
         if self.m < 1 or self.k < 1:
             raise ValueError("m and k must be positive")
-        if self.t_hat < 1:
-            raise ValueError("t_hat must be a positive integer")
-        if self.lam < 0 or min(self.sigma0, self.sigma1, self.sigma2) < 0:
-            raise ValueError("lam and noise multipliers must be nonnegative")
+        if self.lam < 0:
+            raise ValueError("lam must be nonnegative")
         if not 0.0 < self.mu <= 1.0 or not 0.0 < self.rho <= 1.0:
             raise ValueError("mu and rho must lie in (0, 1]")
-        if not 0.0 < self.theta <= SIMPLEX_RADIUS:
-            raise ValueError("theta must lie in (0, sqrt(2)/2]")
         coeff = self.lam * self.sigma1 * math.sqrt(self.k) / self.m
         if coeff >= 0.5:
             warnings.warn(

@@ -1,21 +1,23 @@
 """Command-line surface: generate, measure-radius, report-privacy,
 compare-utility, calibrate.
 
-Every flag mirrors a RunConfig field and can also be set in a flat
-``key = value`` config file; flags override file values.  Exit codes:
-0 success, 2 configuration error, 3 provider error, 4 calibration
-infeasible.
+Every flag is named after a RunConfig or ProviderSpec field (_ALIASES
+lists the ten that differ) and can also be set in a flat ``key = value``
+config file; flags override file values.  Every command resolves its run
+and prices it before releasing anything.  Exit codes: 0 success,
+2 configuration error, 3 provider error, 4 calibration infeasible.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from collections import Counter
 from pathlib import Path
 
-from .accountant import UnachievableBudgetError
+from .accountant import UnachievableBudgetError, per_iteration_coefficient
 from .data import DatasetError, load_dataset
 from .pipeline import (
     ConfigurationError,
@@ -40,49 +42,34 @@ def _csv_tuple(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-# key -> (RunConfig attribute or provider.* pseudo-field, converter)
-_OPTIONS = {
-    "task": ("task", str),
-    "dataset": ("dataset_path", str),
-    "format": ("dataset_format", str),
-    "labels": ("labels", _csv_tuple),
-    "template": ("template_path", str),
-    "m": ("m", int),
-    "n": ("n", int),
-    "k": ("k", int),
-    "t_max": ("t_max", int),
-    "n_shots": ("n_shots", int),
-    "lambda": ("lam", float),
-    "t_hat": ("t_hat", int),
-    "mu": ("mu", float),
-    "rho": ("rho", float),
-    "theta": ("theta", float),
-    "sigma0": ("sigma0", float),
-    "sigma1": ("sigma1", float),
-    "sigma2": ("sigma2", float),
-    "epsilon": ("epsilon", float),
-    "delta": ("delta", float),
-    "gamma_mode": ("gamma_mode", str),
-    "alpha_max": ("alpha_max", int),
-    "seed": ("seed", int),
-    "demos_out": ("demos_path", str),
-    "traces_out": ("traces_path", str),
-    "stop_tokens": ("stop_tokens", _csv_tuple),
-    "radius_mode": ("radius_mode", str),
-    "runs": ("n_runs", int),
-    "trials": ("n_trials", int),
-    "provider": ("provider.kind", str),
-    "provider_seed": ("provider.seed", int),
-    "vocab_size": ("provider.vocab_size", int),
-    "spread": ("provider.spread", float),
-    "outlier_fraction": ("provider.outlier_fraction", float),
-    "base_url": ("provider.base_url", str),
-    "model": ("provider.model", str),
-    "max_logprobs": ("provider.max_logprobs", int),
-    "auth_env": ("provider.auth_env", str),
-    "timeout": ("provider.timeout", float),
-    "max_retries": ("provider.max_retries", int),
+#: Flags whose names differ from their RunConfig or ProviderSpec field.
+_ALIASES = {
+    "dataset": "dataset_path",
+    "format": "dataset_format",
+    "template": "template_path",
+    "lambda": "lam",
+    "demos_out": "demos_path",
+    "traces_out": "traces_path",
+    "runs": "n_runs",
+    "trials": "n_trials",
+    "provider": "provider.kind",
+    "provider_seed": "provider.seed",
 }
+
+
+def _option_table() -> dict[str, tuple[str, object]]:
+    """key -> (RunConfig field or provider.* field, converter), one key per field."""
+    converters = {"int": int, "float": float, "tuple[str, ...]": _csv_tuple}
+    keys = {target: key for key, target in _ALIASES.items()}
+    fields = [(f.name, f) for f in dataclasses.fields(RunConfig) if f.name != "provider"]
+    fields += [("provider." + f.name, f) for f in dataclasses.fields(ProviderSpec)]
+    return {
+        keys.get(target, f.name): (target, converters.get(f.type.removesuffix(" | None"), str))
+        for target, f in fields
+    }
+
+
+_OPTIONS = _option_table()
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -155,10 +142,25 @@ def _privacy_report(config: RunConfig, dataset_size: int | None) -> dict:
     return report_privacy(config, dataset_size)
 
 
-def cmd_generate(args) -> int:
+def _resolve(args) -> tuple[RunConfig, object]:
+    """The command's config and its resolved run: a ResolvedRun, or the
+    privacy report for report-privacy and calibrate.
+
+    Refuses the run before the command releases anything unless the
+    aggregator accepts its mechanism and the accountant can price it.
+    """
     config = _config_from_args(args)
-    run = resolve_run(config)
-    config.mechanism(run.sigma1)  # refuses a mechanism the accountant cannot charge
+    if args.command in _REPORT_COMMANDS:
+        run = _privacy_report(config, args.dataset_size)
+        sigma1 = run["sigma1"]
+    else:
+        run = resolve_run(config)
+        sigma1 = run.sigma1
+    per_iteration_coefficient(config.aggregation(sigma1, config.k))
+    return config, run
+
+
+def cmd_generate(config: RunConfig, run) -> int:
     demos, traces = generate_shots(run)
     write_outputs(demos, traces, config.demos_path, config.traces_path)
     audit = audit_traces(traces, config)
@@ -171,9 +173,8 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def cmd_measure_radius(args) -> int:
-    config = _config_from_args(args)
-    report = measure_cluster_radius(resolve_run(config))
+def cmd_measure_radius(config: RunConfig, run) -> int:
+    report = measure_cluster_radius(run)
     print(f"mode = {report['mode']}, runs = {report['runs']}")
     print("position  mean_radius")
     for position, radius in enumerate(report["per_position_mean"]):
@@ -182,24 +183,19 @@ def cmd_measure_radius(args) -> int:
     return EXIT_OK
 
 
-def cmd_report_privacy(args) -> int:
-    report = _privacy_report(_config_from_args(args), args.dataset_size)
+def cmd_report_privacy(config: RunConfig, report: dict) -> int:
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 
 
-def cmd_compare_utility(args) -> int:
-    config = _config_from_args(args)
-    report = run_utility_comparison(resolve_run(config))
-    print(json.dumps(report, indent=2, sort_keys=True))
+def cmd_compare_utility(config: RunConfig, run) -> int:
+    print(json.dumps(run_utility_comparison(run), indent=2, sort_keys=True))
     return EXIT_OK
 
 
-def cmd_calibrate(args) -> int:
-    config = _config_from_args(args)
+def cmd_calibrate(config: RunConfig, report: dict) -> int:
     if config.epsilon is None:
         raise ConfigurationError("calibrate needs a target --epsilon")
-    report = _privacy_report(config, args.dataset_size)
     print(f"sigma1 = {report['sigma1']:.9g}")
     print(json.dumps(report["epsilon"], indent=2, sort_keys=True))
     return EXIT_OK
@@ -212,6 +208,7 @@ _COMMANDS = {
     "compare-utility": cmd_compare_utility,
     "calibrate": cmd_calibrate,
 }
+_REPORT_COMMANDS = ("report-privacy", "calibrate")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         sub = subparsers.add_parser(name)
         _add_common_flags(sub)
-        if name in ("report-privacy", "calibrate"):
+        if name in _REPORT_COMMANDS:
             sub.add_argument("--dataset-size", dest="dataset_size", type=int)
     return parser
 
@@ -231,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](*_resolve(args))
     except UnachievableBudgetError as err:
         print(f"calibration infeasible: {err}", file=sys.stderr)
         return EXIT_CALIBRATION

@@ -91,14 +91,15 @@ class RunConfig:
     n_trials: int = 500
 
     def __post_init__(self):
-        if min(self.m, self.n, self.k, self.t_max, self.n_shots, self.t_hat) < 1:
-            raise ConfigurationError("m, n, k, t_max, n_shots, t_hat must be positive")
+        if min(self.m, self.n, self.k, self.t_max, self.n_shots) < 1:
+            raise ConfigurationError("m, n, k, t_max, n_shots must be positive")
         if self.gamma_mode not in (GAMMA_DATASET, GAMMA_LABEL):
             raise ConfigurationError(f"unknown gamma_mode {self.gamma_mode!r}")
         if self.radius_mode not in ("oracle", "goodradius"):
             raise ConfigurationError(f"unknown radius_mode {self.radius_mode!r}")
         if self.sigma1 is not None and self.epsilon is not None:
             raise ConfigurationError("set either sigma1 or a target epsilon, not both")
+        self.mechanism(self.sigma1)  # the spec checks the charged fields
 
     @property
     def alpha_grid(self) -> tuple[int, ...]:
@@ -106,10 +107,15 @@ class RunConfig:
 
     def mechanism(self, sigma1: float | None) -> MechanismProfile:
         """The per-token mechanism the accountant charges (sigma1 None before calibration)."""
-        return MechanismProfile(
-            sigma0=self.sigma0, sigma1=sigma1, sigma2=self.sigma2,
-            t_hat=self.t_hat, theta=self.theta,
-        )
+        return self._spec(MechanismProfile, sigma1=sigma1)
+
+    def aggregation(self, sigma1: float, k: int) -> AggregationConfig:
+        """The charged mechanism plus the aggregator's run-time fields at support size k."""
+        return self._spec(AggregationConfig, sigma1=sigma1, k=k)
+
+    def _spec(self, spec_type, **overrides):
+        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(spec_type)}
+        return spec_type(**{**values, **overrides})
 
 
 @dataclass(frozen=True)
@@ -259,13 +265,9 @@ def token_step(
     )
     if noise_path is None:
         return batch, None, None
-    cfg = AggregationConfig(
-        m=config.m, k=len(batch.support), lam=config.lam, t_hat=config.t_hat,
-        sigma0=config.sigma0, sigma1=run.sigma1, sigma2=config.sigma2,
-        mu=config.mu, rho=config.rho, theta=config.theta,
-    )
     vector, trace = adaptive_aggregate(
-        batch.private_vectors, cfg, NoiseStreams.from_seed(config.seed, *noise_path)
+        batch.private_vectors, config.aggregation(run.sigma1, len(batch.support)),
+        NoiseStreams.from_seed(config.seed, *noise_path),
     )
     return batch, select_token(vector, batch.support), trace
 
@@ -470,24 +472,20 @@ def report_privacy(config: RunConfig, dataset_size: int, label_counts=None) -> d
     informational full-run epsilon composes n_shots * t_max positions.
     """
     sigma1, delta, subsampling = settle_privacy(config, dataset_size, label_counts)
+    profile = config.mechanism(sigma1)
     report: dict = {
         "task": config.task,
         "delta": delta,
         "gamma_mode": config.gamma_mode,
         "t_max": config.t_max,
         "n_shots": config.n_shots,
-        "sigma0": config.sigma0,
-        "sigma1": sigma1,
-        "sigma2": config.sigma2,
-        "t_hat": config.t_hat,
-        "theta": config.theta,
+        **dataclasses.asdict(profile),
         "alpha_grid": [config.alpha_grid[0], config.alpha_grid[-1]],
         "gamma": {mode: ctx.gamma for mode, ctx in subsampling.items()},
     }
     if config.sigma1 is None:
         report["calibration"] = {"target_epsilon": config.epsilon, "gamma_mode": config.gamma_mode}
 
-    profile = config.mechanism(sigma1)
     events = charged_events(profile)
     parts = {
         "radius_search": events["goodradius_draws"].total,

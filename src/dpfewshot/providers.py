@@ -228,6 +228,10 @@ class ProviderSpec:
     timeout: float = 30.0
     max_retries: int = 3
 
+    def __post_init__(self):
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be nonnegative, got {self.max_retries}")
+
     def build(self):
         if self.kind == "synthetic":
             return SyntheticProvider(

@@ -104,7 +104,7 @@ def test_accountant_closed_forms():
             sigma0=rng.uniform(0.5, 25),
             sigma1=rng.uniform(0.05, 5),
             sigma2=rng.uniform(0.5, 12),
-            t_hat=int(rng.integers(0, 5)),
+            t_hat=int(rng.integers(1, 5)),
             theta=rng.uniform(0.015, 0.69),
         )
         alpha = rng.uniform(1.01, 96)

@@ -120,11 +120,9 @@ class TestPerIterationRdp:
         tau2 = 2 / 18
         assert per_iteration_coefficient(profile) * 2.0 == pytest.approx(tau0 + tau2, abs=1e-12)
 
-    def test_zero_inner_iterations_degenerates(self):
-        profile = MechanismProfile(sigma0=10.0, sigma1=1.0, sigma2=3.0, t_hat=0, theta=0.1)
-        tau0 = 2 * 3 / 100
-        tau1 = 2 / 2
-        assert per_iteration_coefficient(profile) * 2.0 == pytest.approx(tau0 + tau1, rel=1e-12)
+    def test_zero_inner_iterations_rejected(self):
+        with pytest.raises(ValueError, match="t_hat must be positive"):
+            MechanismProfile(sigma0=10.0, sigma1=1.0, sigma2=3.0, t_hat=0, theta=0.1)
 
     def test_matches_component_sum(self):
         rng = np.random.default_rng(3)
@@ -133,7 +131,7 @@ class TestPerIterationRdp:
                 sigma0=rng.uniform(1, 20),
                 sigma1=rng.uniform(0.1, 5),
                 sigma2=rng.uniform(1, 10),
-                t_hat=int(rng.integers(0, 4)),
+                t_hat=int(rng.integers(1, 4)),
                 theta=rng.uniform(0.02, 0.6),
             )
             alpha = rng.uniform(1.5, 64)
@@ -315,7 +313,7 @@ class TestMatchedBaseline:
 class TestValidation:
     def test_profile_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            MechanismProfile(0.0, 1.0, 1.0, 1)
+            per_iteration_coefficient(MechanismProfile(0.0, 1.0, 1.0, 1))
         with pytest.raises(ValueError):
             MechanismProfile(1.0, -1.0, 1.0, 1)
         with pytest.raises(ValueError):

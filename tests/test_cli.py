@@ -188,10 +188,14 @@ class TestRefusals:
         assert code == EXIT_CONFIG
         assert "cannot account for a dataset of 0 rows" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["generate", "report-privacy", "calibrate"])
+    @pytest.mark.parametrize("command", [
+        "generate", "report-privacy", "calibrate", "compare-utility",
+        "measure-radius", "measure-radius --radius-mode goodradius",
+    ])
     @pytest.mark.parametrize("flag, message", [
         ("--t-hat", "t_hat must be positive"),
         ("--sigma0", "noise multipliers must be positive"),
+        ("--mu", "mu and rho must lie in (0, 1]"),
     ])
     def test_every_command_refuses_the_same_mechanism(self, tmp_path, capsys, command, flag, message):
         path = tmp_path / "run.cfg"
@@ -201,10 +205,24 @@ class TestRefusals:
             path.write_text(BASE_CONFIG)
         extra = {
             "generate": ("--demos-out", str(tmp_path / "d.jsonl"), "--traces-out", str(tmp_path / "t.jsonl")),
-        }.get(command, ("--dataset-size", "1000"))
-        code = run_cli(command, "--config", str(path), flag, "0", *extra)
+            "report-privacy": ("--dataset-size", "1000"),
+            "calibrate": ("--dataset-size", "1000"),
+        }.get(command, ())
+        code = run_cli(*command.split(), "--config", str(path), flag, "0", *extra)
         assert code == EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "d.jsonl").exists()
+
+    def test_negative_max_retries_exits_2(self, config_file, capsys):
+        code = run_cli(
+            "generate", "--config", str(config_file),
+            "--provider", "http", "--base-url", "http://127.0.0.1:9",
+            "--model", "x", "--max-retries", "-1",
+        )
+        assert code == EXIT_CONFIG
+        assert "max_retries must be nonnegative" in capsys.readouterr().err
 
 
 class TestReports:
