@@ -12,13 +12,14 @@ from .accountant import (
     MechanismProfile,
     SubsamplingContext,
     UnachievableBudgetError,
+    amplified_rdp,
+    best_epsilon,
     binary_search_iterations,
     calibrate_sigma1,
     gaussian_rdp,
     matched_baseline_sigma,
     rdp_to_dp,
     subsample_amplify,
-    total_epsilon,
 )
 from .aggregate import (
     AggregationConfig,

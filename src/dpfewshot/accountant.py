@@ -248,6 +248,8 @@ def amplified_rdp(
 
     Orders at which the amplification bound overflows are left out.
     """
+    if not alpha_grid:
+        raise ValueError("alpha_grid must be non-empty")
     coeff = per_iteration_coefficient(profile)
     amplified = {}
     for alpha in sorted(alpha_grid):
@@ -276,23 +278,6 @@ def best_epsilon(amplified: dict[int, float], t_max: int, delta: float) -> tuple
     return best_eps, best_alpha
 
 
-def total_epsilon(
-    profile: MechanismProfile,
-    ctx: SubsamplingContext,
-    t_max: int,
-    delta: float,
-    alpha_grid: tuple[int, ...] = DEFAULT_ALPHA_GRID,
-) -> tuple[float, int]:
-    """(epsilon, best order) minimized over the grid; ties go to the smaller order.
-
-    Orders at which the amplification bound overflows are excluded from the
-    minimization; if every order overflows, AmplificationOverflowError is raised.
-    """
-    if not alpha_grid:
-        raise ValueError("alpha_grid must be non-empty")
-    return best_epsilon(amplified_rdp(profile, ctx, alpha_grid), t_max, delta)
-
-
 def calibrate_sigma1(
     target: DpBudget,
     profile: MechanismProfile,
@@ -309,7 +294,8 @@ def calibrate_sigma1(
     lo, hi = CALIBRATION_BRACKET
 
     def eps_at(s1: float) -> float:
-        return total_epsilon(replace(profile, sigma1=s1), ctx, t_max, target.delta, alpha_grid)[0]
+        amplified = amplified_rdp(replace(profile, sigma1=s1), ctx, alpha_grid)
+        return best_epsilon(amplified, t_max, target.delta)[0]
 
     eps_hi = eps_at(lo)   # small sigma1 -> large epsilon
     eps_lo = eps_at(hi)   # large sigma1 -> small epsilon
@@ -334,9 +320,10 @@ def calibrate_sigma1(
 
 
 def matched_baseline_sigma(profile: MechanismProfile) -> float:
-    """Noise multiplier granting a single-mean baseline the same per-token curve.
+    """Noise multiplier granting the baseline the same per-token curve.
 
-    Both aggregators have linear curves, so matching the coefficient matches
-    the entire curve: alpha / (2 sigma^2) = c * alpha  =>  sigma = sqrt(1/(2c)).
+    The baseline is one mean_estimates release at R = sqrt(2)/2.  Both
+    aggregators have linear curves, so matching the coefficient matches the
+    entire curve: alpha / (2 sigma^2) = c * alpha  =>  sigma = sqrt(1/(2c)).
     """
     return math.sqrt(1.0 / (2.0 * per_iteration_coefficient(profile)))

@@ -6,8 +6,8 @@ Two aggregators over the same M vectors:
   shrinks the clipping radius toward it, re-centering with noisy projected
   means whose noise scales with the current radius.  Noise therefore adapts
   to how tightly the vectors cluster.
-* baseline_aggregate - one noisy mean at the fixed simplex-wide
-  sensitivity, no adaptation.
+* baseline_aggregate - one noisy mean at the simplex radius, no
+  adaptation: the first mean estimate of adaptive_aggregate alone.
 
 Noise sites draw from named substreams (goodradius / mean / check) so a
 data-dependent early break never shifts draws consumed elsewhere.
@@ -139,7 +139,6 @@ def adaptive_aggregate(
     radius_sequence = [current_r]
     center, degenerate = project_to_simplex(noisy_mean_raw(points, current_r, cfg.sigma1, streams.mean))
     degenerate_events = int(degenerate)
-    mean_estimates = 1
     checks: list[tuple[int, float]] = []
     break_reason = BREAK_MAX_ITERS
 
@@ -162,7 +161,6 @@ def adaptive_aggregate(
             noisy_mean_raw(projected, current_r, cfg.sigma1, streams.mean)
         )
         degenerate_events += int(degenerate)
-        mean_estimates += 1
 
     trace = AggregationTrace(
         target_radius=target_r,
@@ -170,23 +168,22 @@ def adaptive_aggregate(
         coverage_checks=checks,
         break_reason=break_reason,
         degenerate_simplex_events=degenerate_events,
-        mean_estimates=mean_estimates,
+        mean_estimates=len(radius_sequence),
         goodradius_steps=search_steps,
     )
     return center, trace
 
 
 def baseline_aggregate(points: np.ndarray, sigma: float, rng) -> np.ndarray:
-    """Fixed-noise mean at simplex-wide sensitivity: (sum + N(0, 2 sigma^2 I)) / M.
+    """Fixed-noise mean: one mean_estimates release at R = sqrt(2)/2, so
+    (sum + N(0, 2 sigma^2 I)) / M.
 
-    No simplex remap; token selection takes the argmax of this raw vector.
+    rng is a Generator or an int master seed.  No simplex remap; token
+    selection takes the argmax of this raw vector.
     """
-    points = np.asarray(points, dtype=float)
     if isinstance(rng, (int, np.integer)):
         rng = substream(int(rng), "baseline")
-    m, k = points.shape
-    noise = math.sqrt(2.0) * sigma * rng.standard_normal(k)
-    return (points.sum(axis=0) + noise) / m
+    return noisy_mean_raw(points, SIMPLEX_RADIUS, sigma, rng)
 
 
 def select_token(p: np.ndarray, support):

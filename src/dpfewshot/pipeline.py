@@ -72,9 +72,9 @@ class RunConfig:
     n_shots: int = 4
     lam: float = 0.2
     t_hat: int = 1
-    mu: float = 0.55
-    rho: float = 0.8
-    theta: float = 0.1
+    mu: float = AggregationConfig.mu
+    rho: float = AggregationConfig.rho
+    theta: float = MechanismProfile.theta
     sigma0: float = 10.0
     sigma2: float = 3.0
     sigma1: float | None = None
@@ -93,6 +93,11 @@ class RunConfig:
     def __post_init__(self):
         if min(self.m, self.n, self.k, self.t_max, self.n_shots) < 1:
             raise ConfigurationError("m, n, k, t_max, n_shots must be positive")
+        for name in ("n_runs", "n_trials"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.alpha_max < 2:
+            raise ConfigurationError(f"alpha_max must be at least 2, got {self.alpha_max}")
         if self.gamma_mode not in (GAMMA_DATASET, GAMMA_LABEL):
             raise ConfigurationError(f"unknown gamma_mode {self.gamma_mode!r}")
         if self.radius_mode not in ("oracle", "goodradius"):
@@ -363,9 +368,9 @@ def audit_traces(traces, config: RunConfig) -> dict:
 def measure_cluster_radius(run: ResolvedRun) -> dict:
     """Covering-radius statistics of the private vectors along generation paths.
 
-    Each of n_runs paths advances with the noiseless fixed-noise aggregator;
-    at every position the 80%-coverage radius of the M vectors is measured
-    either exactly (radius_mode="oracle") or with the private search
+    Each of n_runs paths advances by the argmax of the exact mean of the M
+    vectors; at every position their 80%-coverage radius is measured either
+    exactly (radius_mode="oracle") or with the private search
     (radius_mode="goodradius").  Reports per-position radii plus the overall
     mean and standard deviation.
     """
@@ -393,8 +398,7 @@ def measure_cluster_radius(run: ResolvedRun) -> dict:
                     substream(config.seed, *path, "goodradius"),
                 )
             radii.append(radius)
-            mean_vec = baseline_aggregate(points, 0.0, substream(config.seed, *path, "path"))
-            prefix += select_token(mean_vec, batch.support)
+            prefix += select_token(points.mean(axis=0), batch.support)
         per_run.append(radii)
     flat = np.array(per_run, dtype=float)
     return {

@@ -14,7 +14,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class NextTokenBatch:
     """
 
     support: tuple[str, ...]
-    public_vector: np.ndarray
     private_vectors: np.ndarray
     fallback_indices: tuple[int, ...] = ()
 
@@ -53,10 +52,6 @@ def restrict_topk(public_p, private_ps, k: int) -> NextTokenBatch:
         raise ValueError(f"public distribution sums to {total}, expected 1")
     ranked = sorted(public_p.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
     support = tuple(tok for tok, _ in ranked)
-
-    public = np.array([p for _, p in ranked], dtype=float)
-    public = public / public.sum()
-
     rows = []
     fallbacks = []
     for i, pv in enumerate(private_ps):
@@ -69,7 +64,6 @@ def restrict_topk(public_p, private_ps, k: int) -> NextTokenBatch:
             rows.append(row / mass)
     return NextTokenBatch(
         support=support,
-        public_vector=public,
         private_vectors=np.stack(rows) if rows else np.empty((0, k)),
         fallback_indices=tuple(fallbacks),
     )
@@ -83,8 +77,10 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 #: Logit perturbation scale at which the synthetic provider's private
 #: vectors cluster with an 80%-coverage radius of about 0.10 (calibrated by
-#: seeded simulation at vocab_size=150, center_scale=3, M in 10..40).
+#: seeded simulation at vocab_size=150, CENTER_SCALE=3, M in 10..40).
 SPREAD_RADIUS_010 = 0.29
+#: Scale of the synthetic provider's hash-derived center logits.
+CENTER_SCALE = 3.0
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,6 @@ class SyntheticProvider:
     vocab_size: int = 150
     spread: float = SPREAD_RADIUS_010
     outlier_fraction: float = 0.0
-    center_scale: float = 3.0
 
     @property
     def vocab(self) -> tuple[str, ...]:
@@ -111,7 +106,7 @@ class SyntheticProvider:
 
     def center_logits(self, label: str, position: int) -> np.ndarray:
         rng = substream(self.seed, "center", label, position)
-        return self.center_scale * rng.standard_normal(self.vocab_size)
+        return CENTER_SCALE * rng.standard_normal(self.vocab_size)
 
     def next_token_distribution(
         self, prompt: str, *, label: str, position: int, subset_index: int | None, top_n: int = 0
@@ -138,8 +133,8 @@ class HttpProvider:
     Requests one generated token and reads the top_logprobs of its first
     position.  If the endpoint caps logprobs below the requested count the
     cap is requested instead and unreturned tokens get probability zero (a
-    warning is logged).  The bearer token is read from the environment
-    variable named by auth_env.
+    warning is logged once per provider).  The bearer token is read from the
+    environment variable named by auth_env.
     """
 
     base_url: str
@@ -150,8 +145,13 @@ class HttpProvider:
     max_retries: int = 3
     backoff: float = 1.0
     session: object = field(default=None, repr=False)
+    _cap_warned: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
+        if not self.base_url or not self.model:
+            raise ValueError("http provider needs base_url and model")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be nonnegative, got {self.max_retries}")
         if self.session is None:
             import requests
 
@@ -162,11 +162,13 @@ class HttpProvider:
     ) -> dict[str, float]:
         wanted = top_n or self.max_logprobs
         if wanted > self.max_logprobs:
-            logger.warning(
-                "endpoint caps logprobs at %d (%d requested); unreturned tokens get zero mass",
-                self.max_logprobs,
-                wanted,
-            )
+            if not self._cap_warned:
+                self._cap_warned = True
+                logger.warning(
+                    "endpoint caps logprobs at %d (%d requested); unreturned tokens get zero mass",
+                    self.max_logprobs,
+                    wanted,
+                )
             wanted = self.max_logprobs
         payload = {
             "model": self.model,
@@ -214,44 +216,32 @@ class HttpProvider:
 
 @dataclass(frozen=True)
 class ProviderSpec:
-    """Configuration record selecting and parameterizing a provider."""
+    """Configuration record selecting and parameterizing a provider.
+
+    kind picks the provider class; every other field is a field of
+    SyntheticProvider or HttpProvider, and build passes the picked class
+    the ones it shares.
+    """
 
     kind: str  # "synthetic" | "http"
     seed: int = 0
-    vocab_size: int = 150
-    spread: float = SPREAD_RADIUS_010
-    outlier_fraction: float = 0.0
+    vocab_size: int = SyntheticProvider.vocab_size
+    spread: float = SyntheticProvider.spread
+    outlier_fraction: float = SyntheticProvider.outlier_fraction
     base_url: str = ""
     model: str = ""
-    max_logprobs: int = 100
-    auth_env: str | None = None
-    timeout: float = 30.0
-    max_retries: int = 3
-
-    def __post_init__(self):
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be nonnegative, got {self.max_retries}")
+    max_logprobs: int = HttpProvider.max_logprobs
+    auth_env: str | None = HttpProvider.auth_env
+    timeout: float = HttpProvider.timeout
+    max_retries: int = HttpProvider.max_retries
 
     def build(self):
-        if self.kind == "synthetic":
-            return SyntheticProvider(
-                seed=self.seed,
-                vocab_size=self.vocab_size,
-                spread=self.spread,
-                outlier_fraction=self.outlier_fraction,
-            )
-        if self.kind == "http":
-            if not self.base_url or not self.model:
-                raise ValueError("http provider needs base_url and model")
-            return HttpProvider(
-                base_url=self.base_url,
-                model=self.model,
-                max_logprobs=self.max_logprobs,
-                auth_env=self.auth_env,
-                timeout=self.timeout,
-                max_retries=self.max_retries,
-            )
-        raise ValueError(f"unknown provider kind {self.kind!r}")
+        provider_type = {"synthetic": SyntheticProvider, "http": HttpProvider}.get(self.kind)
+        if provider_type is None:
+            raise ValueError(f"unknown provider kind {self.kind!r}")
+        own = {f.name for f in fields(provider_type)}
+        shared = {f.name: getattr(self, f.name) for f in fields(self) if f.name in own}
+        return provider_type(**shared)
 
 
 def next_token_generation(

@@ -10,6 +10,7 @@ from dpfewshot.accountant import (
     MechanismProfile,
     SubsamplingContext,
     UnachievableBudgetError,
+    amplified_rdp,
     best_epsilon,
     binary_search_iterations,
     calibrate_sigma1,
@@ -19,7 +20,6 @@ from dpfewshot.accountant import (
     per_iteration_coefficient,
     rdp_to_dp,
     subsample_amplify,
-    total_epsilon,
 )
 
 PROFILE = MechanismProfile(sigma0=10.0, sigma1=1.0, sigma2=3.0, t_hat=1, theta=0.1)
@@ -238,21 +238,25 @@ class TestComposeAndTotal:
     def test_singleton_grid_equals_pipeline(self):
         ctx = SubsamplingContext(20, 10000)
         alpha = 9
-        eps, best = total_epsilon(PROFILE, ctx, 50, 1e-5, (alpha,))
+        eps, best = best_epsilon(amplified_rdp(PROFILE, ctx, (alpha,)), 50, 1e-5)
         coeff = per_iteration_coefficient(PROFILE)
         expected = rdp_to_dp(alpha, 50 * subsample_amplify(coeff, ctx, alpha), 1e-5)
         assert best == alpha
         assert eps == pytest.approx(expected, rel=1e-12)
 
+    def test_empty_grid_is_refused(self):
+        with pytest.raises(ValueError, match="alpha_grid must be non-empty"):
+            amplified_rdp(PROFILE, SubsamplingContext(20, 10000), ())
+
     def test_superset_grid_never_increases_epsilon(self):
         ctx = SubsamplingContext(20, 10000)
-        eps_small, _ = total_epsilon(PROFILE, ctx, 50, 1e-5, tuple(range(2, 17)))
-        eps_large, _ = total_epsilon(PROFILE, ctx, 50, 1e-5, tuple(range(2, 65)))
+        eps_small, _ = best_epsilon(amplified_rdp(PROFILE, ctx, tuple(range(2, 17))), 50, 1e-5)
+        eps_large, _ = best_epsilon(amplified_rdp(PROFILE, ctx, tuple(range(2, 65))), 50, 1e-5)
         assert eps_large <= eps_small + 1e-15
 
     def test_returned_alpha_achieves_minimum(self):
         ctx = SubsamplingContext(40, 3000)
-        eps, best = total_epsilon(PROFILE, ctx, 20, 1e-4)
+        eps, best = best_epsilon(amplified_rdp(PROFILE, ctx), 20, 1e-4)
         for alpha in DEFAULT_ALPHA_GRID:
             coeff = per_iteration_coefficient(PROFILE)
             other = rdp_to_dp(alpha, 20 * subsample_amplify(coeff, ctx, alpha), 1e-4)
@@ -265,7 +269,7 @@ class TestComposeAndTotal:
 
         def eps(sigma1=0.6, t_max=100, t_hat=1, n=100000):
             profile = MechanismProfile(10.0, sigma1, 3.0, t_hat, 0.1)
-            return total_epsilon(profile, SubsamplingContext(20, n), t_max, 1e-5)[0]
+            return best_epsilon(amplified_rdp(profile, SubsamplingContext(20, n)), t_max, 1e-5)[0]
 
         assert eps(sigma1=0.4) > eps(sigma1=0.6) > eps(sigma1=1.0) > eps(sigma1=2.0)
         assert eps(t_max=25) < eps(t_max=100) < eps(t_max=400)
@@ -281,7 +285,7 @@ class TestCalibration:
             budget = DpBudget(target, 1 / 120000)
             sigma1 = calibrate_sigma1(budget, base, ctx, 100)
             profile = MechanismProfile(10.0, sigma1, 3.0, 1, 0.1)
-            eps, _ = total_epsilon(profile, ctx, 100, budget.delta)
+            eps, _ = best_epsilon(amplified_rdp(profile, ctx), 100, budget.delta)
             assert eps == pytest.approx(target, rel=1e-4)
 
     def test_larger_target_needs_less_noise(self):

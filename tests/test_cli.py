@@ -196,6 +196,9 @@ class TestRefusals:
         ("--t-hat", "t_hat must be positive"),
         ("--sigma0", "noise multipliers must be positive"),
         ("--mu", "mu and rho must lie in (0, 1]"),
+        ("--runs", "n_runs must be positive, got 0"),
+        ("--trials", "n_trials must be positive, got 0"),
+        ("--alpha-max", "alpha_max must be at least 2"),
     ])
     def test_every_command_refuses_the_same_mechanism(self, tmp_path, capsys, command, flag, message):
         path = tmp_path / "run.cfg"

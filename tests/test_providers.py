@@ -1,9 +1,15 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dpfewshot
 from dpfewshot.data import Example, GENERIC_TEMPLATE
 from dpfewshot.providers import (
     HttpProvider,
@@ -21,7 +27,6 @@ class TestRestrictTopk:
         private = [{"a": 0.25, "b": 0.25, "c": 0.5}]
         batch = restrict_topk(public, private, 3)
         assert batch.support == ("a", "b", "c")
-        np.testing.assert_allclose(batch.public_vector, [0.5, 0.3, 0.2])
         np.testing.assert_allclose(batch.private_vectors[0], [0.25, 0.25, 0.5])
 
     def test_dropped_mass_renormalized(self):
@@ -30,7 +35,6 @@ class TestRestrictTopk:
         batch = restrict_topk(public, private, 2)
         assert batch.support == ("a", "b")
         np.testing.assert_allclose(batch.private_vectors[0], [0.5, 0.5])
-        np.testing.assert_allclose(batch.public_vector, [0.625, 0.375])
 
     def test_zero_mass_private_gets_uniform_and_flag(self):
         public = {"a": 0.5, "b": 0.3, "c": 0.2}
@@ -172,11 +176,23 @@ class TestHttpProvider:
         assert request["json"] == {"model": "m", "prompt": "the prompt", "max_tokens": 1, "logprobs": 3}
 
     def test_caps_requested_logprobs(self, caplog):
-        provider = self.make([(200, LOGPROBS_FIXTURE)], max_logprobs=5)
+        provider = self.make([(200, LOGPROBS_FIXTURE)] * 2, max_logprobs=5)
         with caplog.at_level("WARNING"):
-            provider.next_token_distribution("p", label="y", position=0, subset_index=0, top_n=100)
-        assert provider.session.requests[0]["json"]["logprobs"] == 5
-        assert "caps logprobs" in caplog.text
+            for subset in (0, 1):
+                provider.next_token_distribution("p", label="y", position=0, subset_index=subset, top_n=100)
+        assert [r["json"]["logprobs"] for r in provider.session.requests] == [5, 5]
+        assert [r.getMessage() for r in caplog.records if "caps logprobs" in r.getMessage()] == [
+            "endpoint caps logprobs at 5 (100 requested); unreturned tokens get zero mass"
+        ]
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"base_url": ""}, "needs base_url and model"),
+        ({"model": ""}, "needs base_url and model"),
+        ({"max_retries": -1}, "max_retries must be nonnegative, got -1"),
+    ])
+    def test_refused_at_construction(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            HttpProvider(**{"base_url": "http://api.test", "model": "m", **kw})
 
     def test_retries_on_server_error_then_succeeds(self):
         provider = self.make([(503, {}), (200, LOGPROBS_FIXTURE)], max_retries=2)
@@ -259,7 +275,6 @@ class TestNextTokenGeneration:
                 )
             )
         assert batches[0].support == batches[1].support
-        np.testing.assert_array_equal(batches[0].public_vector, batches[1].public_vector)
         np.testing.assert_array_equal(batches[0].private_vectors, batches[1].private_vectors)
         assert batches[0].fallback_indices == batches[1].fallback_indices
 
@@ -279,7 +294,7 @@ class TestNextTokenGeneration:
         )
         assert batch.support == (" a", " b", " c")
         expected = np.exp([-0.5, -1.0, -1.5])
-        np.testing.assert_allclose(batch.public_vector, expected / expected.sum(), atol=1e-9)
+        np.testing.assert_allclose(batch.private_vectors[0], expected / expected.sum(), atol=1e-9)
 
 
 class TestProviderSpec:
@@ -291,6 +306,27 @@ class TestProviderSpec:
         with pytest.raises(ValueError):
             ProviderSpec(kind="http").build()
 
+    def test_every_field_belongs_to_a_provider(self):
+        provider_fields = {f.name for cls in (SyntheticProvider, HttpProvider) for f in dataclasses.fields(cls)}
+        spec_fields = {f.name for f in dataclasses.fields(ProviderSpec)} - {"kind"}
+        assert spec_fields <= provider_fields
+
+    def test_builds_http_from_its_fields(self):
+        spec = ProviderSpec(kind="http", base_url="http://api.test", model="m", timeout=2.5, max_retries=0)
+        provider = spec.build()
+        assert isinstance(provider, HttpProvider)
+        assert (provider.base_url, provider.model, provider.timeout, provider.max_retries) == (
+            "http://api.test", "m", 2.5, 0
+        )
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ProviderSpec(kind="quantum").build()
+
+
+def test_package_import_leaves_requests_unloaded():
+    """requests is imported only when an HttpProvider is built or posts."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dpfewshot.__file__).parents[1]))
+    code = "import sys, dpfewshot; print('requests' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
