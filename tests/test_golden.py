@@ -6,12 +6,20 @@ The README quickstart settings (synthetic provider, M=10, K=100, t_max=20,
 its SHA-256 digest, so a refactor of the token loop or the accountant that
 changes a single byte of a fixed-seed output fails here.  The benchmark
 only checks the `generate` path; this is the guard on the other loops.
+
+A seeded corpus of aggregation batches (M 5..40, K 5..100, up to 25% vertex
+outliers) pins `adaptive_aggregate`'s chosen index and every trace field,
+but not the last bits of the returned centre.
 """
 
 import dataclasses
 import hashlib
 import json
+import warnings
 
+import numpy as np
+
+from dpfewshot.aggregate import AggregationConfig, adaptive_aggregate
 from dpfewshot.cli import main
 from dpfewshot.pipeline import (
     RunConfig,
@@ -21,6 +29,7 @@ from dpfewshot.pipeline import (
     run_utility_comparison,
 )
 from dpfewshot.providers import ProviderSpec
+from dpfewshot.rng import NoiseStreams
 
 LABELS = ("World", "Sports", "Business", "Technology")
 
@@ -57,6 +66,7 @@ GOLDEN = {
     "utility": "44ee75415d23335051be68bf59210a66a6a0c2403b3ba96891a2646adb72b583",
     "privacy_sigma1": "9f696880758a1ae32aadf1366a8a9e3e0284b64ee84a433178acc200ada9b989",
     "privacy_calibrated": "55887d384acdfef59b9bc326632c8faa0834d86100df01e8c04d7aabc20f4ea5",
+    "aggregator_corpus": "ff837784e87fa060c4154b5ee2e72af8bf89f698eae7ff620335fff9cd047174",
 }
 
 
@@ -105,3 +115,29 @@ def test_report_privacy_with_label_counts():
     assert json_digest(report_privacy(CONFIG, 120_000, counts)) == GOLDEN["privacy_sigma1"]
     calibrated = dataclasses.replace(CONFIG, sigma1=None, epsilon=4.0, gamma_mode="label")
     assert json_digest(report_privacy(calibrated, 120_000, counts)) == GOLDEN["privacy_calibrated"]
+
+
+def aggregator_corpus(n_batches: int = 500, seed: int = 8):
+    """Seeded (points, cfg, streams) triples over M, K, outliers, t_hat and lambda."""
+    for j in range(n_batches):
+        gen = np.random.default_rng([seed, j])
+        m, k = int(gen.integers(5, 41)), int(gen.integers(5, 101))
+        spread = gen.uniform(0.05, 0.6)
+        points = (1.0 - spread) * gen.dirichlet(np.ones(k)) + spread * gen.dirichlet(np.ones(k), size=m)
+        n_outliers = int(gen.integers(0, m // 4 + 1))
+        points[:n_outliers] = np.eye(k)[gen.integers(0, k, size=n_outliers)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # large margins are part of the corpus
+            cfg = AggregationConfig(
+                m=m, k=k, lam=float(gen.choice([0.1, 0.2, 0.35])), t_hat=int(gen.integers(1, 4)),
+                sigma0=gen.uniform(0.5, 10.0), sigma1=gen.uniform(0.1, 1.0), sigma2=gen.uniform(0.5, 3.0),
+            )
+        yield points, cfg, NoiseStreams.from_seed(seed, "corpus", j)
+
+
+def test_aggregator_corpus():
+    records = []
+    for points, cfg, streams in aggregator_corpus():
+        center, trace = adaptive_aggregate(points, cfg, streams)
+        records.append([int(np.argmax(center)), dataclasses.asdict(trace)])
+    assert json_digest({"records": records}) == GOLDEN["aggregator_corpus"]
