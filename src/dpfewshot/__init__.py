@@ -55,8 +55,8 @@ from .radius import dp_binary_search, good_radius
 from .rng import NoiseStreams, substream
 from .simplex import (
     SIMPLEX_RADIUS,
-    Ball,
     coverage_count,
+    distances,
     min_ball_radius_oracle,
     project_to_ball,
     project_to_simplex,

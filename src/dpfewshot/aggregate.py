@@ -24,7 +24,7 @@ import numpy as np
 from .accountant import MechanismProfile
 from .radius import RadiusSearchStep, good_radius
 from .rng import NoiseStreams, resolve_streams, substream
-from .simplex import SIMPLEX_RADIUS, Ball, coverage_count, project_to_ball, project_to_simplex
+from .simplex import SIMPLEX_RADIUS, coverage_count, project_to_ball, project_to_simplex
 
 BREAK_MAX_ITERS = "max_iters"
 BREAK_COVERAGE_FAILED = "coverage_failed"
@@ -99,19 +99,16 @@ def noisy_mean_raw(
 def radius_coverage_check(
     points: np.ndarray,
     center: np.ndarray,
-    target_radius: float,
-    current_radius: float,
+    check_radius: float,
     cfg: AggregationConfig,
     rng: np.random.Generator,
 ) -> tuple[bool, int, float]:
     """Noisy test that enough original vectors sit near the current center.
 
-    Counts points within target_radius + margin(current_radius) of the
-    center, adds N(0, sigma2^2), and compares against mu * M.  Consumes
-    exactly one Gaussian draw.
+    Counts points within check_radius of the center, adds N(0, sigma2^2),
+    and compares against mu * M.  Consumes exactly one Gaussian draw.
     """
-    check_radius = target_radius + cfg.margin(current_radius)
-    raw = coverage_count(points, Ball(center, check_radius))
+    raw = coverage_count(points, center, check_radius)
     noisy = raw + cfg.sigma2 * rng.standard_normal()
     return noisy >= cfg.mu * cfg.m, raw, noisy
 
@@ -143,20 +140,18 @@ def adaptive_aggregate(
     break_reason = BREAK_MAX_ITERS
 
     for _ in range(cfg.t_hat):
-        passed, raw, noisy = radius_coverage_check(
-            points, center, target_r, current_r, cfg, streams.check
-        )
+        next_r = target_r + cfg.margin(current_r)
+        passed, raw, noisy = radius_coverage_check(points, center, next_r, cfg, streams.check)
         checks.append((raw, noisy))
         if not passed:
             break_reason = BREAK_COVERAGE_FAILED
             break
-        if current_r < target_r + cfg.margin(current_r):
+        if current_r < next_r:
             break_reason = BREAK_RADIUS_FLOOR
             break
-        current_r = target_r + cfg.margin(current_r)
+        current_r = next_r
         radius_sequence.append(current_r)
-        ball = Ball(center, current_r)
-        projected = np.stack([project_to_ball(p, ball) for p in points])
+        projected = project_to_ball(points, center, current_r)
         center, degenerate = project_to_simplex(
             noisy_mean_raw(projected, current_r, cfg.sigma1, streams.mean)
         )

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .accountant import (
+    DEFAULT_ALPHA_GRID,
     DpBudget,
     MechanismProfile,
     SubsamplingContext,
@@ -81,7 +82,7 @@ class RunConfig:
     epsilon: float | None = None
     delta: float | None = None
     gamma_mode: str = GAMMA_DATASET
-    alpha_max: int = 64
+    alpha_max: int = DEFAULT_ALPHA_GRID[-1]
     seed: int = 0
     demos_path: str = "demos.jsonl"
     traces_path: str = "traces.jsonl"

@@ -100,6 +100,10 @@ class SyntheticProvider:
     spread: float = SPREAD_RADIUS_010
     outlier_fraction: float = 0.0
 
+    def __post_init__(self):
+        if self.vocab_size < 1:
+            raise ValueError(f"vocab_size must be positive, got {self.vocab_size}")
+
     @property
     def vocab(self) -> tuple[str, ...]:
         return tuple(f" w{i:03d}" for i in range(self.vocab_size))
@@ -152,6 +156,10 @@ class HttpProvider:
             raise ValueError("http provider needs base_url and model")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be nonnegative, got {self.max_retries}")
+        if self.max_logprobs < 1:
+            raise ValueError(f"max_logprobs must be positive, got {self.max_logprobs}")
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be positive, got {self.timeout}")
         if self.session is None:
             import requests
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import SIMPLEX_RADIUS
+from .simplex import SIMPLEX_RADIUS, distances
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,8 @@ class CoverageScore:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[0] < 1:
             raise ValueError("points must be a non-empty (M, K) array")
-        diffs = points[:, None, :] - points[None, :, :]
-        self._dists = np.linalg.norm(diffs, axis=2)
+        self._dists = distances(points[:, None, :], points)
         self.m = points.shape[0]
-
-    def ball_count(self, center_index: int, r: float) -> int:
-        """Input points within r of the center point (self included, <= boundary)."""
-        return int(np.count_nonzero(self._dists[center_index] <= r))
 
     def l_value(self, t: int, r: float) -> float:
         """Average of the t largest capped counts min(B_r(x_i), t)."""

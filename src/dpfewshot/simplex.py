@@ -9,27 +9,15 @@ this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 SIMPLEX_RADIUS = math.sqrt(2.0) / 2.0
 
 
-@dataclass(frozen=True)
-class Ball:
-    """An l2-ball given by center and nonnegative radius."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        center = np.asarray(self.center, dtype=float)
-        if not np.all(np.isfinite(center)):
-            raise ValueError("ball center must be finite")
-        if not (self.radius >= 0.0):
-            raise ValueError(f"ball radius must be >= 0, got {self.radius}")
-        object.__setattr__(self, "center", center)
+def distances(points: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Euclidean distance of each row of points to center: the package's one distance rule."""
+    return np.linalg.norm(points - center, axis=-1)
 
 
 def project_to_simplex(v: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -48,27 +36,22 @@ def project_to_simplex(v: np.ndarray) -> tuple[np.ndarray, bool]:
     return clipped / mass, False
 
 
-def project_to_ball(p: np.ndarray, ball: Ball) -> np.ndarray:
-    """Pull p radially toward ball.center until it lies inside the ball.
+def project_to_ball(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """Pull each row of points radially toward center into the ball.
 
-    Points already inside pass through unchanged (bitwise), matching the
-    scale factor max(1, d/R).  A zero-radius ball maps everything to the
-    center.
+    Rows already inside pass through unchanged (bitwise), matching the
+    scale factor max(1, d/R).  A zero radius maps every row to the center.
     """
-    p = np.asarray(p, dtype=float)
-    d = float(np.linalg.norm(p - ball.center))
-    if d <= ball.radius:
-        return p
-    if ball.radius == 0.0:
-        return ball.center.copy()
-    return ball.center + (p - ball.center) / (d / ball.radius)
-
-
-def coverage_count(points: np.ndarray, ball: Ball) -> int:
-    """Number of rows of ``points`` inside the ball (boundary counts as in)."""
     points = np.asarray(points, dtype=float)
-    dists = np.linalg.norm(points - ball.center, axis=1)
-    return int(np.count_nonzero(dists <= ball.radius))
+    dists = distances(points, center)[:, None]
+    with np.errstate(all="ignore"):
+        pulled = center + (points - center) / (dists / radius)
+    return np.where(dists > radius, pulled, points)
+
+
+def coverage_count(points: np.ndarray, center: np.ndarray, radius: float) -> int:
+    """Number of rows of ``points`` within radius of center (boundary counts as in)."""
+    return int(np.count_nonzero(distances(np.asarray(points, dtype=float), center) <= radius))
 
 
 def min_ball_radius_oracle(points: np.ndarray, coverage_fraction: float) -> float:
@@ -86,9 +69,7 @@ def min_ball_radius_oracle(points: np.ndarray, coverage_fraction: float) -> floa
     if not 0.0 < coverage_fraction <= 1.0:
         raise ValueError(f"coverage_fraction must be in (0, 1], got {coverage_fraction}")
     need = math.ceil(coverage_fraction * m)
-    diffs = points[:, None, :] - points[None, :, :]
-    dists = np.linalg.norm(diffs, axis=2)
     # For each candidate center, the smallest radius covering `need` points
     # is its `need`-th smallest distance (distances to self included).
-    kth = np.sort(dists, axis=1)[:, need - 1]
+    kth = np.sort(distances(points[:, None, :], points), axis=1)[:, need - 1]
     return float(kth.min())

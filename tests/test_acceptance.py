@@ -441,7 +441,7 @@ def test_noise_law_statistics():
     rng = substream(63, "check-noise")
     noise = []
     for _ in range(reps):
-        _, raw, noisy = radius_coverage_check(points, center, 0.1, 0.2, cfg, rng)
+        _, raw, noisy = radius_coverage_check(points, center, 0.1 + cfg.margin(0.2), cfg, rng)
         noise.append(noisy - raw)
     check_std = np.array(noise).std()
     assert check_std == pytest.approx(2.5, rel=0.02)

@@ -52,14 +52,14 @@ class TestCoverageCheck:
         center = np.full(4, 0.25)
         points = np.tile(center, (10, 1))
         cfg = make_cfg(10, 4)
-        passed, raw, noisy = radius_coverage_check(points, center, 0.0, 0.5, cfg, substream(0, "c"))
+        passed, raw, noisy = radius_coverage_check(points, center, 0.0, cfg, substream(0, "c"))
         assert passed and raw == 10 and noisy == 10.0
 
     def test_empty_ball_fails(self):
         points = np.tile([1.0, 0.0], (6, 1))
         center = np.array([0.0, 1.0])
         cfg = make_cfg(6, 2)
-        passed, raw, _ = radius_coverage_check(points, center, 0.1, 0.1, cfg, substream(0, "c"))
+        passed, raw, _ = radius_coverage_check(points, center, 0.1, cfg, substream(0, "c"))
         assert not passed and raw == 0
 
     def test_threshold_arithmetic(self):
@@ -69,10 +69,10 @@ class TestCoverageCheck:
         near = np.tile(center, (6, 1))
         far = np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))
         points = np.vstack([near, far])
-        passed, raw, _ = radius_coverage_check(points, center, 0.01, 0.0, cfg, substream(0, "c"))
+        passed, raw, _ = radius_coverage_check(points, center, 0.01, cfg, substream(0, "c"))
         assert passed and raw == 6
         points = np.vstack([near[:5], far, far[:1]])
-        passed, raw, _ = radius_coverage_check(points, center, 0.01, 0.0, cfg, substream(0, "c"))
+        passed, raw, _ = radius_coverage_check(points, center, 0.01, cfg, substream(0, "c"))
         assert not passed and raw == 5
 
     def test_consumes_one_draw(self):
@@ -85,7 +85,7 @@ class TestCoverageCheck:
 
         cfg = make_cfg(3, 2, sigma2=1.0)
         points = np.tile([0.5, 0.5], (3, 1))
-        radius_coverage_check(points, np.array([0.5, 0.5]), 0.1, 0.1, cfg, OneShot())
+        radius_coverage_check(points, np.array([0.5, 0.5]), 0.1, cfg, OneShot())
         assert OneShot.calls == 1
 
 

@@ -227,6 +227,14 @@ class TestRefusals:
         assert code == EXIT_CONFIG
         assert "max_retries must be nonnegative" in capsys.readouterr().err
 
+    def test_zero_vocab_size_exits_2(self, tmp_path, capsys):
+        code = run_cli(
+            "generate", "--labels", "a,b", "--n-shots", "1", "--sigma1", "1", "--vocab-size", "0",
+            "--demos-out", str(tmp_path / "d.jsonl"), "--traces-out", str(tmp_path / "t.jsonl"),
+        )
+        assert code == EXIT_CONFIG
+        assert "vocab_size must be positive, got 0" in capsys.readouterr().err
+
 
 class TestReports:
     def test_report_privacy_json(self, config_file, capsys):

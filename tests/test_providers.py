@@ -189,6 +189,8 @@ class TestHttpProvider:
         ({"base_url": ""}, "needs base_url and model"),
         ({"model": ""}, "needs base_url and model"),
         ({"max_retries": -1}, "max_retries must be nonnegative, got -1"),
+        ({"timeout": 0}, "timeout must be positive, got 0"),
+        ({"max_logprobs": 0}, "max_logprobs must be positive, got 0"),
     ])
     def test_refused_at_construction(self, kw, message):
         with pytest.raises(ValueError, match=message):

@@ -7,7 +7,7 @@ import helpers
 from dpfewshot.accountant import binary_search_iterations
 from dpfewshot.radius import CoverageScore, dp_binary_search, good_radius
 from dpfewshot.rng import substream
-from dpfewshot.simplex import SIMPLEX_RADIUS
+from dpfewshot.simplex import SIMPLEX_RADIUS, coverage_count
 
 
 class CountingRng:
@@ -32,20 +32,19 @@ def line_on_simplex(offsets):
 class TestBallCount:
     def test_zero_radius_counts_duplicates(self):
         points = np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]])
-        score = CoverageScore(points)
-        assert score.ball_count(0, 0.0) == 2
-        assert score.ball_count(2, 0.0) == 1
+        assert coverage_count(points, points[0], 0.0) == 2
+        assert coverage_count(points, points[2], 0.0) == 1
 
     def test_max_pairwise_distance_covers_all(self):
         rng = np.random.default_rng(0)
         points = rng.random((12, 4))
         max_dist = max(np.linalg.norm(a - b) for a in points for b in points)
         for i in range(12):
-            assert CoverageScore(points).ball_count(i, max_dist) == 12
+            assert coverage_count(points, points[i], max_dist) == 12
 
     def test_collinear_points(self):
         points = line_on_simplex([0.0, 0.1, 0.3])
-        assert CoverageScore(points).ball_count(1, 0.15) == 2
+        assert coverage_count(points, points[1], 0.15) == 2
 
 
 class TestLFunction:
