@@ -51,7 +51,7 @@ from .providers import (
     next_token_generation,
     restrict_topk,
 )
-from .radius import dp_binary_search, good_radius
+from .radius import good_radius
 from .rng import NoiseStreams, substream
 from .simplex import (
     SIMPLEX_RADIUS,

@@ -65,7 +65,7 @@ class MechanismProfile:
     theta: float = 0.1
 
     def __post_init__(self):
-        if min(self.sigma0, self.sigma2, self.sigma1 or 0.0) < 0:
+        if not all(s >= 0 for s in (self.sigma0, self.sigma2, self.sigma1 or 0.0)):
             raise ValueError("noise multipliers must be nonnegative")
         if self.t_hat < 1 or int(self.t_hat) != self.t_hat:
             raise ValueError(f"t_hat must be positive, got {self.t_hat}")
@@ -128,8 +128,9 @@ class ChargedEvent:
     noise_multiplier: float | None
 
     def __post_init__(self):
-        if self.noise_multiplier is not None and self.noise_multiplier <= 0:
-            raise ValueError("noise multipliers must be positive")
+        s = self.noise_multiplier
+        if s is not None and not (s > 0 and 0 < s * s < math.inf):
+            raise ValueError(f"noise multipliers must be positive with a positive, finite square, got {s}")
 
     @property
     def coefficient(self) -> float:

@@ -51,7 +51,7 @@ class AggregationConfig(MechanismProfile):
         super().__post_init__()
         if self.m < 1 or self.k < 1:
             raise ValueError("m and k must be positive")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError("lam must be nonnegative")
         if not 0.0 < self.mu <= 1.0 or not 0.0 < self.rho <= 1.0:
             raise ValueError("mu and rho must lie in (0, 1]")

@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .accountant import UnachievableBudgetError, per_iteration_coefficient
+from .accountant import AmplificationOverflowError, UnachievableBudgetError, per_iteration_coefficient
 from .data import DatasetError, load_dataset
 from .pipeline import (
     ConfigurationError,
@@ -235,7 +235,7 @@ def main(argv=None) -> int:
     except ProviderError as err:
         print(f"provider error: {err}", file=sys.stderr)
         return EXIT_PROVIDER
-    except (ConfigurationError, DatasetError, ValueError) as err:
+    except (ConfigurationError, DatasetError, ValueError, AmplificationOverflowError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -376,6 +376,7 @@ def measure_cluster_radius(run: ResolvedRun) -> dict:
     mean and standard deviation.
     """
     config = run.config
+    spec = config.aggregation(run.sigma1, config.k)
     per_run: list[list[float]] = []
     labels_used: list[str] = []
     for run_idx in range(config.n_runs):
@@ -392,10 +393,7 @@ def measure_cluster_radius(run: ResolvedRun) -> dict:
                 radius = min_ball_radius_oracle(points, config.rho)
             else:
                 radius = good_radius(
-                    points,
-                    math.ceil(config.rho * config.m),
-                    config.sigma0,
-                    config.theta,
+                    points, spec.coverage_target, spec.sigma0, spec.theta,
                     substream(config.seed, *path, "goodradius"),
                 )
             radii.append(radius)

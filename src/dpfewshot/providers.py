@@ -20,6 +20,7 @@ import numpy as np
 
 from .data import partition_subsets
 from .rng import substream
+from .simplex import project_to_simplex
 
 logger = logging.getLogger(__name__)
 
@@ -55,13 +56,10 @@ def restrict_topk(public_p, private_ps, k: int) -> NextTokenBatch:
     rows = []
     fallbacks = []
     for i, pv in enumerate(private_ps):
-        row = np.array([pv.get(tok, 0.0) for tok in support], dtype=float)
-        mass = row.sum()
-        if mass <= 0.0:
-            rows.append(np.full(k, 1.0 / k))
+        row, fallback = project_to_simplex([pv.get(tok, 0.0) for tok in support])
+        rows.append(row)
+        if fallback:
             fallbacks.append(i)
-        else:
-            rows.append(row / mass)
     return NextTokenBatch(
         support=support,
         private_vectors=np.stack(rows) if rows else np.empty((0, k)),

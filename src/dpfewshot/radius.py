@@ -3,9 +3,10 @@
 The coverage score L(r) is the capped-count average over the t best
 data-point centers; its sensitivity to replacing one input point is 2,
 so each noisy evaluation adds Gaussian noise of std 2*sigma0.  The search
-brackets [0, sqrt(2)/2] and halves until the bracket is narrower than
-theta, evaluating both L(mid/2) and L(mid) noisily every iteration in a
-fixed order so the number of draws never depends on the data.
+brackets [0, sqrt(2)/2] and halves it binary_search_iterations(theta)
+times, the count the accountant charges, evaluating both L(mid/2) and
+L(mid) noisily every iteration in a fixed order so the number of draws
+never depends on the data.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .accountant import binary_search_iterations
 from .simplex import SIMPLEX_RADIUS, distances
 
 
@@ -47,31 +49,33 @@ class CoverageScore:
         return float(top.sum()) / t
 
 
-def dp_binary_search(
-    score,
+def good_radius(
+    points: np.ndarray,
     t: int,
     sigma0: float,
     theta: float,
     rng: np.random.Generator,
     trace: list[RadiusSearchStep] | None = None,
 ) -> float:
-    """Noisy bisection for a radius r with score(r) >= t and score(r/2) < t.
+    """Privately estimate a radius covering at least t of the input points:
+    a noisy bisection for r with L(r) >= t and L(r/2) < t.
 
-    ``score`` maps a radius to L(r).  Both noisy evaluations happen before
-    the branch, drawing mid/2 first, so every run consumes exactly
-    2 * ceil(log2(sqrt(2)/(2 theta))) Gaussians.  The first two branches
-    coincide deliberately: both evaluations are part of the analyzed
-    mechanism and both are charged, so they are not collapsed into one.
+    Both noisy evaluations happen before the branch, drawing mid/2 first,
+    for exactly binary_search_iterations(theta) iterations, so every run
+    consumes the 2 * iterations Gaussians the accountant charges.  The first
+    two branches coincide deliberately: both evaluations are part of the
+    analyzed mechanism and both are charged, so they are not collapsed into one.
     """
-    if sigma0 < 0:
+    score = CoverageScore(points)
+    if not sigma0 >= 0:
         raise ValueError("sigma0 must be nonnegative")
     if not 0.0 < theta <= SIMPLEX_RADIUS:
         raise ValueError(f"theta must lie in (0, sqrt(2)/2], got {theta}")
     r_low, r_high = 0.0, SIMPLEX_RADIUS
-    while r_high - r_low > theta:
+    for _ in range(binary_search_iterations(theta)):
         r_mid = (r_low + r_high) / 2.0
-        noisy_half = score(r_mid / 2.0) + 2.0 * sigma0 * rng.standard_normal()
-        noisy_mid = score(r_mid) + 2.0 * sigma0 * rng.standard_normal()
+        noisy_half = score.l_value(t, r_mid / 2.0) + 2.0 * sigma0 * rng.standard_normal()
+        noisy_mid = score.l_value(t, r_mid) + 2.0 * sigma0 * rng.standard_normal()
         if noisy_half >= t:
             r_high = r_mid
             branch = "half_pass"
@@ -84,16 +88,3 @@ def dp_binary_search(
         if trace is not None:
             trace.append(RadiusSearchStep(r_mid, noisy_half, noisy_mid, branch))
     return (r_low + r_high) / 2.0
-
-
-def good_radius(
-    points: np.ndarray,
-    t: int,
-    sigma0: float,
-    theta: float,
-    rng: np.random.Generator,
-    trace: list[RadiusSearchStep] | None = None,
-) -> float:
-    """Privately estimate a radius covering at least t of the input points."""
-    score = CoverageScore(points)
-    return dp_binary_search(lambda r: score.l_value(t, r), t, sigma0, theta, rng, trace)

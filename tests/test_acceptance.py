@@ -47,7 +47,7 @@ from dpfewshot.pipeline import (
     write_outputs,
 )
 from dpfewshot.providers import ProviderSpec
-from dpfewshot.radius import CoverageScore, dp_binary_search, good_radius
+from dpfewshot.radius import CoverageScore, good_radius
 from dpfewshot.rng import NoiseStreams, substream
 from dpfewshot.simplex import SIMPLEX_RADIUS
 
@@ -116,7 +116,7 @@ def test_accountant_closed_forms():
 
     assert binary_search_iterations(0.1) == 3
     counter = DrawCounter()
-    dp_binary_search(lambda r: 1.0, 1, 1.0, 0.1, counter)
+    good_radius(np.tile([0.5, 0.5], (4, 1)), 1, 1.0, 0.1, counter)
     assert counter.draws == 2 * 3
 
     elapsed = perf_counter() - t0

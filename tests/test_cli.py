@@ -164,6 +164,20 @@ class TestGenerate:
         assert code == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
 
+    def test_radius_search_consumes_what_is_charged(self, tmp_path, capsys):
+        # theta = sqrt(2)/32 sits where the charged count steps: 4 iterations,
+        # 8 draws per token, whichever way the noisy scores branch
+        code = run_cli(
+            "generate", "--labels", "a,b", "--n-shots", "1", "--sigma1", "0.6", "--sigma0", "0.01",
+            "--t-max", "3", "--k", "20", "--outlier-fraction", "1", "--theta", "0.04419417382415922",
+            "--demos-out", str(tmp_path / "d.jsonl"), "--traces-out", str(tmp_path / "t.jsonl"),
+        )
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "audit: consumed <= charged: True" in out
+        audit = out.split("audit: consumed <= charged: True ")[1]
+        assert audit.count("'goodradius_draws': 24") == 2
+
     def test_provider_failure_exits_3(self, config_file, capsys):
         code = run_cli(
             "generate", "--config", str(config_file),
@@ -215,6 +229,31 @@ class TestRefusals:
         assert code == EXIT_CONFIG
         captured = capsys.readouterr()
         assert message in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "d.jsonl").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        ("generate --sigma1 nan", "noise multipliers must be nonnegative"),
+        ("generate --sigma1 1 --sigma0 nan", "noise multipliers must be nonnegative"),
+        ("generate --sigma1 1 --sigma2 nan", "noise multipliers must be nonnegative"),
+        ("generate --sigma1 1 --lambda nan", "lam must be nonnegative"),
+        ("generate --sigma1 1e-200", "noise multipliers must be positive with a positive, finite square"),
+        ("report-privacy --dataset-size 1000 --sigma1 nan", "noise multipliers must be nonnegative"),
+        ("report-privacy --dataset-size 1000 --sigma1 1e-154", "no order of the grid gives a finite epsilon"),
+        ("report-privacy --dataset-size 1000 --sigma1 1e-200",
+         "noise multipliers must be positive with a positive, finite square"),
+        ("report-privacy --dataset-size 1000 --sigma1 1e200",
+         "noise multipliers must be positive with a positive, finite square"),
+    ])
+    def test_unpriceable_multiplier_exits_2(self, tmp_path, capsys, argv, message):
+        command, *flags = argv.split()
+        code = run_cli(
+            command, "--labels", "a,b", "--n-shots", "1", "--t-max", "3", "--k", "10", *flags,
+            "--demos-out", str(tmp_path / "d.jsonl"), "--traces-out", str(tmp_path / "t.jsonl"),
+        )
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"configuration error: {message}" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "d.jsonl").exists()
 

@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from dpfewshot.accountant import binary_search_iterations
-from dpfewshot.radius import CoverageScore, dp_binary_search, good_radius
+from dpfewshot.radius import CoverageScore, good_radius
 from dpfewshot.rng import substream
 from dpfewshot.simplex import SIMPLEX_RADIUS, coverage_count
 
@@ -20,6 +20,16 @@ class CountingRng:
     def standard_normal(self):
         self.draws += 1
         return self._values.pop(0) if self._values else 0.0
+
+
+def always_covering(m=8):
+    """Identical points: L(r) = t at every radius for every t <= m."""
+    return np.tile([0.2, 0.3, 0.5], (m, 1))
+
+
+def never_covering(m):
+    """Two antipodal clusters: at t = m, L(r) stays below t on [0, sqrt(2)/2]."""
+    return np.eye(2)[np.arange(m) % 2]
 
 
 def line_on_simplex(offsets):
@@ -84,22 +94,27 @@ class TestLFunction:
                 assert delta <= 2.0 + 1e-9
 
 
-class TestDpBinarySearch:
+class TestGoodRadius:
     def test_full_tolerance_returns_bracket_midpoint(self):
         rng = CountingRng()
-        result = dp_binary_search(lambda r: 1.0, 1, 1.0, SIMPLEX_RADIUS, rng)
+        result = good_radius(always_covering(), 1, 1.0, SIMPLEX_RADIUS, rng)
         assert result == pytest.approx(math.sqrt(2) / 4)
         assert rng.draws == 0
 
     def test_draw_count_is_data_independent(self):
-        score_constant = lambda r: 5.0
-        score_zero = lambda r: 0.0
-        for theta in (0.05, 0.1, 0.2, 0.5):
-            expected = 2 * binary_search_iterations(theta)
-            for score in (score_constant, score_zero):
+        # the charged count ceil(log2(sqrt(2) / (2 theta))) steps at
+        # sqrt(2)/2 * 2**-k, so each such theta is tried with its float neighbours
+        halvings = [SIMPLEX_RADIUS / 2**k for k in range(13)]
+        neighbours = [np.nextafter(h, bound) for h in halvings for bound in (0.0, 1.0)]
+        thetas = [0.05, 0.1, 0.2, 0.5, *halvings, *(h for h in neighbours if 0.0 < h <= SIMPLEX_RADIUS)]
+        for theta in thetas:
+            iterations = binary_search_iterations(theta)
+            for points in (always_covering(), never_covering(3)):
                 rng = CountingRng()
-                dp_binary_search(score, 3, 2.0, theta, rng)
-                assert rng.draws == expected
+                steps = []
+                good_radius(points, 3, 2.0, theta, rng, steps)
+                assert rng.draws == 2 * iterations, theta
+                assert len(steps) == iterations, theta
 
     def test_noiseless_identical_points_converge_below_theta(self):
         points = np.tile([0.2, 0.3, 0.5], (8, 1))
@@ -126,14 +141,14 @@ class TestDpBinarySearch:
 
     def test_branches_follow_noisy_scores(self):
         # plant noise so the first iteration takes each branch in turn
-        t = 10.0
-        score = lambda r: 5.0
+        t = 10
+        points = never_covering(10)  # L(r) = 5
         # half passes: +6 pushes the first noisy value over t
         rng = CountingRng([6.0, -99.0, 99.0, 99.0, 99.0, 99.0])
-        r_half = dp_binary_search(score, t, 0.5, 0.3, rng)
+        r_half = good_radius(points, t, 0.5, 0.3, rng)
         # both fail: bracket floor rises instead
         rng = CountingRng([-99.0, -99.0, 99.0, 99.0, 99.0, 99.0])
-        r_fail = dp_binary_search(score, t, 0.5, 0.3, rng)
+        r_fail = good_radius(points, t, 0.5, 0.3, rng)
         assert r_half < r_fail
 
     def test_seeded_determinism(self):
@@ -152,6 +167,6 @@ class TestDpBinarySearch:
 
     def test_rejects_bad_theta(self):
         with pytest.raises(ValueError):
-            dp_binary_search(lambda r: 1.0, 1, 1.0, 0.0, CountingRng())
+            good_radius(always_covering(), 1, 1.0, 0.0, CountingRng())
         with pytest.raises(ValueError):
-            dp_binary_search(lambda r: 1.0, 1, 1.0, 0.8, CountingRng())
+            good_radius(always_covering(), 1, 1.0, 0.8, CountingRng())
