@@ -94,6 +94,8 @@ class RunConfig:
     def __post_init__(self):
         if min(self.m, self.n, self.k, self.t_max, self.n_shots) < 1:
             raise ConfigurationError("m, n, k, t_max, n_shots must be positive")
+        if len(set(self.labels)) < len(self.labels):
+            raise ConfigurationError(f"labels must be distinct, got {list(self.labels)}")
         for name in ("n_runs", "n_trials"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
@@ -182,20 +184,25 @@ def resolve_run(config: RunConfig, provider=None) -> ResolvedRun:
         dataset = load_dataset(
             config.dataset_path, config.dataset_format, config.labels or None
         )
-        labels = config.labels or tuple(sorted({ex.label for ex in dataset}))
         dataset_size = len(dataset)
+    elif not config.labels:
+        raise ConfigurationError("labels are required when no dataset file is given")
     else:
-        if not config.labels:
-            raise ConfigurationError("labels are required when no dataset file is given")
-        labels = config.labels
         # The synthetic provider ignores prompt content; this pool only exists
         # so the subset draw runs unchanged.  It is no population to account for.
         dataset = [
             Example(text=f"synthetic corpus item {i}", label=label)
-            for label in labels
+            for label in config.labels
             for i in range(config.m * config.n)
         ]
         dataset_size = None
+    counts = Counter(ex.label for ex in dataset)
+    labels = config.labels or tuple(sorted(counts))
+    needed = config.m * config.n
+    short = [f"label {label!r} has {counts[label]} examples, need {needed} (m={config.m}, n={config.n})"
+             for label in labels if counts[label] < needed]
+    if dataset and short:  # settle_privacy refuses an empty file as such
+        raise ConfigurationError("; ".join(short))
     if not labels:
         raise ConfigurationError("the label set is empty")
     if config.n_shots > len(labels):
@@ -209,7 +216,6 @@ def resolve_run(config: RunConfig, provider=None) -> ResolvedRun:
     )
     if provider is None:
         provider = config.provider.build()
-    counts = Counter(ex.label for ex in dataset) if config.gamma_mode == GAMMA_LABEL else None
     sigma1, delta, _ = settle_privacy(config, dataset_size, counts)
     return ResolvedRun(
         config=config, dataset=dataset, labels=labels, template=template,

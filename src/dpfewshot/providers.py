@@ -34,37 +34,28 @@ class NextTokenBatch:
     """Top-K support plus the M private vectors restricted to it.
 
     support is ordered by descending public probability (ties by token
-    string); all vectors share that ordering.  fallback_indices lists
-    private vectors that had zero mass on the support and were replaced by
-    the uniform distribution.
+    string); private_vectors is the (M, |support|) matrix in that order.
+    fallback_indices lists the rows that had zero mass on the support and
+    were replaced by the uniform distribution.
     """
 
     support: tuple[str, ...]
     private_vectors: np.ndarray
-    fallback_indices: tuple[int, ...] = ()
+    fallback_indices: tuple[int, ...]
 
 
 def restrict_topk(public_p, private_ps, k: int) -> NextTokenBatch:
-    """Zero private vectors outside the public top-k tokens and renormalize."""
-    if k < 1 or k > len(public_p):
-        raise ValueError(f"k must lie in [1, {len(public_p)}], got {k}")
+    """Restrict each private vector to the public top-min(k, |public|) tokens and renormalize."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     total = math.fsum(public_p.values())
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:
         raise ValueError(f"public distribution sums to {total}, expected 1")
     ranked = sorted(public_p.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
     support = tuple(tok for tok, _ in ranked)
-    rows = []
-    fallbacks = []
-    for i, pv in enumerate(private_ps):
-        row, fallback = project_to_simplex([pv.get(tok, 0.0) for tok in support])
-        rows.append(row)
-        if fallback:
-            fallbacks.append(i)
-    return NextTokenBatch(
-        support=support,
-        private_vectors=np.stack(rows) if rows else np.empty((0, k)),
-        fallback_indices=tuple(fallbacks),
-    )
+    rows = np.array([[pv.get(tok, 0.0) for tok in support] for pv in private_ps], dtype=float)
+    vectors, fallback = project_to_simplex(rows.reshape(len(private_ps), len(support)))
+    return NextTokenBatch(support, vectors, tuple(np.flatnonzero(fallback).tolist()))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -185,12 +176,12 @@ class HttpProvider:
         response = self._post_with_retries(payload)
         try:
             top = response["choices"][0]["logprobs"]["top_logprobs"][0]
-        except (KeyError, IndexError, TypeError) as err:
+            probs = {tok: math.exp(lp) for tok, lp in top.items()}
+            total = math.fsum(probs.values())
+        except (KeyError, IndexError, TypeError, AttributeError, OverflowError) as err:
             raise ProviderError(f"malformed logprobs response: {err!r}") from err
-        probs = {tok: math.exp(lp) for tok, lp in top.items()}
-        total = math.fsum(probs.values())
-        if total <= 0.0:
-            raise ProviderError("logprobs response carried no probability mass")
+        if not 0.0 < total < math.inf:
+            raise ProviderError(f"malformed logprobs response: probabilities sum to {total}")
         return {tok: p / total for tok, p in probs.items()}
 
     def _post_with_retries(self, payload: dict) -> dict:
@@ -282,4 +273,4 @@ def next_token_generation(
         ]
     except ProviderError as err:
         raise ProviderError(f"token position {position}: {err}") from err
-    return restrict_topk(public_p, private_ps, min(k, len(public_p)))
+    return restrict_topk(public_p, private_ps, k)

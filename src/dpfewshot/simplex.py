@@ -1,9 +1,9 @@
 """Vector primitives over the probability simplex.
 
-Vectors are 1-D float arrays of length K.  A probability vector is
-nonnegative and sums to 1.  The enclosing ball of the whole simplex has
-radius sqrt(2)/2, which is the starting point of every radius search in
-this package.
+Vectors are float arrays of length K, alone or as the rows of an (M, K)
+batch.  A probability vector is nonnegative and sums to 1.  The enclosing
+ball of the whole simplex has radius sqrt(2)/2, which is the starting
+point of every radius search in this package.
 """
 
 from __future__ import annotations
@@ -20,20 +20,20 @@ def distances(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     return np.linalg.norm(points - center, axis=-1)
 
 
-def project_to_simplex(v: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Truncate negatives and renormalize to unit l1 mass.
+def project_to_simplex(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Truncate negatives and renormalize each row (last axis) to unit l1 mass.
 
-    If truncation leaves the all-zero vector the formula is undefined; the
-    uniform distribution is returned instead.  The flag reports whether
-    that fallback fired.
+    A row that truncation leaves all-zero has no such normalization and
+    becomes the uniform distribution instead.  The mask, of shape
+    ``v.shape[:-1]`` (0-d for one vector), flags the rows where that
+    fallback fired.
     """
-    v = np.asarray(v, dtype=float)
-    clipped = np.maximum(v, 0.0)
-    mass = float(clipped.sum())
-    if mass <= 0.0:
-        k = v.shape[0]
-        return np.full(k, 1.0 / k), True
-    return clipped / mass, False
+    clipped = np.maximum(np.asarray(v, dtype=float), 0.0)
+    mass = clipped.sum(axis=-1, keepdims=True)
+    degenerate = mass <= 0.0
+    with np.errstate(all="ignore"):
+        out = np.where(degenerate, 1.0 / clipped.shape[-1], clipped / mass)
+    return out, degenerate[..., 0]
 
 
 def project_to_ball(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:

@@ -13,6 +13,7 @@ from dpfewshot.cli import (
     read_config_file,
 )
 from dpfewshot.pipeline import ConfigurationError
+from dpfewshot.providers import SyntheticProvider
 
 BASE_CONFIG = """\
 # synthetic desk-scale run
@@ -255,6 +256,36 @@ class TestRefusals:
         captured = capsys.readouterr()
         assert f"configuration error: {message}" in captured.err
         assert captured.out == ""
+        assert not (tmp_path / "d.jsonl").exists()
+
+    def test_short_label_pool_exits_2_before_any_provider_call(self, tmp_path, capsys, monkeypatch):
+        dataset = tmp_path / "small.jsonl"
+        dataset.write_text("".join(
+            json.dumps({"text": f"{label} row {i}", "label": label}) + "\n"
+            for label, count in (("A", 40), ("B", 5)) for i in range(count)
+        ))
+        calls = []
+        original = SyntheticProvider.next_token_distribution
+        monkeypatch.setattr(
+            SyntheticProvider, "next_token_distribution",
+            lambda self, *a, **kw: calls.append(kw) or original(self, *a, **kw),
+        )
+        code = run_cli(
+            "generate", "--dataset", str(dataset), "--n-shots", "2", "--m", "10", "--t-max", "20",
+            "--k", "20", "--sigma1", "1", "--seed", "3",
+            "--demos-out", str(tmp_path / "d.jsonl"), "--traces-out", str(tmp_path / "t.jsonl"),
+        )
+        assert code == EXIT_CONFIG
+        assert "label 'B' has 5 examples, need 10 (m=10, n=1)" in capsys.readouterr().err
+        assert calls == []
+
+    def test_repeated_labels_exit_2(self, tmp_path, capsys):
+        code = run_cli(
+            "generate", "--labels", "a,a", "--n-shots", "2", "--sigma1", "1", "--t-max", "3", "--k", "10",
+            "--demos-out", str(tmp_path / "d.jsonl"), "--traces-out", str(tmp_path / "t.jsonl"),
+        )
+        assert code == EXIT_CONFIG
+        assert "labels must be distinct, got ['a', 'a']" in capsys.readouterr().err
         assert not (tmp_path / "d.jsonl").exists()
 
     def test_negative_max_retries_exits_2(self, config_file, capsys):

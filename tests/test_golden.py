@@ -54,7 +54,7 @@ seed = 42
 CONFIG = RunConfig(
     task="demo", labels=LABELS, provider=ProviderSpec(kind="synthetic", seed=7),
     m=10, n=1, k=100, t_max=20, n_shots=4,
-    sigma1=0.6, sigma0=10.0, sigma2=3.0, t_hat=2, lam=0.2, seed=42,
+    sigma1=0.6, sigma0=10.0, sigma2=3.0, t_hat=2, lam=0.2, seed=42, gamma_mode="dataset",
 )
 
 GOLDEN = {

@@ -73,6 +73,16 @@ class TestRestrictTopk:
         with pytest.raises(ValueError, match="sums to"):
             restrict_topk({"a": 0.5, "b": 0.3}, [], 2)
 
+    def test_nan_public_is_refused(self):
+        with pytest.raises(ValueError, match="sums to nan"):
+            restrict_topk({"a": math.nan, "b": 0.5}, [], 2)
+
+    def test_k_above_vocabulary_keeps_whole_vocabulary(self):
+        batch = restrict_topk({"a": 0.5, "b": 0.3, "c": 0.2}, [{"b": 1.0}], 10)
+        assert batch.support == ("a", "b", "c")
+        np.testing.assert_array_equal(batch.private_vectors, [[0.0, 1.0, 0.0]])
+        assert batch.fallback_indices == ()
+
 
 class TestSyntheticProvider:
     def test_distribution_sums_to_one(self):
@@ -229,6 +239,13 @@ class TestHttpProvider:
         provider = self.make([(200, {"choices": []})])
         with pytest.raises(ProviderError, match="malformed"):
             provider.next_token_distribution("p", label="y", position=0, subset_index=0, top_n=3)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, None, "x", 1000])
+    def test_malformed_logprob_value_raises(self, value):
+        body = {"choices": [{"logprobs": {"top_logprobs": [{"a": value, "b": -1.0}]}}]}
+        provider = self.make([(200, body)])
+        with pytest.raises(ProviderError, match="malformed logprobs response"):
+            provider.next_token_distribution("p", label="y", position=0, subset_index=0, top_n=2)
 
 
 def label_pool(label, count):

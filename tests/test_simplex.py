@@ -19,6 +19,11 @@ finite_vectors = arrays(
     st.integers(1, 12),
     elements=st.floats(-5, 5, allow_nan=False, allow_infinity=False, width=32),
 )
+finite_batches = arrays(
+    float,
+    st.tuples(st.integers(0, 4), st.integers(1, 12)),
+    elements=st.floats(-5, 5, allow_nan=False, allow_infinity=False, width=32),
+)
 
 
 class TestProjectToSimplex:
@@ -38,18 +43,27 @@ class TestProjectToSimplex:
         _, degenerate = project_to_simplex(np.array([0.5, 0.2]))
         assert not degenerate
 
-    @given(finite_vectors)
+    def test_batch_rows_match_single_calls(self):
+        batch = np.array([[0.5, -0.1, 0.6], [-1.0, -2.0, -3.0], [0.2, 0.3, 0.5]])
+        out, degenerate = project_to_simplex(batch)
+        np.testing.assert_array_equal(degenerate, [False, True, False])
+        np.testing.assert_array_equal(out[1], [1 / 3, 1 / 3, 1 / 3])
+        for i in (0, 2):
+            np.testing.assert_array_equal(out[i], project_to_simplex(batch[i])[0])
+
+    @given(st.one_of(finite_vectors, finite_batches))
     @settings(max_examples=300)
     def test_idempotent(self, v):
         once, _ = project_to_simplex(v)
         twice, _ = project_to_simplex(once)
         assert np.all(np.abs(twice - once) <= 1e-12)
 
-    @given(finite_vectors)
+    @given(st.one_of(finite_vectors, finite_batches))
     @settings(max_examples=300)
     def test_output_is_prob_vector(self, v):
-        out, _ = project_to_simplex(v)
-        assert np.all(out >= 0.0) and abs(float(out.sum()) - 1.0) <= 1e-9
+        out, degenerate = project_to_simplex(v)
+        assert out.shape == v.shape and degenerate.shape == v.shape[:-1]
+        assert np.all(out >= 0.0) and np.all(np.abs(out.sum(axis=-1) - 1.0) <= 1e-9)
 
 
 class TestProjectToBall:
