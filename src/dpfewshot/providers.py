@@ -10,6 +10,7 @@ logprobs.  restrict_topk then fixes the candidate support from the public
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
@@ -53,7 +54,8 @@ def restrict_topk(public_p, private_ps, k: int) -> NextTokenBatch:
         raise ValueError(f"public distribution sums to {total}, expected 1")
     ranked = sorted(public_p.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
     support = tuple(tok for tok, _ in ranked)
-    rows = np.array([[pv.get(tok, 0.0) for tok in support] for pv in private_ps], dtype=float)
+    zeros = [0.0] * len(support)
+    rows = np.array([list(map(pv.get, support, zeros)) for pv in private_ps], dtype=float)
     vectors, fallback = project_to_simplex(rows.reshape(len(private_ps), len(support)))
     return NextTokenBatch(support, vectors, tuple(np.flatnonzero(fallback).tolist()))
 
@@ -81,7 +83,9 @@ class SyntheticProvider:
     Gaussian noise of scale ``spread``, or (with probability
     ``outlier_fraction``) returns a near-point-mass on some other token.
     Output is a pure function of (seed, label, position, subset_index); the
-    prompt text is ignored.
+    prompt text is ignored.  The M+1 calls of one token share their center:
+    it is derived once per (label, position), kept in a small bounded cache
+    (equal providers share entries) and returned read-only.
     """
 
     seed: int
@@ -93,13 +97,17 @@ class SyntheticProvider:
         if self.vocab_size < 1:
             raise ValueError(f"vocab_size must be positive, got {self.vocab_size}")
 
-    @property
+    @functools.cached_property
     def vocab(self) -> tuple[str, ...]:
         return tuple(f" w{i:03d}" for i in range(self.vocab_size))
 
+    @functools.lru_cache(maxsize=16, typed=True)
     def center_logits(self, label: str, position: int) -> np.ndarray:
+        """Center logits of (label, position), derived once and shared read-only."""
         rng = substream(self.seed, "center", label, position)
-        return CENTER_SCALE * rng.standard_normal(self.vocab_size)
+        logits = CENTER_SCALE * rng.standard_normal(self.vocab_size)
+        logits.flags.writeable = False
+        return logits
 
     def next_token_distribution(
         self, prompt: str, *, label: str, position: int, subset_index: int | None, top_n: int = 0

@@ -19,6 +19,7 @@ from dpfewshot.providers import (
     next_token_generation,
     restrict_topk,
 )
+from dpfewshot.rng import substream
 
 
 class TestRestrictTopk:
@@ -77,6 +78,18 @@ class TestRestrictTopk:
         with pytest.raises(ValueError, match="sums to nan"):
             restrict_topk({"a": math.nan, "b": 0.5}, [], 2)
 
+    def test_empty_batch_keeps_support_width(self):
+        batch = restrict_topk({"a": 0.5, "b": 0.3, "c": 0.2}, [], 2)
+        assert batch.private_vectors.shape == (0, 2)
+        assert batch.fallback_indices == ()
+
+    def test_private_missing_every_support_token_falls_back(self):
+        public = {"a": 0.5, "b": 0.3, "c": 0.2}
+        private = [{"a": 0.4, "b": 0.6}, {}, {"c": 0.7, "z": 0.3}]
+        batch = restrict_topk(public, private, 2)
+        np.testing.assert_array_equal(batch.private_vectors, [[0.4, 0.6], [0.5, 0.5], [0.5, 0.5]])
+        assert batch.fallback_indices == (1, 2)
+
     def test_k_above_vocabulary_keeps_whole_vocabulary(self):
         batch = restrict_topk({"a": 0.5, "b": 0.3, "c": 0.2}, [{"b": 1.0}], 10)
         assert batch.support == ("a", "b", "c")
@@ -124,6 +137,68 @@ class TestSyntheticProvider:
             if int(np.argmax(values)) != top and values.max() > 0.9:
                 outliers += 1
         assert outliers >= 1
+
+
+def uncached_distribution(provider, label, position, subset_index):
+    """SyntheticProvider's distribution derived straight from substream, no cache."""
+    vocab_size = provider.vocab_size
+    center = 3.0 * substream(provider.seed, "center", label, position).standard_normal(vocab_size)
+    logits = center
+    if subset_index is not None:
+        rng = substream(provider.seed, "private", label, position, subset_index)
+        if rng.uniform() < provider.outlier_fraction:
+            target = int(rng.integers(vocab_size))
+            if target == int(np.argmax(center)):
+                target = (target + 1) % vocab_size
+            logits = np.zeros(vocab_size)
+            logits[target] = 12.0
+        else:
+            logits = center + provider.spread * rng.standard_normal(vocab_size)
+    weights = np.exp(logits - logits.max())
+    probs = weights / weights.sum()
+    return dict(zip([f" w{i:03d}" for i in range(vocab_size)], probs.tolist()))
+
+
+class TestSyntheticCenterCache:
+    def test_interleaved_calls_match_uncached_formula(self):
+        SyntheticProvider.center_logits.cache_clear()
+        providers = [SyntheticProvider(seed=s, vocab_size=40, outlier_fraction=0.3) for s in (3, 8)]
+        keys = [(p, label, pos) for p in providers for label in ("x", "y") for pos in (0, 1)]
+        outliers = 0
+        for subset in (None, 0, 1, 2, 3, 4, 5):
+            for provider, label, pos in keys:
+                got = provider.next_token_distribution("p", label=label, position=pos, subset_index=subset)
+                assert got == uncached_distribution(provider, label, pos, subset)
+                outliers += max(got.values()) > 0.99
+        assert 0 < outliers < len(keys) * 6  # both private branches ran
+        # Evict every entry, then derive again: same bytes.
+        maxsize = SyntheticProvider.center_logits.cache_parameters()["maxsize"]
+        for pos in range(2, maxsize + 3):
+            providers[0].center_logits("x", pos)
+        for provider, label, pos in keys:
+            got = provider.next_token_distribution("p", label=label, position=pos, subset_index=0)
+            assert got == uncached_distribution(provider, label, pos, 0)
+
+    def test_center_is_read_only(self):
+        center = SyntheticProvider(seed=1, vocab_size=10).center_logits("x", 0)
+        with pytest.raises(ValueError):
+            center[0] = 1.0
+        with pytest.raises(ValueError):
+            center += 1.0
+
+    def test_cache_is_bounded_and_vocab_built_once(self):
+        maxsize = SyntheticProvider.center_logits.cache_parameters()["maxsize"]
+        assert maxsize is not None and 1 <= maxsize <= 16
+        provider = SyntheticProvider(seed=1, vocab_size=10)
+        assert provider.vocab is provider.vocab
+        assert provider.vocab == tuple(f" w{i:03d}" for i in range(10))
+
+    def test_equal_providers_share_entries(self):
+        SyntheticProvider.center_logits.cache_clear()
+        one = SyntheticProvider(seed=5, vocab_size=10).center_logits("x", 0)
+        two = SyntheticProvider(seed=5, vocab_size=10).center_logits("x", 0)
+        assert one is two
+        assert SyntheticProvider(seed=6, vocab_size=10).center_logits("x", 0).tobytes() != one.tobytes()
 
 
 class FakeSession:

@@ -7,7 +7,7 @@ import helpers
 from dpfewshot.accountant import binary_search_iterations
 from dpfewshot.radius import CoverageScore, good_radius
 from dpfewshot.rng import substream
-from dpfewshot.simplex import SIMPLEX_RADIUS, coverage_count
+from dpfewshot.simplex import SIMPLEX_RADIUS, coverage_count, distances
 
 
 class CountingRng:
@@ -79,6 +79,26 @@ class TestLFunction:
             t = int(rng.integers(1, points.shape[0] + 1))
             values = [CoverageScore(points).l_value(t, r) for r in np.linspace(0, 1.6, 25)]
             assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_pair_distances_match_full_matrix_bitwise(self):
+        # One norm per pair, mirrored, must equal the full (M, M) matrix byte
+        # for byte: Dirichlet rows of every spread, some replaced by vertices.
+        rng = np.random.default_rng(2024)
+        for m in list(range(1, 41)) * 4:
+            k = int(rng.integers(2, 151))
+            points = rng.dirichlet(np.full(k, rng.choice([0.05, 1.0, 20.0])), size=m)
+            outliers = rng.random(m) < 0.2
+            points[outliers] = np.eye(k)[rng.integers(k, size=int(outliers.sum()))]
+            dists = CoverageScore(points)._dists
+            full = distances(points[:, None, :], points)
+            assert dists.shape == full.shape == (m, m)
+            assert dists.tobytes() == full.tobytes()
+            assert dists.tobytes() == dists.T.tobytes()
+            assert not np.diagonal(dists).any()
+
+    def test_single_point_has_zero_distance_matrix(self):
+        dists = CoverageScore(np.array([[0.3, 0.7]]))._dists
+        assert dists.shape == (1, 1) and dists[0, 0] == 0.0
 
     def test_neighbor_sensitivity_at_most_two(self):
         grid = np.linspace(0.0, 1.5, 16)
