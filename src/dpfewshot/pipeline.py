@@ -262,9 +262,9 @@ def token_step(
     run: ResolvedRun, label: str, prefix: str, position: int,
     draw_path: tuple, noise_path: tuple | None = None,
 ) -> tuple[NextTokenBatch, str | None, AggregationTrace | None]:
-    """One token position: draw M subsets, query the model M+1 times and
-    restrict to the public top-K; given noise_path, also aggregate the M
-    vectors adaptively and select the token.
+    """One token position: draw M subsets, query the model with all M+1
+    prompts in one call and restrict to the public top-K; given noise_path,
+    also aggregate the M vectors adaptively and select the token.
 
     draw_path and noise_path name the substreams of the subset draw and of
     the aggregator's noise.  Returns (batch, token, aggregation trace); the

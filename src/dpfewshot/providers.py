@@ -1,11 +1,14 @@
 """Sources of next-token distributions and the public top-K restriction.
 
-A provider maps a prompt to a full-vocabulary distribution keyed by token
-string.  Two implementations: a deterministic synthetic provider for
-desk-scale runs (clustered around hash-derived per-(label, position)
+A provider answers one token position in one call: given the public
+(instruction-only) prompt followed by the M private prompts, it returns M+1
+distributions keyed by token string, the public one first and then one per
+subset in order.  Two implementations: a deterministic synthetic provider
+for desk-scale runs (clustered around hash-derived per-(label, position)
 centers), and a client for OpenAI-compatible completions endpoints exposing
-logprobs.  restrict_topk then fixes the candidate support from the public
-(instruction-only) distribution so private data never influences it.
+logprobs, which sends all M+1 prompts in one request.  restrict_topk then
+fixes the candidate support from the public distribution so private data
+never influences it.
 """
 
 from __future__ import annotations
@@ -83,9 +86,8 @@ class SyntheticProvider:
     Gaussian noise of scale ``spread``, or (with probability
     ``outlier_fraction``) returns a near-point-mass on some other token.
     Output is a pure function of (seed, label, position, subset_index); the
-    prompt text is ignored.  The M+1 calls of one token share their center:
-    it is derived once per (label, position), kept in a small bounded cache
-    (equal providers share entries) and returned read-only.
+    prompt text is ignored.  Each call derives its (label, position) center
+    once and shares it, read-only, between its M+1 rows.
     """
 
     seed: int
@@ -101,41 +103,46 @@ class SyntheticProvider:
     def vocab(self) -> tuple[str, ...]:
         return tuple(f" w{i:03d}" for i in range(self.vocab_size))
 
-    @functools.lru_cache(maxsize=16, typed=True)
     def center_logits(self, label: str, position: int) -> np.ndarray:
-        """Center logits of (label, position), derived once and shared read-only."""
+        """Center logits of (label, position), returned read-only."""
         rng = substream(self.seed, "center", label, position)
         logits = CENTER_SCALE * rng.standard_normal(self.vocab_size)
         logits.flags.writeable = False
         return logits
 
     def next_token_distribution(
-        self, prompt: str, *, label: str, position: int, subset_index: int | None, top_n: int = 0
-    ) -> dict[str, float]:
-        logits = self.center_logits(label, position)
-        if subset_index is not None:
+        self, prompts, *, label: str, position: int, top_n: int = 0
+    ) -> list[dict[str, float]]:
+        center = self.center_logits(label, position)
+        rows = [center]
+        for subset_index in range(len(prompts) - 1):
             rng = substream(self.seed, "private", label, position, subset_index)
             if rng.uniform() < self.outlier_fraction:
                 target = int(rng.integers(self.vocab_size))
-                if target == int(np.argmax(logits)):
+                if target == int(np.argmax(center)):
                     target = (target + 1) % self.vocab_size
                 logits = np.zeros(self.vocab_size)
                 logits[target] = 12.0
             else:
-                logits = logits + self.spread * rng.standard_normal(self.vocab_size)
-        probs = _softmax(logits)
-        return dict(zip(self.vocab, probs.tolist()))
+                logits = center + self.spread * rng.standard_normal(self.vocab_size)
+            rows.append(logits)
+        return [dict(zip(self.vocab, _softmax(logits).tolist())) for logits in rows]
 
 
 @dataclass
 class HttpProvider:
     """Client for an OpenAI-compatible /v1/completions endpoint with logprobs.
 
-    Requests one generated token and reads the top_logprobs of its first
-    position.  If the endpoint caps logprobs below the requested count the
-    cap is requested instead and unreturned tokens get probability zero (a
-    warning is logged once per provider).  The bearer token is read from the
-    environment variable named by auth_env.
+    Sends a token's M+1 prompts as one list ``prompt`` requesting one
+    generated token, and reads the top_logprobs of each choice's first
+    position.  The reply must hold exactly one choice per prompt, matched by
+    its ``index``; anything else raises ProviderError, so a subset is never
+    dropped.  429 and 5xx replies are retried after a numeric Retry-After,
+    or else after an exponential backoff.  If the endpoint caps logprobs
+    below the requested count the cap is requested instead and unreturned
+    tokens get probability zero (a warning is logged once per provider).
+    The bearer token is read from the environment variable named by
+    auth_env.
     """
 
     base_url: str
@@ -163,8 +170,8 @@ class HttpProvider:
             self.session = requests.Session()
 
     def next_token_distribution(
-        self, prompt: str, *, label: str, position: int, subset_index: int | None, top_n: int = 0
-    ) -> dict[str, float]:
+        self, prompts, *, label: str, position: int, top_n: int = 0
+    ) -> list[dict[str, float]]:
         wanted = top_n or self.max_logprobs
         if wanted > self.max_logprobs:
             if not self._cap_warned:
@@ -175,22 +182,15 @@ class HttpProvider:
                     wanted,
                 )
             wanted = self.max_logprobs
+        prompts = list(prompts)
         payload = {
             "model": self.model,
-            "prompt": prompt,
+            "prompt": prompts,
             "max_tokens": 1,
             "logprobs": wanted,
         }
-        response = self._post_with_retries(payload)
-        try:
-            top = response["choices"][0]["logprobs"]["top_logprobs"][0]
-            probs = {tok: math.exp(lp) for tok, lp in top.items()}
-            total = math.fsum(probs.values())
-        except (KeyError, IndexError, TypeError, AttributeError, OverflowError) as err:
-            raise ProviderError(f"malformed logprobs response: {err!r}") from err
-        if not 0.0 < total < math.inf:
-            raise ProviderError(f"malformed logprobs response: probabilities sum to {total}")
-        return {tok: p / total for tok, p in probs.items()}
+        choices = _choices_in_prompt_order(self._post_with_retries(payload), len(prompts))
+        return [_choice_distribution(choice) for choice in choices]
 
     def _post_with_retries(self, payload: dict) -> dict:
         import requests
@@ -204,19 +204,58 @@ class HttpProvider:
         url = self.base_url.rstrip("/") + "/v1/completions"
         last_error = None
         for attempt in range(self.max_retries + 1):
+            delay = None
             try:
                 resp = self.session.post(url, json=payload, headers=headers, timeout=self.timeout)
                 if resp.status_code == 200:
                     return resp.json()
                 if resp.status_code == 429 or resp.status_code >= 500:
                     last_error = ProviderError(f"HTTP {resp.status_code} from {url}")
+                    delay = _retry_after(resp)
                 else:
                     raise ProviderError(f"HTTP {resp.status_code} from {url}: {resp.text[:200]}")
             except requests.RequestException as err:
                 last_error = ProviderError(f"request to {url} failed: {err}")
             if attempt < self.max_retries:
-                time.sleep(self.backoff * 2**attempt)
+                time.sleep(delay if delay is not None else self.backoff * 2**attempt)
         raise last_error
+
+
+def _retry_after(resp) -> float | None:
+    """The finite, nonnegative number of seconds a Retry-After header gives, else None."""
+    try:
+        seconds = float(resp.headers.get("Retry-After"))
+    except (TypeError, ValueError):
+        return None
+    return seconds if 0.0 <= seconds < math.inf else None
+
+
+def _choices_in_prompt_order(response, count: int) -> list:
+    """The reply's choices ordered by index: exactly one for each of count prompts."""
+    try:
+        choices = list(response["choices"])
+        indices = [choice["index"] for choice in choices]
+    except (KeyError, TypeError) as err:
+        raise ProviderError(f"malformed logprobs response: {err!r}") from err
+    if any(type(i) is not int for i in indices) or sorted(indices) != list(range(count)):
+        raise ProviderError(
+            f"malformed logprobs response: choice indices {indices!r} for {count} prompts"
+        )
+    by_index = dict(zip(indices, choices))
+    return [by_index[i] for i in range(count)]
+
+
+def _choice_distribution(choice) -> dict[str, float]:
+    """The renormalized top_logprobs of one choice's first generated position."""
+    try:
+        top = choice["logprobs"]["top_logprobs"][0]
+        probs = {tok: math.exp(lp) for tok, lp in top.items()}
+        total = math.fsum(probs.values())
+    except (KeyError, IndexError, TypeError, AttributeError, OverflowError) as err:
+        raise ProviderError(f"malformed logprobs response: {err!r}") from err
+    if not 0.0 < total < math.inf:
+        raise ProviderError(f"malformed logprobs response: probabilities sum to {total}")
+    return {tok: p / total for tok, p in probs.items()}
 
 
 @dataclass(frozen=True)
@@ -263,22 +302,17 @@ def next_token_generation(
 ) -> NextTokenBatch:
     """One token position: draw subsets, query the provider, restrict to top-K.
 
-    All randomness (the subset draw) happens before any provider call.  The
-    public support comes from the instruction-only prompt, computed once.
+    All randomness (the subset draw) happens before the provider call, which
+    answers the instruction-only prompt and the M private prompts together.
+    The public support comes from the instruction-only distribution.
     """
     subsets = partition_subsets(data, label, m, n, rng)
     public_prompt = template.render([], label, prefix)
     private_prompts = [template.render(subset, label, prefix) for subset in subsets]
     try:
-        public_p = provider.next_token_distribution(
-            public_prompt, label=label, position=position, subset_index=None, top_n=k
+        public_p, *private_ps = provider.next_token_distribution(
+            [public_prompt, *private_prompts], label=label, position=position, top_n=k
         )
-        private_ps = [
-            provider.next_token_distribution(
-                prompt, label=label, position=position, subset_index=i, top_n=k
-            )
-            for i, prompt in enumerate(private_prompts)
-        ]
     except ProviderError as err:
         raise ProviderError(f"token position {position}: {err}") from err
     return restrict_topk(public_p, private_ps, k)

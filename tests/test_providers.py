@@ -4,12 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dpfewshot
+from dpfewshot import providers
+from dpfewshot.cli import EXIT_PROVIDER, main
 from dpfewshot.data import Example, GENERIC_TEMPLATE
 from dpfewshot.providers import (
     HttpProvider,
@@ -100,30 +103,26 @@ class TestRestrictTopk:
 class TestSyntheticProvider:
     def test_distribution_sums_to_one(self):
         provider = SyntheticProvider(seed=4, vocab_size=50)
-        dist = provider.next_token_distribution("p", label="x", position=0, subset_index=0)
+        dist = provider.next_token_distribution(["pub", "p"], label="x", position=0)[1]
         assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-12)
         assert len(dist) == 50
 
     def test_pure_function_of_keys(self):
         a = SyntheticProvider(seed=4, vocab_size=30)
         b = SyntheticProvider(seed=4, vocab_size=30)
-        for subset in (None, 0, 3):
-            one = a.next_token_distribution("ignored", label="y", position=2, subset_index=subset)
-            two = b.next_token_distribution("different prompt", label="y", position=2, subset_index=subset)
-            assert one == two
+        ones = a.next_token_distribution(["ignored"] * 5, label="y", position=2)
+        twos = b.next_token_distribution(["different prompt"] * 5, label="y", position=2)
+        for row in (0, 1, 4):  # public, subsets 0 and 3
+            assert ones[row] == twos[row]
 
     def test_zero_spread_collapses_subsets(self):
         provider = SyntheticProvider(seed=4, vocab_size=30, spread=0.0, outlier_fraction=0.0)
-        dists = [
-            provider.next_token_distribution("p", label="y", position=1, subset_index=i)
-            for i in range(5)
-        ]
+        dists = provider.next_token_distribution(["p"] * 6, label="y", position=1)[1:]
         assert all(d == dists[0] for d in dists)
 
     def test_positive_spread_separates_subsets(self):
         provider = SyntheticProvider(seed=4, vocab_size=30, spread=0.3)
-        one = provider.next_token_distribution("p", label="y", position=1, subset_index=0)
-        two = provider.next_token_distribution("p", label="y", position=1, subset_index=1)
+        _, one, two = provider.next_token_distribution(["p"] * 3, label="y", position=1)
         assert one != two
 
     def test_outliers_appear_at_pinned_seed(self):
@@ -131,8 +130,7 @@ class TestSyntheticProvider:
         center = provider.center_logits("y", 0)
         top = int(np.argmax(center))
         outliers = 0
-        for i in range(20):
-            dist = provider.next_token_distribution("p", label="y", position=0, subset_index=i)
+        for dist in provider.next_token_distribution(["p"] * 21, label="y", position=0)[1:]:
             values = np.array([dist[t] for t in provider.vocab])
             if int(np.argmax(values)) != top and values.max() > 0.9:
                 outliers += 1
@@ -159,25 +157,20 @@ def uncached_distribution(provider, label, position, subset_index):
     return dict(zip([f" w{i:03d}" for i in range(vocab_size)], probs.tolist()))
 
 
-class TestSyntheticCenterCache:
+class TestSyntheticCenter:
     def test_interleaved_calls_match_uncached_formula(self):
-        SyntheticProvider.center_logits.cache_clear()
         providers = [SyntheticProvider(seed=s, vocab_size=40, outlier_fraction=0.3) for s in (3, 8)]
         keys = [(p, label, pos) for p in providers for label in ("x", "y") for pos in (0, 1)]
         outliers = 0
-        for subset in (None, 0, 1, 2, 3, 4, 5):
-            for provider, label, pos in keys:
-                got = provider.next_token_distribution("p", label=label, position=pos, subset_index=subset)
-                assert got == uncached_distribution(provider, label, pos, subset)
-                outliers += max(got.values()) > 0.99
-        assert 0 < outliers < len(keys) * 6  # both private branches ran
-        # Evict every entry, then derive again: same bytes.
-        maxsize = SyntheticProvider.center_logits.cache_parameters()["maxsize"]
-        for pos in range(2, maxsize + 3):
-            providers[0].center_logits("x", pos)
         for provider, label, pos in keys:
-            got = provider.next_token_distribution("p", label=label, position=pos, subset_index=0)
-            assert got == uncached_distribution(provider, label, pos, 0)
+            got = provider.next_token_distribution(["p"] * 7, label=label, position=pos)
+            assert got == [uncached_distribution(provider, label, pos, i) for i in (None, 0, 1, 2, 3, 4, 5)]
+            outliers += sum(max(dist.values()) > 0.99 for dist in got)
+        assert 0 < outliers < len(keys) * 6  # both private branches ran
+        # A smaller M gives the same leading rows.
+        for provider, label, pos in keys:
+            got = provider.next_token_distribution(["p"] * 2, label=label, position=pos)
+            assert got == [uncached_distribution(provider, label, pos, i) for i in (None, 0)]
 
     def test_center_is_read_only(self):
         center = SyntheticProvider(seed=1, vocab_size=10).center_logits("x", 0)
@@ -186,23 +179,27 @@ class TestSyntheticCenterCache:
         with pytest.raises(ValueError):
             center += 1.0
 
-    def test_cache_is_bounded_and_vocab_built_once(self):
-        maxsize = SyntheticProvider.center_logits.cache_parameters()["maxsize"]
-        assert maxsize is not None and 1 <= maxsize <= 16
+    def test_vocab_built_once(self):
         provider = SyntheticProvider(seed=1, vocab_size=10)
         assert provider.vocab is provider.vocab
         assert provider.vocab == tuple(f" w{i:03d}" for i in range(10))
 
-    def test_equal_providers_share_entries(self):
-        SyntheticProvider.center_logits.cache_clear()
-        one = SyntheticProvider(seed=5, vocab_size=10).center_logits("x", 0)
-        two = SyntheticProvider(seed=5, vocab_size=10).center_logits("x", 0)
-        assert one is two
-        assert SyntheticProvider(seed=6, vocab_size=10).center_logits("x", 0).tobytes() != one.tobytes()
+    @pytest.mark.parametrize("m", [1, 4, 40])
+    def test_one_center_derivation_per_call(self, monkeypatch, m):
+        paths = []
+        monkeypatch.setattr(
+            providers, "substream", lambda seed, *path: paths.append(path) or substream(seed, *path)
+        )
+        SyntheticProvider(seed=5, vocab_size=10).next_token_distribution(["p"] * (m + 1), label="x", position=2)
+        assert [path for path in paths if path[0] == "center"] == [("center", "x", 2)]
+        assert [path for path in paths if path[0] == "private"] == [("private", "x", 2, i) for i in range(m)]
 
 
 class FakeSession:
-    """Scripted transport for HttpProvider: pops one response per post."""
+    """Scripted transport for HttpProvider: pops one response per post.
+
+    A response is an exception to raise or (status, body[, headers]).
+    """
 
     def __init__(self, responses):
         self.responses = list(responses)
@@ -213,11 +210,12 @@ class FakeSession:
         item = self.responses.pop(0)
         if isinstance(item, Exception):
             raise item
-        status, body = item
+        status, body, *rest = item
 
         class Response:
             status_code = status
             text = str(body)
+            headers = rest[0] if rest else {}
 
             def json(self):
                 return body
@@ -228,12 +226,37 @@ class FakeSession:
 LOGPROBS_FIXTURE = {
     "choices": [
         {
+            "index": 0,
             "text": " City",
             "logprobs": {
                 "top_logprobs": [{" City": -0.1, " Town": -2.3, " Village": -4.0}]
             },
         }
     ]
+}
+
+
+def choices_reply(*tops, indices=None):
+    """A completions body with one choice per top_logprobs dict, indexed in order unless given."""
+    indices = range(len(tops)) if indices is None else indices
+    return {"choices": [
+        {"index": index, "logprobs": {"top_logprobs": [top]}} for index, top in zip(indices, tops)
+    ]}
+
+
+TOPS = [{" a": -0.1, " b": -2.0}, {" a": -1.0, " b": -0.5}, {" a": -3.0, " b": -0.2}]
+
+#: Replies to a three-prompt request (M = 2) that must be refused.
+MALFORMED_REPLIES = {
+    "m_choices": choices_reply(*TOPS[:2]),
+    "m_plus_2_choices": choices_reply(*TOPS, TOPS[0]),
+    "duplicate_index": choices_reply(*TOPS, indices=[0, 1, 1]),
+    "missing_index": {"choices": [
+        *choices_reply(*TOPS[:2])["choices"], {"logprobs": {"top_logprobs": [TOPS[2]]}}
+    ]},
+    "non_integer_index": choices_reply(*TOPS, indices=[0, "1", 2]),
+    "float_index": choices_reply(*TOPS, indices=[0, 1.0, 2]),
+    "malformed_choice_among_good": choices_reply(TOPS[0], {" a": math.nan, " b": -1.0}, TOPS[2]),
 }
 
 
@@ -246,7 +269,7 @@ class TestHttpProvider:
 
     def test_parses_and_renormalizes_logprobs(self):
         provider = self.make([(200, LOGPROBS_FIXTURE)])
-        dist = provider.next_token_distribution("p", label="y", position=0, subset_index=0, top_n=3)
+        [dist] = provider.next_token_distribution(["p"], label="y", position=0, top_n=3)
         raw = {tok: math.exp(lp) for tok, lp in {" City": -0.1, " Town": -2.3, " Village": -4.0}.items()}
         total = sum(raw.values())
         for tok, p in dist.items():
@@ -254,17 +277,21 @@ class TestHttpProvider:
         assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_request_shape(self):
-        provider = self.make([(200, LOGPROBS_FIXTURE)])
-        provider.next_token_distribution("the prompt", label="y", position=0, subset_index=None, top_n=3)
-        request = provider.session.requests[0]
+        provider = self.make([(200, choices_reply(*TOPS))])
+        provider.next_token_distribution(
+            ["the prompt", "private 0", "private 1"], label="y", position=0, top_n=3
+        )
+        [request] = provider.session.requests
         assert request["url"] == "http://api.test/v1/completions"
-        assert request["json"] == {"model": "m", "prompt": "the prompt", "max_tokens": 1, "logprobs": 3}
+        assert request["json"] == {
+            "model": "m", "prompt": ["the prompt", "private 0", "private 1"], "max_tokens": 1, "logprobs": 3
+        }
 
     def test_caps_requested_logprobs(self, caplog):
-        provider = self.make([(200, LOGPROBS_FIXTURE)] * 2, max_logprobs=5)
+        provider = self.make([(200, choices_reply(*TOPS))] * 2, max_logprobs=5)
         with caplog.at_level("WARNING"):
-            for subset in (0, 1):
-                provider.next_token_distribution("p", label="y", position=0, subset_index=subset, top_n=100)
+            for position in (0, 1):
+                provider.next_token_distribution(["p"] * 3, label="y", position=position, top_n=100)
         assert [r["json"]["logprobs"] for r in provider.session.requests] == [5, 5]
         assert [r.getMessage() for r in caplog.records if "caps logprobs" in r.getMessage()] == [
             "endpoint caps logprobs at 5 (100 requested); unreturned tokens get zero mass"
@@ -283,44 +310,85 @@ class TestHttpProvider:
 
     def test_retries_on_server_error_then_succeeds(self):
         provider = self.make([(503, {}), (200, LOGPROBS_FIXTURE)], max_retries=2)
-        dist = provider.next_token_distribution("p", label="y", position=0, subset_index=0, top_n=3)
+        [dist] = provider.next_token_distribution(["p"], label="y", position=0, top_n=3)
         assert len(dist) == 3
         assert len(provider.session.requests) == 2
 
     def test_retries_exhausted_raise(self):
         provider = self.make([(503, {})] * 3, max_retries=2)
         with pytest.raises(ProviderError, match="503"):
-            provider.next_token_distribution("p", label="y", position=0, subset_index=0, top_n=3)
+            provider.next_token_distribution(["p"], label="y", position=0, top_n=3)
 
     def test_client_error_fails_fast(self):
         provider = self.make([(400, {"error": "bad"})], max_retries=3)
         with pytest.raises(ProviderError, match="400"):
-            provider.next_token_distribution("p", label="y", position=0, subset_index=0, top_n=3)
+            provider.next_token_distribution(["p"], label="y", position=0, top_n=3)
         assert len(provider.session.requests) == 1
 
     def test_auth_header_from_env(self, monkeypatch):
         monkeypatch.setenv("TEST_API_TOKEN", "sekrit")
         provider = self.make([(200, LOGPROBS_FIXTURE)], auth_env="TEST_API_TOKEN")
-        provider.next_token_distribution("p", label="y", position=0, subset_index=0, top_n=3)
+        provider.next_token_distribution(["p"], label="y", position=0, top_n=3)
         assert provider.session.requests[0]["headers"]["Authorization"] == "Bearer sekrit"
 
     def test_missing_auth_env_raises(self, monkeypatch):
         monkeypatch.delenv("NOPE_TOKEN", raising=False)
         provider = self.make([], auth_env="NOPE_TOKEN")
         with pytest.raises(ProviderError, match="NOPE_TOKEN"):
-            provider.next_token_distribution("p", label="y", position=0, subset_index=0, top_n=3)
+            provider.next_token_distribution(["p"], label="y", position=0, top_n=3)
 
     def test_malformed_body_raises(self):
         provider = self.make([(200, {"choices": []})])
         with pytest.raises(ProviderError, match="malformed"):
-            provider.next_token_distribution("p", label="y", position=0, subset_index=0, top_n=3)
+            provider.next_token_distribution(["p"], label="y", position=0, top_n=3)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, None, "x", 1000])
     def test_malformed_logprob_value_raises(self, value):
-        body = {"choices": [{"logprobs": {"top_logprobs": [{"a": value, "b": -1.0}]}}]}
+        body = {"choices": [{"index": 0, "logprobs": {"top_logprobs": [{"a": value, "b": -1.0}]}}]}
         provider = self.make([(200, body)])
         with pytest.raises(ProviderError, match="malformed logprobs response"):
-            provider.next_token_distribution("p", label="y", position=0, subset_index=0, top_n=2)
+            provider.next_token_distribution(["p"], label="y", position=0, top_n=2)
+
+    def test_shuffled_choices_matched_by_index(self):
+        provider = self.make([(200, choices_reply(TOPS[2], TOPS[0], TOPS[1], indices=[2, 0, 1]))])
+        got = provider.next_token_distribution(["pub", "s0", "s1"], label="y", position=0, top_n=2)
+        in_order = self.make([(200, choices_reply(*TOPS))])
+        assert got == in_order.next_token_distribution(["pub", "s0", "s1"], label="y", position=0, top_n=2)
+        assert [max(dist, key=dist.get) for dist in got] == [" a", " b", " b"]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_REPLIES))
+    def test_choices_not_one_per_prompt_raise(self, case):
+        provider = self.make([(200, MALFORMED_REPLIES[case])], max_retries=3)
+        with pytest.raises(ProviderError, match="malformed logprobs response"):
+            provider.next_token_distribution(["pub", "s0", "s1"], label="y", position=0, top_n=2)
+        assert len(provider.session.requests) == 1
+
+    def test_numeric_retry_after_sets_the_delay(self, monkeypatch):
+        delays = []
+        monkeypatch.setattr(time, "sleep", delays.append)
+        provider = HttpProvider(
+            base_url="http://api.test", model="m", backoff=0.5, max_retries=5,
+            session=FakeSession([
+                (429, {}, {"Retry-After": "2"}),
+                (503, {}, {"Retry-After": "0.25"}),
+                (503, {}, {"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}),
+                (502, {}, {"Retry-After": "-1"}),
+                (500, {}, {}),
+                (200, LOGPROBS_FIXTURE),
+            ]),
+        )
+        [dist] = provider.next_token_distribution(["p"], label="y", position=0, top_n=3)
+        assert len(dist) == 3
+        assert delays == [2.0, 0.25, 0.5 * 2**2, 0.5 * 2**3, 0.5 * 2**4]
+
+    def test_retry_after_keeps_the_attempt_count(self, monkeypatch):
+        delays = []
+        monkeypatch.setattr(time, "sleep", delays.append)
+        provider = self.make([(429, {}, {"Retry-After": "3"})] * 3, max_retries=2)
+        with pytest.raises(ProviderError, match="429"):
+            provider.next_token_distribution(["p"], label="y", position=0, top_n=3)
+        assert len(provider.session.requests) == 3
+        assert delays == [3.0, 3.0]
 
 
 def label_pool(label, count):
@@ -373,14 +441,10 @@ class TestNextTokenGeneration:
         assert batches[0].fallback_indices == batches[1].fallback_indices
 
     def test_http_fixture_end_to_end(self):
-        fixture = {
-            "choices": [
-                {"logprobs": {"top_logprobs": [{" a": -0.5, " b": -1.0, " c": -1.5}]}}
-            ]
-        }
+        fixture = choices_reply(*[{" a": -0.5, " b": -1.0, " c": -1.5}] * 3)
         provider = HttpProvider(
             base_url="http://api.test", model="m",
-            session=FakeSession([(200, fixture)] * 3), backoff=0.0,
+            session=FakeSession([(200, fixture)]), backoff=0.0,
         )
         data = label_pool("y", 2)
         batch = next_token_generation(
@@ -389,6 +453,26 @@ class TestNextTokenGeneration:
         assert batch.support == (" a", " b", " c")
         expected = np.exp([-0.5, -1.0, -1.5])
         np.testing.assert_allclose(batch.private_vectors[0], expected / expected.sum(), atol=1e-9)
+        [request] = provider.session.requests
+        assert len(request["json"]["prompt"]) == 3
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPLIES))
+def test_malformed_reply_through_main_exits_3(tmp_path, capsys, monkeypatch, case):
+    import requests
+
+    session = FakeSession([(200, MALFORMED_REPLIES[case])])
+    monkeypatch.setattr(requests, "Session", lambda: session)
+    demos = tmp_path / "d.jsonl"
+    code = main([
+        "generate", "--labels", "a,b", "--n-shots", "1", "--m", "2", "--t-max", "2", "--k", "2",
+        "--sigma1", "1", "--provider", "http", "--base-url", "http://api.test", "--model", "m",
+        "--demos-out", str(demos), "--traces-out", str(tmp_path / "t.jsonl"),
+    ])
+    assert code == EXIT_PROVIDER
+    assert "provider error: token position 0: malformed logprobs response" in capsys.readouterr().err
+    assert len(session.requests) == 1
+    assert not demos.exists()
 
 
 class TestProviderSpec:
