@@ -14,11 +14,10 @@ import argparse
 import dataclasses
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 
 from .accountant import AmplificationOverflowError, UnachievableBudgetError, per_iteration_coefficient
-from .data import DatasetError, load_dataset
+from .data import DatasetError, label_pools, load_dataset, pool_sizes
 from .pipeline import (
     ConfigurationError,
     RunConfig,
@@ -132,11 +131,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _privacy_report(config: RunConfig, dataset_size: int | None) -> dict:
-    """report_privacy over the dataset file (rows and label counts) or over
-    --dataset-size rows."""
+    """report_privacy over the dataset file (rows and the label pool sizes
+    resolve_run reads) or over --dataset-size rows."""
     if config.dataset_path is not None:
         dataset = load_dataset(config.dataset_path, config.dataset_format, config.labels or None)
-        return report_privacy(config, len(dataset), Counter(ex.label for ex in dataset))
+        return report_privacy(config, len(dataset), pool_sizes(label_pools(dataset)))
     if dataset_size is None:
         raise ConfigurationError("report needs a dataset file or --dataset-size")
     return report_privacy(config, dataset_size)

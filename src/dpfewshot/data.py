@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -135,16 +136,29 @@ GENERIC_TEMPLATE = PromptTemplate(
 )
 
 
+def label_pools(examples) -> dict[str, tuple[Example, ...]]:
+    """Each label's examples in file order: the pool its subsets are drawn from."""
+    grouped: dict[str, list[Example]] = defaultdict(list)
+    for ex in examples:
+        grouped[ex.label].append(ex)
+    return {label: tuple(pool) for label, pool in grouped.items()}
+
+
+def pool_sizes(pools) -> dict[str, int]:
+    """Examples per label of label_pools' grouping: the counts the accountant reads."""
+    return {label: len(pool) for label, pool in pools.items()}
+
+
 def partition_subsets(
     data, label: str, m: int, n: int, rng: np.random.Generator
 ) -> list[list[Example]]:
-    """Draw m*n label-matching examples without replacement, in m blocks of n."""
-    candidates = [ex for ex in data if ex.label == label]
+    """Draw m*n examples of label (from label pools or a list) without replacement, in m blocks of n."""
+    pool = data.get(label, ()) if isinstance(data, dict) else [ex for ex in data if ex.label == label]
     needed = m * n
-    if len(candidates) < needed:
+    if len(pool) < needed:
         raise DatasetError(
-            f"label {label!r} has {len(candidates)} examples, need {needed} (m={m}, n={n})"
+            f"label {label!r} has {len(pool)} examples, need {needed} (m={m}, n={n})"
         )
-    chosen = rng.choice(len(candidates), size=needed, replace=False)
-    drawn = [candidates[i] for i in chosen]
+    chosen = rng.choice(len(pool), size=needed, replace=False)
+    drawn = [pool[i] for i in chosen]
     return [drawn[i * n : (i + 1) * n] for i in range(m)]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from .aggregate import (
     baseline_aggregate,
     select_token,
 )
-from .data import Example, GENERIC_TEMPLATE, PromptTemplate, load_dataset
+from .data import Example, GENERIC_TEMPLATE, PromptTemplate, label_pools, load_dataset, pool_sizes
 from .providers import NextTokenBatch, ProviderSpec, next_token_generation
 from .radius import good_radius
 from .rng import NoiseStreams, substream
@@ -167,10 +166,10 @@ class SyntheticDemo:
 
 @dataclass
 class ResolvedRun:
-    """A RunConfig with dataset, template, provider, and sigma1 materialized."""
+    """A RunConfig with label pools (label_pools), template, provider, and sigma1 materialized."""
 
     config: RunConfig
-    dataset: list[Example]
+    pools: dict[str, tuple[Example, ...]]
     labels: tuple[str, ...]
     template: PromptTemplate
     provider: object
@@ -185,23 +184,24 @@ def resolve_run(config: RunConfig, provider=None) -> ResolvedRun:
             config.dataset_path, config.dataset_format, config.labels or None
         )
         dataset_size = len(dataset)
+        pools = label_pools(dataset)
     elif not config.labels:
         raise ConfigurationError("labels are required when no dataset file is given")
     else:
         # The synthetic provider ignores prompt content; this pool only exists
         # so the subset draw runs unchanged.  It is no population to account for.
-        dataset = [
-            Example(text=f"synthetic corpus item {i}", label=label)
+        pools = {
+            label: tuple(Example(text=f"synthetic corpus item {i}", label=label)
+                         for i in range(config.m * config.n))
             for label in config.labels
-            for i in range(config.m * config.n)
-        ]
+        }
         dataset_size = None
-    counts = Counter(ex.label for ex in dataset)
+    counts = pool_sizes(pools)
     labels = config.labels or tuple(sorted(counts))
     needed = config.m * config.n
-    short = [f"label {label!r} has {counts[label]} examples, need {needed} (m={config.m}, n={config.n})"
-             for label in labels if counts[label] < needed]
-    if dataset and short:  # settle_privacy refuses an empty file as such
+    short = [f"label {label!r} has {counts.get(label, 0)} examples, need {needed} "
+             f"(m={config.m}, n={config.n})" for label in labels if counts.get(label, 0) < needed]
+    if pools and short:  # settle_privacy refuses an empty file as such
         raise ConfigurationError("; ".join(short))
     if not labels:
         raise ConfigurationError("the label set is empty")
@@ -218,7 +218,7 @@ def resolve_run(config: RunConfig, provider=None) -> ResolvedRun:
         provider = config.provider.build()
     sigma1, delta, _ = settle_privacy(config, dataset_size, counts)
     return ResolvedRun(
-        config=config, dataset=dataset, labels=labels, template=template,
+        config=config, pools=pools, labels=labels, template=template,
         provider=provider, sigma1=sigma1, delta=delta,
     )
 
@@ -272,7 +272,7 @@ def token_step(
     """
     config = run.config
     batch = next_token_generation(
-        run.provider, run.dataset, label, config.m, config.n, config.k,
+        run.provider, run.pools, label, config.m, config.n, config.k,
         run.template, prefix, substream(config.seed, *draw_path), position=position,
     )
     if noise_path is None:

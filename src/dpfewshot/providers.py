@@ -1,14 +1,14 @@
 """Sources of next-token distributions and the public top-K restriction.
 
 A provider answers one token position in one call: given the public
-(instruction-only) prompt followed by the M private prompts, it returns M+1
-distributions keyed by token string, the public one first and then one per
-subset in order.  Two implementations: a deterministic synthetic provider
-for desk-scale runs (clustered around hash-derived per-(label, position)
-centers), and a client for OpenAI-compatible completions endpoints exposing
-logprobs, which sends all M+1 prompts in one request.  restrict_topk then
-fixes the candidate support from the public distribution so private data
-never influences it.
+(instruction-only) prompt followed by the M private prompts, it returns
+(vocab, block): row 0 of the (M+1, |vocab|) array is the public distribution
+and row i+1 subset i's.  Two implementations: a deterministic synthetic
+provider for desk-scale runs (clustered around hash-derived per-(label,
+position) centers), and a client for OpenAI-compatible completions endpoints
+exposing logprobs, which sends all M+1 prompts in one request.  restrict_topk
+then fixes the candidate support from row 0 alone, so private data never
+influences it.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class ProviderError(RuntimeError):
 class NextTokenBatch:
     """Top-K support plus the M private vectors restricted to it.
 
-    support is ordered by descending public probability (ties by token
-    string); private_vectors is the (M, |support|) matrix in that order.
+    support is ordered by descending public probability (ties in Python str
+    order); private_vectors is the C-contiguous (M, |support|) matrix in that order.
     fallback_indices lists the rows that had zero mass on the support and
     were replaced by the uniform distribution.
     """
@@ -48,25 +48,25 @@ class NextTokenBatch:
     fallback_indices: tuple[int, ...]
 
 
-def restrict_topk(public_p, private_ps, k: int) -> NextTokenBatch:
-    """Restrict each private vector to the public top-min(k, |public|) tokens and renormalize."""
+def restrict_topk(vocab, block: np.ndarray, k: int) -> NextTokenBatch:
+    """Restrict block rows 1.. to the top-min(k, |vocab|) tokens of public row 0 and renormalize."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    total = math.fsum(public_p.values())
+    public = block[0].tolist()
+    total = math.fsum(public)
     if not abs(total - 1.0) <= 1e-6:
         raise ValueError(f"public distribution sums to {total}, expected 1")
-    ranked = sorted(public_p.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-    support = tuple(tok for tok, _ in ranked)
-    zeros = [0.0] * len(support)
-    rows = np.array([list(map(pv.get, support, zeros)) for pv in private_ps], dtype=float)
-    vectors, fallback = project_to_simplex(rows.reshape(len(private_ps), len(support)))
+    ranked = sorted(zip([-p for p in public], vocab, range(len(vocab))))[:k]
+    support = tuple(tok for _, tok, _ in ranked)
+    columns = np.array([j for _, _, j in ranked], dtype=np.intp)
+    vectors, fallback = project_to_simplex(block[1:].take(columns, axis=1))
     return NextTokenBatch(support, vectors, tuple(np.flatnonzero(fallback).tolist()))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    weights = np.exp(shifted)
-    return weights / weights.sum()
+    """Softmax of each row of logits."""
+    weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 #: Logit perturbation scale at which the synthetic provider's private
@@ -87,7 +87,7 @@ class SyntheticProvider:
     ``outlier_fraction``) returns a near-point-mass on some other token.
     Output is a pure function of (seed, label, position, subset_index); the
     prompt text is ignored.  Each call derives its (label, position) center
-    once and shares it, read-only, between its M+1 rows.
+    once, stacks the M+1 rows of logits and softmaxes them row-wise.
     """
 
     seed: int
@@ -112,21 +112,20 @@ class SyntheticProvider:
 
     def next_token_distribution(
         self, prompts, *, label: str, position: int, top_n: int = 0
-    ) -> list[dict[str, float]]:
+    ) -> tuple[tuple[str, ...], np.ndarray]:
         center = self.center_logits(label, position)
-        rows = [center]
-        for subset_index in range(len(prompts) - 1):
-            rng = substream(self.seed, "private", label, position, subset_index)
+        logits = np.zeros((len(prompts), self.vocab_size))
+        logits[0] = center
+        for row in range(1, len(prompts)):
+            rng = substream(self.seed, "private", label, position, row - 1)
             if rng.uniform() < self.outlier_fraction:
                 target = int(rng.integers(self.vocab_size))
                 if target == int(np.argmax(center)):
                     target = (target + 1) % self.vocab_size
-                logits = np.zeros(self.vocab_size)
-                logits[target] = 12.0
+                logits[row, target] = 12.0
             else:
-                logits = center + self.spread * rng.standard_normal(self.vocab_size)
-            rows.append(logits)
-        return [dict(zip(self.vocab, _softmax(logits).tolist())) for logits in rows]
+                logits[row] = center + self.spread * rng.standard_normal(self.vocab_size)
+        return self.vocab, _softmax(logits)
 
 
 @dataclass
@@ -137,10 +136,12 @@ class HttpProvider:
     generated token, and reads the top_logprobs of each choice's first
     position.  The reply must hold exactly one choice per prompt, matched by
     its ``index``; anything else raises ProviderError, so a subset is never
-    dropped.  429 and 5xx replies are retried after a numeric Retry-After,
-    or else after an exponential backoff.  If the endpoint caps logprobs
-    below the requested count the cap is requested instead and unreturned
-    tokens get probability zero (a warning is logged once per provider).
+    dropped.  Each choice is renormalized on its own, then read over the
+    public choice's tokens (absent ones read 0.0, others are dropped).  429
+    and 5xx replies are retried after a numeric Retry-After, or else after
+    an exponential backoff.  If the endpoint caps logprobs below the
+    requested count the cap is requested instead and unreturned tokens get
+    probability zero (a warning is logged once per provider).
     The bearer token is read from the environment variable named by
     auth_env.
     """
@@ -171,7 +172,7 @@ class HttpProvider:
 
     def next_token_distribution(
         self, prompts, *, label: str, position: int, top_n: int = 0
-    ) -> list[dict[str, float]]:
+    ) -> tuple[tuple[str, ...], np.ndarray]:
         wanted = top_n or self.max_logprobs
         if wanted > self.max_logprobs:
             if not self._cap_warned:
@@ -190,7 +191,8 @@ class HttpProvider:
             "logprobs": wanted,
         }
         choices = _choices_in_prompt_order(self._post_with_retries(payload), len(prompts))
-        return [_choice_distribution(choice) for choice in choices]
+        dists = [_choice_distribution(choice) for choice in choices]
+        return tuple(dists[0]), np.array([[dist.get(tok, 0.0) for tok in dists[0]] for dist in dists])
 
     def _post_with_retries(self, payload: dict) -> dict:
         import requests
@@ -302,17 +304,18 @@ def next_token_generation(
 ) -> NextTokenBatch:
     """One token position: draw subsets, query the provider, restrict to top-K.
 
-    All randomness (the subset draw) happens before the provider call, which
-    answers the instruction-only prompt and the M private prompts together.
-    The public support comes from the instruction-only distribution.
+    data is label pools or a list of examples (see partition_subsets).  All
+    randomness (the subset draw) happens before the provider call, which
+    answers the public prompt and the M private prompts in one block whose
+    public row 0 alone fixes the support.
     """
     subsets = partition_subsets(data, label, m, n, rng)
     public_prompt = template.render([], label, prefix)
     private_prompts = [template.render(subset, label, prefix) for subset in subsets]
     try:
-        public_p, *private_ps = provider.next_token_distribution(
+        vocab, block = provider.next_token_distribution(
             [public_prompt, *private_prompts], label=label, position=position, top_n=k
         )
     except ProviderError as err:
         raise ProviderError(f"token position {position}: {err}") from err
-    return restrict_topk(public_p, private_ps, k)
+    return restrict_topk(vocab, block, k)

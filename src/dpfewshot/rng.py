@@ -9,16 +9,10 @@ token position can never shift the draws consumed at another.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def _path_words(path: tuple) -> list[int]:
-    """Hash a substream path to 32-bit words usable as SeedSequence entropy."""
-    text = "/".join(str(p) for p in path)
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return [int.from_bytes(digest[i : i + 4], "big") for i in range(0, 16, 4)]
 
 
 def substream(master_seed: int, *path) -> np.random.Generator:
@@ -26,9 +20,14 @@ def substream(master_seed: int, *path) -> np.random.Generator:
 
     The mapping (master_seed, path) -> stream is a pure function; calling
     twice yields independent Generator objects that produce identical draws.
+    SeedSequence gets the uint32 array it builds from the list [master_seed
+    mod 2**64, *the path's four big-endian SHA-256 words]: seed words low first.
     """
-    entropy = [int(master_seed) & 0xFFFFFFFFFFFFFFFF] + _path_words(path)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    seed = int(master_seed) & 0xFFFFFFFFFFFFFFFF
+    digest = hashlib.sha256("/".join(str(p) for p in path).encode("utf-8")).digest()
+    words = [seed & 0xFFFFFFFF, seed >> 32] if seed >> 32 else [seed]
+    words.extend(struct.unpack_from(">4I", digest))
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
 @dataclass(frozen=True)

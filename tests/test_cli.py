@@ -12,7 +12,7 @@ from dpfewshot.cli import (
     main,
     read_config_file,
 )
-from dpfewshot.pipeline import ConfigurationError
+from dpfewshot.pipeline import ConfigurationError, RunConfig, report_privacy
 from dpfewshot.providers import SyntheticProvider
 
 BASE_CONFIG = """\
@@ -316,6 +316,19 @@ class TestReports:
         report = json.loads(capsys.readouterr().out)
         assert report["sigma1"] == 0.5
         assert report["epsilon"]["dataset"]["epsilon"] > 0
+
+    def test_report_privacy_counts_the_dataset_label_pools(self, tmp_path, capsys):
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(
+            json.dumps({"text": f"{label} {i}", "label": label}) + "\n"
+            for label, count in (("a", 30), ("b", 12), ("a", 5)) for i in range(count)
+        ))
+        flags = ("--sigma1", "0.8", "--t-max", "5", "--m", "2", "--k", "4")
+        assert run_cli("report-privacy", "--dataset", str(path), *flags) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        config = RunConfig(dataset_path=str(path), sigma1=0.8, t_max=5, m=2, k=4)
+        assert report == json.loads(json.dumps(report_privacy(config, 47, {"a": 35, "b": 12})))
+        assert report["gamma"] == {"dataset": 2 / 47, "label": 2 / 12}
 
     def test_report_without_size_or_dataset_exits_2(self, config_file):
         assert run_cli("report-privacy", "--config", str(config_file)) == EXIT_CONFIG

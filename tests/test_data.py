@@ -8,8 +8,10 @@ from dpfewshot.data import (
     Example,
     GENERIC_TEMPLATE,
     PromptTemplate,
+    label_pools,
     load_dataset,
     partition_subsets,
+    pool_sizes,
 )
 
 NEWS_TEMPLATE = PromptTemplate(
@@ -145,8 +147,11 @@ class TestPartitionSubsets:
 
     def test_insufficient_reports_available(self):
         data = self.pool("a", 3) + self.pool("b", 10)
-        with pytest.raises(DatasetError, match="3 examples"):
-            partition_subsets(data, "a", 2, 2, np.random.default_rng(0))
+        for source in (data, label_pools(data)):
+            with pytest.raises(DatasetError, match="3 examples"):
+                partition_subsets(source, "a", 2, 2, np.random.default_rng(0))
+            with pytest.raises(DatasetError, match="label 'c' has 0 examples"):
+                partition_subsets(source, "c", 1, 1, np.random.default_rng(0))
 
     def test_disjoint_union_sizes(self):
         data = self.pool("a", 30)
@@ -161,3 +166,21 @@ class TestPartitionSubsets:
         one = partition_subsets(data, "a", 3, 2, np.random.default_rng(9))
         two = partition_subsets(data, "a", 3, 2, np.random.default_rng(9))
         assert one == two
+
+    def test_pool_draw_equals_filtered_list_draw(self):
+        shuffle = np.random.default_rng(4)
+        data = [Example(f"row {i}", str(label)) for i, label in enumerate(shuffle.integers(0, 3, 300))]
+        pools = label_pools(data)
+        for seed in range(20):
+            label, m, n = str(seed % 3), 1 + seed % 5, 1 + seed % 3
+            candidates = [ex for ex in data if ex.label == label]
+            chosen = np.random.default_rng(seed).choice(len(candidates), size=m * n, replace=False)
+            want = [[candidates[i] for i in chosen[j * n : (j + 1) * n]] for j in range(m)]
+            assert partition_subsets(pools, label, m, n, np.random.default_rng(seed)) == want
+            assert partition_subsets(data, label, m, n, np.random.default_rng(seed)) == want
+
+    def test_pools_keep_file_order_and_sizes(self):
+        data = [Example("1", "b"), Example("2", "a"), Example("3", "b"), Example("4", "b")]
+        pools = label_pools(data)
+        assert pools == {"b": (data[0], data[2], data[3]), "a": (data[1],)}
+        assert pool_sizes(pools) == {"b": 3, "a": 1}

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from dpfewshot import pipeline
 from dpfewshot.pipeline import (
     ConfigurationError,
     RunConfig,
@@ -286,3 +287,25 @@ class TestResolveRun:
         report = report_privacy(config, len(dataset), Counter(ex.label for ex in dataset))
         assert run.delta == report["delta"] == 1 / 155
         assert run.sigma1 == report["sigma1"]
+
+    def test_token_steps_never_iterate_the_dataset(self, tmp_path, monkeypatch):
+        class CountingList(list):
+            iterations = 0
+
+            def __iter__(self):
+                CountingList.iterations += 1
+                return super().__iter__()
+
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(
+            json.dumps({"text": f"x{i}", "label": label}) + "\n" for i in range(40) for label in LABELS
+        ))
+        dataset = CountingList(load_dataset(path))
+        monkeypatch.setattr(pipeline, "load_dataset", lambda *args: dataset)
+        run = resolve_run(noiseless_config(labels=(), dataset_path=str(path), m=4, n=2))
+        assert CountingList.iterations == 1  # the one grouping into label pools
+        assert run.pools == {label: tuple(ex for ex in dataset if ex.label == label) for label in LABELS}
+        CountingList.iterations = 0
+        _, traces = generate_shots(run)
+        assert len(traces) == 10
+        assert CountingList.iterations == 0

@@ -23,34 +23,48 @@ from dpfewshot.providers import (
     restrict_topk,
 )
 from dpfewshot.rng import substream
+from dpfewshot.simplex import project_to_simplex
+
+
+def topk(public, private, k):
+    """restrict_topk on dict-valued rows, each read over the public tokens (absent reads 0.0)."""
+    vocab = tuple(public)
+    block = np.array([[row.get(tok, 0.0) for tok in vocab] for row in [public, *private]])
+    return restrict_topk(vocab, block, k)
+
+
+def as_dists(result):
+    """A provider's (vocab, block) reply as one dict per row, keyed by token."""
+    vocab, block = result
+    return [dict(zip(vocab, row.tolist())) for row in block]
 
 
 class TestRestrictTopk:
     def test_full_vocab_is_identity_up_to_ordering(self):
         public = {"a": 0.5, "b": 0.3, "c": 0.2}
         private = [{"a": 0.25, "b": 0.25, "c": 0.5}]
-        batch = restrict_topk(public, private, 3)
+        batch = topk(public, private, 3)
         assert batch.support == ("a", "b", "c")
         np.testing.assert_allclose(batch.private_vectors[0], [0.25, 0.25, 0.5])
 
     def test_dropped_mass_renormalized(self):
         public = {"a": 0.5, "b": 0.3, "c": 0.2}
         private = [{"a": 0.1, "b": 0.1, "c": 0.8}]
-        batch = restrict_topk(public, private, 2)
+        batch = topk(public, private, 2)
         assert batch.support == ("a", "b")
         np.testing.assert_allclose(batch.private_vectors[0], [0.5, 0.5])
 
     def test_zero_mass_private_gets_uniform_and_flag(self):
         public = {"a": 0.5, "b": 0.3, "c": 0.2}
         private = [{"c": 1.0}, {"a": 1.0}]
-        batch = restrict_topk(public, private, 2)
+        batch = topk(public, private, 2)
         np.testing.assert_allclose(batch.private_vectors[0], [0.5, 0.5])
         np.testing.assert_allclose(batch.private_vectors[1], [1.0, 0.0])
         assert batch.fallback_indices == (0,)
 
     def test_tie_broken_by_token_string(self):
         public = {"z": 0.25, "a": 0.25, "m": 0.25, "b": 0.25}
-        batch = restrict_topk(public, [], 2)
+        batch = topk(public, [], 2)
         assert batch.support == ("a", "b")
 
     def test_relative_order_preserved(self):
@@ -61,7 +75,7 @@ class TestRestrictTopk:
             public = dict(zip(vocab, raw / raw.sum()))
             praw = rng.random(20)
             private = dict(zip(vocab, praw / praw.sum()))
-            batch = restrict_topk(public, [private], 8)
+            batch = topk(public, [private], 8)
             kept = [private[tok] for tok in batch.support]
             order_before = np.argsort(kept)
             order_after = np.argsort(batch.private_vectors[0])
@@ -69,60 +83,83 @@ class TestRestrictTopk:
 
     def test_support_ignores_private_vectors(self):
         public = {"a": 0.4, "b": 0.35, "c": 0.25}
-        one = restrict_topk(public, [{"a": 1.0}], 2)
-        other = restrict_topk(public, [{"c": 1.0}], 2)
+        one = topk(public, [{"a": 1.0}], 2)
+        other = topk(public, [{"c": 1.0}], 2)
         assert one.support == other.support
 
     def test_public_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sums to"):
-            restrict_topk({"a": 0.5, "b": 0.3}, [], 2)
+            topk({"a": 0.5, "b": 0.3}, [], 2)
 
     def test_nan_public_is_refused(self):
         with pytest.raises(ValueError, match="sums to nan"):
-            restrict_topk({"a": math.nan, "b": 0.5}, [], 2)
+            topk({"a": math.nan, "b": 0.5}, [], 2)
 
     def test_empty_batch_keeps_support_width(self):
-        batch = restrict_topk({"a": 0.5, "b": 0.3, "c": 0.2}, [], 2)
+        batch = topk({"a": 0.5, "b": 0.3, "c": 0.2}, [], 2)
         assert batch.private_vectors.shape == (0, 2)
         assert batch.fallback_indices == ()
 
     def test_private_missing_every_support_token_falls_back(self):
         public = {"a": 0.5, "b": 0.3, "c": 0.2}
         private = [{"a": 0.4, "b": 0.6}, {}, {"c": 0.7, "z": 0.3}]
-        batch = restrict_topk(public, private, 2)
+        batch = topk(public, private, 2)
         np.testing.assert_array_equal(batch.private_vectors, [[0.4, 0.6], [0.5, 0.5], [0.5, 0.5]])
         assert batch.fallback_indices == (1, 2)
 
     def test_k_above_vocabulary_keeps_whole_vocabulary(self):
-        batch = restrict_topk({"a": 0.5, "b": 0.3, "c": 0.2}, [{"b": 1.0}], 10)
+        batch = topk({"a": 0.5, "b": 0.3, "c": 0.2}, [{"b": 1.0}], 10)
         assert batch.support == ("a", "b", "c")
         np.testing.assert_array_equal(batch.private_vectors, [[0.0, 1.0, 0.0]])
         assert batch.fallback_indices == ()
 
 
+    def test_tie_follows_python_str_order(self):
+        # numpy "<U" arrays drop trailing NULs, so np.asarray(vocab) would tie "a" and "a\x00".
+        assert np.asarray(["a", "a\x00"]).tolist() == ["a", "a"]
+        vocab = ("a\x00", "z", "b", "a")
+        block = np.array([[0.2, 0.4, 0.2, 0.2], [0.1, 0.2, 0.3, 0.4]])
+        batch = restrict_topk(vocab, block, 4)
+        assert batch.support == ("z", "a", "a\x00", "b")
+        np.testing.assert_array_equal(batch.private_vectors, [[0.2, 0.4, 0.1, 0.3]])
+        assert restrict_topk(vocab, block, 2).support == ("z", "a")
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_gather_is_c_contiguous_and_rowwise_exact(self, seed):
+        provider = SyntheticProvider(seed=seed, vocab_size=150, outlier_fraction=0.2)
+        for position in range(4):
+            vocab, block = provider.next_token_distribution(["p"] * 41, label="x", position=position)
+            batch = restrict_topk(vocab, block, 100)
+            assert batch.private_vectors.flags.c_contiguous
+            columns = [vocab.index(tok) for tok in batch.support]
+            for i, row in enumerate(batch.private_vectors):
+                want, _ = project_to_simplex(block[i + 1][columns])
+                assert row.tobytes() == want.tobytes()
+
+
 class TestSyntheticProvider:
     def test_distribution_sums_to_one(self):
         provider = SyntheticProvider(seed=4, vocab_size=50)
-        dist = provider.next_token_distribution(["pub", "p"], label="x", position=0)[1]
+        dist = as_dists(provider.next_token_distribution(["pub", "p"], label="x", position=0))[1]
         assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-12)
         assert len(dist) == 50
 
     def test_pure_function_of_keys(self):
         a = SyntheticProvider(seed=4, vocab_size=30)
         b = SyntheticProvider(seed=4, vocab_size=30)
-        ones = a.next_token_distribution(["ignored"] * 5, label="y", position=2)
-        twos = b.next_token_distribution(["different prompt"] * 5, label="y", position=2)
+        ones = as_dists(a.next_token_distribution(["ignored"] * 5, label="y", position=2))
+        twos = as_dists(b.next_token_distribution(["different prompt"] * 5, label="y", position=2))
         for row in (0, 1, 4):  # public, subsets 0 and 3
             assert ones[row] == twos[row]
 
     def test_zero_spread_collapses_subsets(self):
         provider = SyntheticProvider(seed=4, vocab_size=30, spread=0.0, outlier_fraction=0.0)
-        dists = provider.next_token_distribution(["p"] * 6, label="y", position=1)[1:]
+        dists = as_dists(provider.next_token_distribution(["p"] * 6, label="y", position=1))[1:]
         assert all(d == dists[0] for d in dists)
 
     def test_positive_spread_separates_subsets(self):
         provider = SyntheticProvider(seed=4, vocab_size=30, spread=0.3)
-        _, one, two = provider.next_token_distribution(["p"] * 3, label="y", position=1)
+        _, one, two = as_dists(provider.next_token_distribution(["p"] * 3, label="y", position=1))
         assert one != two
 
     def test_outliers_appear_at_pinned_seed(self):
@@ -130,7 +167,7 @@ class TestSyntheticProvider:
         center = provider.center_logits("y", 0)
         top = int(np.argmax(center))
         outliers = 0
-        for dist in provider.next_token_distribution(["p"] * 21, label="y", position=0)[1:]:
+        for dist in as_dists(provider.next_token_distribution(["p"] * 21, label="y", position=0))[1:]:
             values = np.array([dist[t] for t in provider.vocab])
             if int(np.argmax(values)) != top and values.max() > 0.9:
                 outliers += 1
@@ -163,13 +200,13 @@ class TestSyntheticCenter:
         keys = [(p, label, pos) for p in providers for label in ("x", "y") for pos in (0, 1)]
         outliers = 0
         for provider, label, pos in keys:
-            got = provider.next_token_distribution(["p"] * 7, label=label, position=pos)
+            got = as_dists(provider.next_token_distribution(["p"] * 7, label=label, position=pos))
             assert got == [uncached_distribution(provider, label, pos, i) for i in (None, 0, 1, 2, 3, 4, 5)]
             outliers += sum(max(dist.values()) > 0.99 for dist in got)
         assert 0 < outliers < len(keys) * 6  # both private branches ran
         # A smaller M gives the same leading rows.
         for provider, label, pos in keys:
-            got = provider.next_token_distribution(["p"] * 2, label=label, position=pos)
+            got = as_dists(provider.next_token_distribution(["p"] * 2, label=label, position=pos))
             assert got == [uncached_distribution(provider, label, pos, i) for i in (None, 0)]
 
     def test_center_is_read_only(self):
@@ -269,7 +306,7 @@ class TestHttpProvider:
 
     def test_parses_and_renormalizes_logprobs(self):
         provider = self.make([(200, LOGPROBS_FIXTURE)])
-        [dist] = provider.next_token_distribution(["p"], label="y", position=0, top_n=3)
+        [dist] = as_dists(provider.next_token_distribution(["p"], label="y", position=0, top_n=3))
         raw = {tok: math.exp(lp) for tok, lp in {" City": -0.1, " Town": -2.3, " Village": -4.0}.items()}
         total = sum(raw.values())
         for tok, p in dist.items():
@@ -310,7 +347,7 @@ class TestHttpProvider:
 
     def test_retries_on_server_error_then_succeeds(self):
         provider = self.make([(503, {}), (200, LOGPROBS_FIXTURE)], max_retries=2)
-        [dist] = provider.next_token_distribution(["p"], label="y", position=0, top_n=3)
+        [dist] = as_dists(provider.next_token_distribution(["p"], label="y", position=0, top_n=3))
         assert len(dist) == 3
         assert len(provider.session.requests) == 2
 
@@ -351,10 +388,31 @@ class TestHttpProvider:
 
     def test_shuffled_choices_matched_by_index(self):
         provider = self.make([(200, choices_reply(TOPS[2], TOPS[0], TOPS[1], indices=[2, 0, 1]))])
-        got = provider.next_token_distribution(["pub", "s0", "s1"], label="y", position=0, top_n=2)
+        got = as_dists(provider.next_token_distribution(["pub", "s0", "s1"], label="y", position=0, top_n=2))
         in_order = self.make([(200, choices_reply(*TOPS))])
-        assert got == in_order.next_token_distribution(["pub", "s0", "s1"], label="y", position=0, top_n=2)
+        want = in_order.next_token_distribution(["pub", "s0", "s1"], label="y", position=0, top_n=2)
+        assert got == as_dists(want)
         assert [max(dist, key=dist.get) for dist in got] == [" a", " b", " b"]
+
+    def test_private_replies_mapped_onto_public_tokens(self):
+        tops = [
+            {" a": -0.1, " b": -2.0, " c": -3.0},
+            {" z": -0.5, " a": -1.0},  # " z" is private-only; " b" and " c" are missing
+            {" c": -1.0, " b": -0.2, " a": -4.0},
+        ]
+        provider = self.make([(200, choices_reply(*tops))])
+        vocab, block = provider.next_token_distribution(["pub", "s0", "s1"], label="y", position=0, top_n=3)
+        dists = [providers._choice_distribution({"logprobs": {"top_logprobs": [top]}}) for top in tops]
+        assert vocab == (" a", " b", " c")
+        assert block[1].tolist() == [dists[1][" a"], 0.0, 0.0]
+        assert dists[1][" a"] == math.exp(-1.0) / math.fsum([math.exp(-0.5), math.exp(-1.0)])
+        assert block[2].tolist() == [dists[2][tok] for tok in vocab]
+        for k in (1, 2, 3):
+            batch = restrict_topk(vocab, block, k)
+            rows = [[dist.get(tok, 0.0) for tok in batch.support] for dist in dists[1:]]
+            want, fallback = project_to_simplex(np.array(rows))
+            assert batch.private_vectors.tobytes() == want.tobytes()
+            assert batch.fallback_indices == tuple(np.flatnonzero(fallback).tolist())
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_REPLIES))
     def test_choices_not_one_per_prompt_raise(self, case):
@@ -377,7 +435,7 @@ class TestHttpProvider:
                 (200, LOGPROBS_FIXTURE),
             ]),
         )
-        [dist] = provider.next_token_distribution(["p"], label="y", position=0, top_n=3)
+        [dist] = as_dists(provider.next_token_distribution(["p"], label="y", position=0, top_n=3))
         assert len(dist) == 3
         assert delays == [2.0, 0.25, 0.5 * 2**2, 0.5 * 2**3, 0.5 * 2**4]
 
