@@ -229,7 +229,7 @@ def rdp_to_dp(alpha: float, tau: float, delta: float) -> float:
 
     epsilon = tau + log((alpha-1)/alpha) - (log delta + log alpha)/(alpha-1).
     The value may be negative for extreme alpha/delta combinations and is
-    returned as-is; callers clamp for reporting.
+    returned as-is; best_epsilon clamps it for reporting.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -264,6 +264,7 @@ def amplified_rdp(
 def best_epsilon(amplified: dict[int, float], t_max: int, delta: float) -> tuple[float, int]:
     """Compose t_max token positions at every order, convert to (epsilon, delta)
     and return (epsilon, order) of the smallest; ties go to the first order.
+    A negative epsilon is reported as 0.
     """
     if t_max < 1:
         raise ValueError("t_max must be positive")
@@ -276,7 +277,7 @@ def best_epsilon(amplified: dict[int, float], t_max: int, delta: float) -> tuple
             best_alpha = alpha
     if best_alpha is None:
         raise AmplificationOverflowError("no order of the grid gives a finite epsilon")
-    return best_eps, best_alpha
+    return max(best_eps, 0.0), best_alpha
 
 
 def calibrate_sigma1(
@@ -284,7 +285,6 @@ def calibrate_sigma1(
     profile: MechanismProfile,
     ctx: SubsamplingContext,
     t_max: int,
-    alpha_grid: tuple[int, ...] = DEFAULT_ALPHA_GRID,
 ) -> float:
     """Solve for the sigma1 whose total epsilon meets the target budget.
 
@@ -295,7 +295,7 @@ def calibrate_sigma1(
     lo, hi = CALIBRATION_BRACKET
 
     def eps_at(s1: float) -> float:
-        amplified = amplified_rdp(replace(profile, sigma1=s1), ctx, alpha_grid)
+        amplified = amplified_rdp(replace(profile, sigma1=s1), ctx)
         return best_epsilon(amplified, t_max, target.delta)[0]
 
     eps_hi = eps_at(lo)   # small sigma1 -> large epsilon

@@ -23,7 +23,7 @@ import numpy as np
 
 from .accountant import MechanismProfile
 from .radius import RadiusSearchStep, good_radius
-from .rng import NoiseStreams, resolve_streams, substream
+from .rng import NoiseStreams
 from .simplex import SIMPLEX_RADIUS, coverage_count, project_to_ball, project_to_simplex
 
 BREAK_MAX_ITERS = "max_iters"
@@ -114,18 +114,17 @@ def radius_coverage_check(
 
 
 def adaptive_aggregate(
-    points: np.ndarray, cfg: AggregationConfig, rng
+    points: np.ndarray, cfg: AggregationConfig, streams: NoiseStreams
 ) -> tuple[np.ndarray, AggregationTrace]:
     """Aggregate M probability vectors with iterative radius reduction.
 
-    rng is a NoiseStreams bundle or an int master seed.  Returns the final
-    simplex-mapped center and a trace recording the target radius, every
-    radius update, raw/noisy coverage counts, and why the loop ended.
+    Returns the final simplex-mapped center and a trace recording the
+    target radius, every radius update, raw/noisy coverage counts, and why
+    the loop ended.
     """
     points = np.asarray(points, dtype=float)
     if points.shape != (cfg.m, cfg.k):
         raise ValueError(f"expected points of shape {(cfg.m, cfg.k)}, got {points.shape}")
-    streams: NoiseStreams = resolve_streams(rng)
 
     search_steps: list[RadiusSearchStep] = []
     target_r = good_radius(
@@ -169,15 +168,12 @@ def adaptive_aggregate(
     return center, trace
 
 
-def baseline_aggregate(points: np.ndarray, sigma: float, rng) -> np.ndarray:
+def baseline_aggregate(points: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Fixed-noise mean: one mean_estimates release at R = sqrt(2)/2, so
     (sum + N(0, 2 sigma^2 I)) / M.
 
-    rng is a Generator or an int master seed.  No simplex remap; token
-    selection takes the argmax of this raw vector.
+    No simplex remap; token selection takes the argmax of this raw vector.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = substream(int(rng), "baseline")
     return noisy_mean_raw(points, SIMPLEX_RADIUS, sigma, rng)
 
 

@@ -134,6 +134,8 @@ def _privacy_report(config: RunConfig, dataset_size: int | None) -> dict:
     """report_privacy over the dataset file (rows and the label pool sizes
     resolve_run reads) or over --dataset-size rows."""
     if config.dataset_path is not None:
+        if dataset_size is not None:
+            raise ConfigurationError("give either --dataset or --dataset-size, not both")
         dataset = load_dataset(config.dataset_path, config.dataset_format, config.labels or None)
         return report_privacy(config, len(dataset), pool_sizes(label_pools(dataset)))
     if dataset_size is None:

@@ -7,6 +7,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
+from string import Formatter
 
 import numpy as np
 
@@ -58,8 +59,11 @@ def _load_jsonl(path: Path) -> list[Example]:
                 raise DatasetError(f"{path}:{lineno}: invalid JSON: {err}") from err
             if not isinstance(record, dict) or "text" not in record or "label" not in record:
                 raise DatasetError(f'{path}:{lineno}: record needs "text" and "label" fields')
+            text, label = record["text"], record["label"]
+            if not (isinstance(text, (str, int, float)) and isinstance(label, (str, int, float))):
+                raise DatasetError(f"{path}:{lineno}: text and label must not be null, lists or objects")
             try:
-                examples.append(Example(text=str(record["text"]), label=str(record["label"])))
+                examples.append(Example(text=str(text), label=str(label)))
             except DatasetError as err:
                 raise DatasetError(f"{path}:{lineno}: {err}") from err
     return examples
@@ -83,12 +87,30 @@ def _load_csv(path: Path) -> list[Example]:
     return examples
 
 
+def _placeholder_problem(fmt: str, required: set[str], allowed: set[str]) -> str | None:
+    """Why fmt is not plain {name} fields over allowed that cover required, or None."""
+    try:
+        fields = [(name, spec, conv) for _, name, spec, conv in Formatter().parse(fmt) if name is not None]
+    except ValueError as err:  # a lone { or }
+        return str(err)
+    for name, spec, conv in fields:
+        if name not in allowed or spec or conv:
+            field = name + (f"!{conv}" if conv else "") + (f":{spec}" if spec else "")
+            return f"{{{field}}} is not allowed"
+    missing = required - {name for name, _, _ in fields}
+    if missing:
+        return "needs " + " and ".join(f"{{{name}}}" for name in sorted(missing))
+    return None
+
+
 @dataclass(frozen=True)
 class PromptTemplate:
     """Label-first prompt pieces: instruction, per-example block, query block.
 
-    example_format uses {label} and {text}; query_format uses {label} and
-    {generated}, the running synthetic prefix.
+    example_format uses {label} and {text}; query_format uses {generated},
+    the running synthetic prefix, and may use {label}.  Literal braces are
+    written {{ and }}.  Any other placeholder, conversion or format spec is
+    refused here, before the first provider call.
     """
 
     instruction: str
@@ -96,10 +118,16 @@ class PromptTemplate:
     query_format: str
 
     def __post_init__(self):
-        if "{text}" not in self.example_format or "{label}" not in self.example_format:
-            raise ValueError("example_format must use {label} and {text}")
-        if "{generated}" not in self.query_format:
-            raise ValueError("query_format must use {generated}")
+        for section, fmt, required, allowed in (
+            ("example", self.example_format, {"label", "text"}, {"label", "text"}),
+            ("query", self.query_format, {"generated"}, {"label", "generated"}),
+        ):
+            problem = _placeholder_problem(fmt, required, allowed)
+            if problem:
+                raise ValueError(
+                    f"template [{section}] section does not render ({problem}); "
+                    "write literal braces as {{ and }}"
+                )
 
     def render(self, subset, label: str, generated: str = "") -> str:
         """Instruction, then the subset label-first, then the query ending in
@@ -153,7 +181,7 @@ def partition_subsets(
     data, label: str, m: int, n: int, rng: np.random.Generator
 ) -> list[list[Example]]:
     """Draw m*n examples of label (from label pools or a list) without replacement, in m blocks of n."""
-    pool = data.get(label, ()) if isinstance(data, dict) else [ex for ex in data if ex.label == label]
+    pool = (data if isinstance(data, dict) else label_pools(data)).get(label, ())
     needed = m * n
     if len(pool) < needed:
         raise DatasetError(

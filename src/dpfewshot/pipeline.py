@@ -81,7 +81,6 @@ class RunConfig:
     epsilon: float | None = None
     delta: float | None = None
     gamma_mode: str = GAMMA_DATASET
-    alpha_max: int = DEFAULT_ALPHA_GRID[-1]
     seed: int = 0
     demos_path: str = "demos.jsonl"
     traces_path: str = "traces.jsonl"
@@ -98,8 +97,6 @@ class RunConfig:
         for name in ("n_runs", "n_trials"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.alpha_max < 2:
-            raise ConfigurationError(f"alpha_max must be at least 2, got {self.alpha_max}")
         if self.gamma_mode not in (GAMMA_DATASET, GAMMA_LABEL):
             raise ConfigurationError(f"unknown gamma_mode {self.gamma_mode!r}")
         if self.radius_mode not in ("oracle", "goodradius"):
@@ -107,10 +104,6 @@ class RunConfig:
         if self.sigma1 is not None and self.epsilon is not None:
             raise ConfigurationError("set either sigma1 or a target epsilon, not both")
         self.mechanism(self.sigma1)  # the spec checks the charged fields
-
-    @property
-    def alpha_grid(self) -> tuple[int, ...]:
-        return tuple(range(2, self.alpha_max + 1))
 
     def mechanism(self, sigma1: float | None) -> MechanismProfile:
         """The per-token mechanism the accountant charges (sigma1 None before calibration)."""
@@ -157,11 +150,6 @@ class SyntheticDemo:
 
     def to_record(self) -> dict:
         return {**dataclasses.asdict(self), "tokens": list(self.tokens), "token_count": len(self.tokens)}
-
-    @classmethod
-    def from_record(cls, record: dict) -> "SyntheticDemo":
-        fields = {f.name: record[f.name] for f in dataclasses.fields(cls)}
-        return cls(**{**fields, "tokens": tuple(record["tokens"])})
 
 
 @dataclass
@@ -253,7 +241,7 @@ def settle_privacy(
     if sigma1 is None:
         sigma1 = calibrate_sigma1(
             DpBudget(config.epsilon, delta), config.mechanism(None),
-            subsampling[config.gamma_mode], config.t_max, config.alpha_grid,
+            subsampling[config.gamma_mode], config.t_max,
         )
     return sigma1, delta, subsampling
 
@@ -342,11 +330,6 @@ def write_outputs(demos, traces, demos_path, traces_path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for record in records:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def read_demos(path) -> list[SyntheticDemo]:
-    with open(path, encoding="utf-8") as fh:
-        return [SyntheticDemo.from_record(json.loads(line)) for line in fh if line.strip()]
 
 
 def audit_traces(traces, config: RunConfig) -> dict:
@@ -489,7 +472,7 @@ def report_privacy(config: RunConfig, dataset_size: int, label_counts=None) -> d
         "t_max": config.t_max,
         "n_shots": config.n_shots,
         **dataclasses.asdict(profile),
-        "alpha_grid": [config.alpha_grid[0], config.alpha_grid[-1]],
+        "alpha_grid": [DEFAULT_ALPHA_GRID[0], DEFAULT_ALPHA_GRID[-1]],
         "gamma": {mode: ctx.gamma for mode, ctx in subsampling.items()},
     }
     if config.sigma1 is None:
@@ -512,7 +495,7 @@ def report_privacy(config: RunConfig, dataset_size: int, label_counts=None) -> d
 
     epsilons = {}
     for mode, ctx in subsampling.items():
-        amplified = amplified_rdp(profile, ctx, config.alpha_grid)
+        amplified = amplified_rdp(profile, ctx)
         eps, alpha = best_epsilon(amplified, config.t_max, delta)
         eps_run, alpha_run = best_epsilon(amplified, config.t_max * config.n_shots, delta)
         entry = {
@@ -520,7 +503,7 @@ def report_privacy(config: RunConfig, dataset_size: int, label_counts=None) -> d
             "tau_at_best_alpha": {part: c * alpha for part, c in parts.items()},
             "full_run_epsilon": eps_run, "full_run_best_alpha": alpha_run,
         }
-        excluded = [a for a in config.alpha_grid if a not in amplified]
+        excluded = [a for a in DEFAULT_ALPHA_GRID if a not in amplified]
         if excluded:
             entry["excluded_alphas"] = excluded
         epsilons[mode] = entry

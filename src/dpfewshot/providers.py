@@ -104,14 +104,12 @@ class SyntheticProvider:
         return tuple(f" w{i:03d}" for i in range(self.vocab_size))
 
     def center_logits(self, label: str, position: int) -> np.ndarray:
-        """Center logits of (label, position), returned read-only."""
+        """Center logits of (label, position)."""
         rng = substream(self.seed, "center", label, position)
-        logits = CENTER_SCALE * rng.standard_normal(self.vocab_size)
-        logits.flags.writeable = False
-        return logits
+        return CENTER_SCALE * rng.standard_normal(self.vocab_size)
 
     def next_token_distribution(
-        self, prompts, *, label: str, position: int, top_n: int = 0
+        self, prompts, *, label: str, position: int, top_n: int
     ) -> tuple[tuple[str, ...], np.ndarray]:
         center = self.center_logits(label, position)
         logits = np.zeros((len(prompts), self.vocab_size))
@@ -171,24 +169,21 @@ class HttpProvider:
             self.session = requests.Session()
 
     def next_token_distribution(
-        self, prompts, *, label: str, position: int, top_n: int = 0
+        self, prompts, *, label: str, position: int, top_n: int
     ) -> tuple[tuple[str, ...], np.ndarray]:
-        wanted = top_n or self.max_logprobs
-        if wanted > self.max_logprobs:
-            if not self._cap_warned:
-                self._cap_warned = True
-                logger.warning(
-                    "endpoint caps logprobs at %d (%d requested); unreturned tokens get zero mass",
-                    self.max_logprobs,
-                    wanted,
-                )
-            wanted = self.max_logprobs
+        if top_n > self.max_logprobs and not self._cap_warned:
+            self._cap_warned = True
+            logger.warning(
+                "endpoint caps logprobs at %d (%d requested); unreturned tokens get zero mass",
+                self.max_logprobs,
+                top_n,
+            )
         prompts = list(prompts)
         payload = {
             "model": self.model,
             "prompt": prompts,
             "max_tokens": 1,
-            "logprobs": wanted,
+            "logprobs": min(top_n, self.max_logprobs),
         }
         choices = _choices_in_prompt_order(self._post_with_retries(payload), len(prompts))
         dists = [_choice_distribution(choice) for choice in choices]

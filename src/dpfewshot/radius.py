@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accountant import binary_search_iterations
-from .simplex import SIMPLEX_RADIUS, distances
+from .simplex import SIMPLEX_RADIUS, pairwise_distances
 
 
 @dataclass(frozen=True)
@@ -30,20 +30,14 @@ class RadiusSearchStep:
 
 
 class CoverageScore:
-    """L(r) evaluator with the pairwise distance matrix computed once, one norm per pair."""
+    """L(r) evaluator with the pairwise distance matrix computed once."""
 
     def __init__(self, points: np.ndarray):
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[0] < 1:
             raise ValueError("points must be a non-empty (M, K) array")
         self.m = points.shape[0]
-        # Each pair once, mirrored: ||a - b|| and ||b - a|| are bitwise equal.
-        # Row by row, because gathering all M(M-1)/2 pairs into one array
-        # costs more in large temporaries than the loop does in calls.
-        # The diagonal is ||x - x||, 0 unless x has a non-finite entry.
-        self._dists = np.diag(distances(points, points))
-        for i in range(self.m - 1):
-            self._dists[i, i + 1:] = self._dists[i + 1:, i] = distances(points[i + 1:], points[i])
+        self._dists = pairwise_distances(points)
 
     def l_value(self, t: int, r: float) -> float:
         """Average of the t largest capped counts min(B_r(x_i), t)."""

@@ -50,12 +50,3 @@ class NoiseStreams:
             mean=substream(master_seed, *path, "mean"),
             check=substream(master_seed, *path, "check"),
         )
-
-
-def resolve_streams(rng) -> NoiseStreams:
-    """Accept either a NoiseStreams bundle or a bare integer seed."""
-    if isinstance(rng, NoiseStreams):
-        return rng
-    if isinstance(rng, (int, np.integer)):
-        return NoiseStreams.from_seed(int(rng))
-    raise TypeError(f"expected NoiseStreams or int seed, got {type(rng).__name__}")

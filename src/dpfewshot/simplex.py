@@ -20,6 +20,18 @@ def distances(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     return np.linalg.norm(points - center, axis=-1)
 
 
+def pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """(M, M) matrix of the distances between rows of an (M, K) batch, one norm per pair."""
+    # Each pair once, mirrored: ||a - b|| and ||b - a|| are bitwise equal.
+    # Row by row, because gathering all M(M-1)/2 pairs into one array
+    # costs more in large temporaries than the loop does in calls.
+    # The diagonal is ||x - x||, 0 unless x has a non-finite entry.
+    dists = np.diag(distances(points, points))
+    for i in range(len(points) - 1):
+        dists[i, i + 1:] = dists[i + 1:, i] = distances(points[i + 1:], points[i])
+    return dists
+
+
 def project_to_simplex(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Truncate negatives and renormalize each row (last axis) to unit l1 mass.
 
@@ -71,5 +83,5 @@ def min_ball_radius_oracle(points: np.ndarray, coverage_fraction: float) -> floa
     need = math.ceil(coverage_fraction * m)
     # For each candidate center, the smallest radius covering `need` points
     # is its `need`-th smallest distance (distances to self included).
-    kth = np.sort(distances(points[:, None, :], points), axis=1)[:, need - 1]
+    kth = np.sort(pairwise_distances(points), axis=1)[:, need - 1]
     return float(kth.min())

@@ -388,7 +388,7 @@ def test_aggregator_replay_fidelity():
             t_hat=int(rng_master.integers(1, 4)),
             sigma0=0.0, sigma1=0.0, sigma2=0.0,
         )
-        out, trace = adaptive_aggregate(points, cfg, case)
+        out, trace = adaptive_aggregate(points, cfg, NoiseStreams.from_seed(case))
         want_center, want_r, want_seq, want_reason, containment_ok = _replay_noiseless(points, cfg)
         assert trace.target_radius == want_r, case
         assert trace.radius_sequence == pytest.approx(want_seq, abs=1e-15), case
@@ -515,8 +515,8 @@ def test_utility_dominance():
         for trial in range(25):
             points = _soft_clustered(np.random.default_rng(4_000 + trial), m, 100, 2.2)
             consensus = int(np.argmax(points.mean(axis=0)))
-            out, _ = adaptive_aggregate(points, cfg, trial)
-            base = baseline_aggregate(points, 0.0, trial)
+            out, _ = adaptive_aggregate(points, cfg, NoiseStreams.from_seed(trial))
+            base = baseline_aggregate(points, 0.0, substream(trial, "baseline"))
             assert int(np.argmax(out)) == consensus
             assert int(np.argmax(base)) == consensus
 

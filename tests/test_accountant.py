@@ -224,6 +224,11 @@ class TestComposeAndTotal:
     def test_single_iteration_is_identity(self):
         assert best_epsilon({8: 0.37}, 1, 1e-5) == (rdp_to_dp(8, 0.37, 1e-5), 8)
 
+    def test_negative_epsilon_reported_as_zero(self):
+        # A tiny tau at a delta near 1 converts to a negative epsilon.
+        assert rdp_to_dp(2, 1e-6, 0.9) < 0
+        assert best_epsilon({2: 1e-6, 3: 1e-6}, 1, 0.9) == (0.0, 2)
+
     def test_linearity(self):
         eps, _ = best_epsilon({8: 0.002}, 100, 1e-5)
         assert eps == pytest.approx(rdp_to_dp(8, 0.2, 1e-5))

@@ -107,11 +107,13 @@ class TestSelectToken:
 class TestBaseline:
     def test_noiseless_exact_mean(self):
         points = np.array([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(baseline_aggregate(points, 0.0, 5), [0.5, 0.5])
+        out = baseline_aggregate(points, 0.0, substream(5, "baseline"))
+        np.testing.assert_allclose(out, [0.5, 0.5])
 
     def test_single_point_identity(self):
         points = np.array([[0.2, 0.8]])
-        np.testing.assert_allclose(baseline_aggregate(points, 0.0, 5), [0.2, 0.8])
+        out = baseline_aggregate(points, 0.0, substream(5, "baseline"))
+        np.testing.assert_allclose(out, [0.2, 0.8])
 
     def test_noise_scale(self):
         points = np.tile([0.5, 0.5], (4, 1))
@@ -128,7 +130,7 @@ class TestAdaptiveAggregate:
         p = np.array([0.1, 0.6, 0.3])
         points = np.tile(p, (12, 1))
         cfg = make_cfg(12, 3)
-        out, trace = adaptive_aggregate(points, cfg, 7)
+        out, trace = adaptive_aggregate(points, cfg, NoiseStreams.from_seed(7))
         assert int(np.argmax(out)) == 1
         np.testing.assert_allclose(out, p, atol=1e-12)
         assert trace.target_radius <= cfg.theta
@@ -141,8 +143,8 @@ class TestAdaptiveAggregate:
         for seed in range(20):
             points, _ = helpers.clustered_points(np.random.default_rng(seed), 10, 8)
             cfg = make_cfg(10, 8)
-            out, _ = adaptive_aggregate(points, cfg, seed)
-            base = baseline_aggregate(points, 0.0, seed)
+            out, _ = adaptive_aggregate(points, cfg, NoiseStreams.from_seed(seed))
+            base = baseline_aggregate(points, 0.0, substream(seed, "baseline"))
             consensus = int(np.argmax(points.mean(axis=0)))
             assert int(np.argmax(base)) == consensus
             # adaptive recenters on the projected cloud; on these clustered
@@ -167,7 +169,7 @@ class TestAdaptiveAggregate:
         rng = np.random.default_rng(42)
         points, _ = helpers.clustered_points(rng, 20, 6, cluster_radius=0.05, outlier_fraction=0.0)
         cfg = make_cfg(20, 6, t_hat=1)
-        out, trace = adaptive_aggregate(points, cfg, 0)
+        out, trace = adaptive_aggregate(points, cfg, NoiseStreams.from_seed(0))
         assert len(trace.radius_sequence) == 2
         final_r = trace.radius_sequence[-1]
         assert final_r == pytest.approx(trace.target_radius)
@@ -182,7 +184,7 @@ class TestAdaptiveAggregate:
         rng = np.random.default_rng(42)
         points, _ = helpers.clustered_points(rng, 20, 6, cluster_radius=0.05, outlier_fraction=0.2)
         cfg = make_cfg(20, 6, t_hat=1)
-        out, trace = adaptive_aggregate(points, cfg, 0)
+        out, trace = adaptive_aggregate(points, cfg, NoiseStreams.from_seed(0))
         assert trace.break_reason == BREAK_COVERAGE_FAILED
         np.testing.assert_allclose(out, project_to_simplex(points.mean(axis=0))[0], atol=1e-12)
 
@@ -197,7 +199,7 @@ class TestAdaptiveAggregate:
                 sigma1=float(rng.uniform(0, 1.5)),
                 sigma2=float(rng.uniform(0, 4)),
             )
-            _, trace = adaptive_aggregate(points, cfg, seed)
+            _, trace = adaptive_aggregate(points, cfg, NoiseStreams.from_seed(seed))
             assert trace.mean_estimates <= cfg.t_hat + 1
             assert len(trace.coverage_checks) <= cfg.t_hat
             assert len(trace.goodradius_steps) == 3
@@ -208,7 +210,7 @@ class TestAdaptiveAggregate:
             rng = np.random.default_rng(seed + 100)
             points, _ = helpers.clustered_points(rng, 12, 5)
             cfg = make_cfg(12, 5, t_hat=3, sigma1=0.4, lam=0.15)
-            _, trace = adaptive_aggregate(points, cfg, seed)
+            _, trace = adaptive_aggregate(points, cfg, NoiseStreams.from_seed(seed))
             seq = trace.radius_sequence
             for previous, updated in zip(seq, seq[1:]):
                 assert updated == pytest.approx(trace.target_radius + cfg.margin(previous))
@@ -217,15 +219,15 @@ class TestAdaptiveAggregate:
     def test_deterministic_for_fixed_seed(self):
         points, _ = helpers.clustered_points(np.random.default_rng(8), 10, 6)
         cfg = make_cfg(10, 6, sigma0=2.0, sigma1=0.5, sigma2=3.0)
-        out1, trace1 = adaptive_aggregate(points, cfg, 77)
-        out2, trace2 = adaptive_aggregate(points, cfg, 77)
+        out1, trace1 = adaptive_aggregate(points, cfg, NoiseStreams.from_seed(77))
+        out2, trace2 = adaptive_aggregate(points, cfg, NoiseStreams.from_seed(77))
         np.testing.assert_array_equal(out1, out2)
         assert trace1 == trace2
 
     def test_shape_mismatch_rejected(self):
         cfg = make_cfg(5, 3)
         with pytest.raises(ValueError):
-            adaptive_aggregate(np.zeros((4, 3)), cfg, 0)
+            adaptive_aggregate(np.zeros((4, 3)), cfg, NoiseStreams.from_seed(0))
 
 
 class TestConfigValidation:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dpfewshot import cli
+from dpfewshot import cli, radius
 from dpfewshot.cli import (
     EXIT_CALIBRATION,
     EXIT_CONFIG,
@@ -56,7 +56,6 @@ CLI_SURFACE = {
     "epsilon": ("epsilon", "float"),
     "delta": ("delta", "float"),
     "gamma_mode": ("gamma_mode", "str"),
-    "alpha_max": ("alpha_max", "int"),
     "seed": ("seed", "int"),
     "demos_out": ("demos_path", "str"),
     "traces_out": ("traces_path", "str"),
@@ -213,7 +212,6 @@ class TestRefusals:
         ("--mu", "mu and rho must lie in (0, 1]"),
         ("--runs", "n_runs must be positive, got 0"),
         ("--trials", "n_trials must be positive, got 0"),
-        ("--alpha-max", "alpha_max must be at least 2"),
     ])
     def test_every_command_refuses_the_same_mechanism(self, tmp_path, capsys, command, flag, message):
         path = tmp_path / "run.cfg"
@@ -279,6 +277,66 @@ class TestRefusals:
         assert "label 'B' has 5 examples, need 10 (m=10, n=1)" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("example, section", [
+        ("Label: {label}\nText: {text}\nSource: {source}", "[example]"),
+        ('{"label": "{label}", "text": "{text}"}', "[example]"),
+        ("Label: {label}\nText: {text.upper:>3}", "[example]"),
+    ])
+    def test_unrenderable_template_exits_2_before_any_provider_call(
+        self, tmp_path, capsys, monkeypatch, example, section
+    ):
+        template = tmp_path / "bad.tmpl"
+        template.write_text(f"[instruction]\nWrite.\n[example]\n{example}\n[query]\nText:{{generated}}\n")
+        calls = []
+        monkeypatch.setattr(SyntheticProvider, "next_token_distribution", lambda *a, **kw: calls.append(kw))
+        code = run_cli(
+            "generate", "--labels", "a,b", "--n-shots", "1", "--sigma1", "1", "--template", str(template),
+            "--demos-out", str(tmp_path / "d.jsonl"), "--traces-out", str(tmp_path / "t.jsonl"),
+        )
+        assert code == EXIT_CONFIG
+        assert f"template {section} section does not render" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "d.jsonl").exists()
+
+    def test_empty_label_set_exits_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        code = run_cli(
+            "generate", "--dataset", str(empty), "--sigma1", "1",
+            "--demos-out", str(tmp_path / "d.jsonl"), "--traces-out", str(tmp_path / "t.jsonl"),
+        )
+        assert code == EXIT_CONFIG
+        assert "the label set is empty" in capsys.readouterr().err
+
+    def test_failed_audit_exits_2_after_writing(self, config_file, tmp_path, capsys, monkeypatch):
+        # A radius search one iteration longer than the accountant charges.
+        charged = radius.binary_search_iterations
+        monkeypatch.setattr(radius, "binary_search_iterations", lambda theta: charged(theta) + 1)
+        demos, traces = tmp_path / "d.jsonl", tmp_path / "t.jsonl"
+        code = run_cli(
+            "generate", "--config", str(config_file), "--demos-out", str(demos), "--traces-out", str(traces)
+        )
+        assert code == EXIT_CONFIG
+        assert "audit: consumed <= charged: False" in capsys.readouterr().out
+        assert demos.exists() and traces.exists()
+
+    @pytest.mark.parametrize("command, noise", [
+        ("report-privacy", ("--sigma1", "0.5")), ("calibrate", ("--epsilon", "4")),
+    ])
+    def test_dataset_and_dataset_size_together_exit_2(self, tmp_path, capsys, command, noise):
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(json.dumps({"text": f"row {i}", "label": "a"}) + "\n" for i in range(4)))
+        code = run_cli(command, "--dataset", str(path), "--dataset-size", "1000000", "--m", "1", *noise)
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "give either --dataset or --dataset-size, not both" in captured.err
+        assert captured.out == ""
+
+    def test_label_gamma_without_label_counts_exits_2(self, capsys):
+        code = run_cli("report-privacy", "--gamma-mode", "label", "--dataset-size", "1000", "--sigma1", "0.5")
+        assert code == EXIT_CONFIG
+        assert "per-label gamma requested but no label counts" in capsys.readouterr().err
+
     def test_repeated_labels_exit_2(self, tmp_path, capsys):
         code = run_cli(
             "generate", "--labels", "a,a", "--n-shots", "2", "--sigma1", "1", "--t-max", "3", "--k", "10",
@@ -329,6 +387,16 @@ class TestReports:
         config = RunConfig(dataset_path=str(path), sigma1=0.8, t_max=5, m=2, k=4)
         assert report == json.loads(json.dumps(report_privacy(config, 47, {"a": 35, "b": 12})))
         assert report["gamma"] == {"dataset": 2 / 47, "label": 2 / 12}
+
+    def test_negative_epsilon_is_reported_as_zero(self, capsys):
+        code = run_cli(
+            "report-privacy", "--dataset-size", "100", "--m", "1", "--sigma1", "1000",
+            "--delta", "0.9", "--t-max", "1", "--lambda", "0",
+        )
+        assert code == EXIT_OK
+        entry = json.loads(capsys.readouterr().out)["epsilon"]["dataset"]
+        assert entry["epsilon"] == 0.0
+        assert entry["full_run_epsilon"] == 0.0
 
     def test_report_without_size_or_dataset_exits_2(self, config_file):
         assert run_cli("report-privacy", "--config", str(config_file)) == EXIT_CONFIG

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,23 @@ class TestLoadDataset:
         path.write_text('{"text": "ok", "label": "a"}\n{"text": "no label"}\n')
         with pytest.raises(DatasetError, match=":2"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("record", [
+        {"text": None, "label": "a"},
+        {"text": "ok", "label": None},
+        {"text": "ok", "label": ["a"]},
+        {"text": {"body": "ok"}, "label": "a"},
+    ])
+    def test_null_list_or_object_value_refused_with_line(self, tmp_path, record):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"text": "ok", "label": "a"}\n' + json.dumps(record) + "\n")
+        with pytest.raises(DatasetError, match=r"bad\.jsonl:2: text and label must not be null"):
+            load_dataset(path)
+
+    def test_numbers_still_read_as_text(self, tmp_path):
+        path = tmp_path / "numbers.jsonl"
+        path.write_text('{"text": 12.5, "label": 3}\n')
+        assert load_dataset(path) == [Example("12.5", "3")]
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -118,10 +136,30 @@ class TestPromptTemplate:
             PromptTemplate.from_file(path)
 
     def test_placeholders_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("[example] section does not render (needs {label} and {text})")):
             PromptTemplate("i", "no placeholders", "q {generated}")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("[query] section does not render (needs {generated})")):
             PromptTemplate("i", "{label} {text}", "no placeholder")
+
+    @pytest.mark.parametrize("example, query, section", [
+        ("{label} {text} from {source}", "{generated}", "[example]"),
+        ('{"label": "{label}", "text": "{text}"}', "{generated}", "[example]"),
+        ("{label} {text}", "{label} {text}{generated}", "[query]"),
+        ("{label} {text}", "{generated} }", "[query]"),
+        ("{{label}} {{text}}", "{generated}", "[example]"),
+        ("{label} {text}", "Text:{{generated}}", "[query]"),
+        ("{label.upper} {text}", "{generated}", "[example]"),
+        ("{label} {text.upper:>3}", "{generated}", "[example]"),
+        ("{label!r} {text}", "{generated}", "[example]"),
+        ("{label} {text}", "{label[0]}{generated}", "[query]"),
+    ])
+    def test_unrenderable_section_refused_by_name(self, example, query, section):
+        with pytest.raises(ValueError, match=re.escape(f"template {section} section does not render")):
+            PromptTemplate("i", example, query)
+
+    def test_escaped_braces_render_literally(self):
+        template = PromptTemplate("i", '{{"label": "{label}", "text": "{text}"}}', "{{{generated}")
+        assert template.render([Example("t", "l")], "l", "g") == 'i\n\n{"label": "l", "text": "t"}\n\n{g'
 
     def test_generic_template_renders(self):
         prompt = GENERIC_TEMPLATE.render([Example("body", "tag")], "tag", " x")

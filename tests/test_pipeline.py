@@ -13,7 +13,6 @@ from dpfewshot.pipeline import (
     generate_demo,
     generate_shots,
     measure_cluster_radius,
-    read_demos,
     report_privacy,
     resolve_run,
     run_utility_comparison,
@@ -119,8 +118,8 @@ class TestOutputsAndAudit:
         assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
         assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
         fresh, _ = generate_shots(resolve_run(config))
-        loaded = read_demos(paths[0][0])
-        assert loaded == fresh
+        loaded = [json.loads(line) for line in paths[0][0].read_text().splitlines()]
+        assert loaded == [demo.to_record() for demo in fresh]
 
     def test_audit_consumed_within_charged(self):
         config = noiseless_config(sigma1=0.4, sigma0=2.0, sigma2=1.0, t_max=4, n_shots=3)
