@@ -176,11 +176,14 @@ def cmd_generate(config: RunConfig, run) -> int:
 
 def cmd_measure_radius(config: RunConfig, run) -> int:
     report = measure_cluster_radius(run)
-    print(f"mode = {report['mode']}, runs = {report['runs']}")
-    print("position  mean_radius")
-    for position, radius in enumerate(report["per_position_mean"]):
-        print(f"{position:8d}  {radius:.6f}")
-    print(f"overall mean = {report['mean']:.6f}, std = {report['std']:.6f}, max = {report['max']:.6f}")
+    oracle, private = report["oracle"], report["goodradius"]
+    print(f"runs = {report['runs']}")
+    print("position  oracle    goodradius")
+    columns = zip(oracle["per_position_mean"], private["per_position_mean"])
+    for position, (exact, searched) in enumerate(columns):
+        print(f"{position:8d}  {exact:.6f}  {searched:.6f}")
+    for mode, block in (("oracle", oracle), ("goodradius", private)):
+        print(f"{mode}: mean = {block['mean']:.6f}, std = {block['std']:.6f}, max = {block['max']:.6f}")
     return EXIT_OK
 
 

@@ -24,14 +24,18 @@ class Example:
     def __post_init__(self):
         if not self.text:
             raise DatasetError("example text must be non-empty")
+        if not self.label:
+            raise DatasetError("example label must be non-empty")
 
 
 def load_dataset(path, fmt: str | None = None, label_set=None) -> list[Example]:
     """Read examples from a JSONL or CSV file.
 
-    JSONL lines are objects with "text" and "label" keys; CSV needs a
-    text,label header.  Malformed records raise DatasetError with the line
-    number; labels outside label_set (when given) raise naming the label.
+    JSONL lines are objects with "text" and "label" keys whose values are
+    strings or numbers; CSV needs a text,label header.  Both may start with
+    a UTF-8 byte-order mark.  Malformed records, empty values and JSON
+    booleans raise DatasetError with the line number; labels outside
+    label_set (when given) raise naming the label.
     """
     path = Path(path)
     if fmt is None:
@@ -49,7 +53,7 @@ def load_dataset(path, fmt: str | None = None, label_set=None) -> list[Example]:
 
 def _load_jsonl(path: Path) -> list[Example]:
     examples = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -60,8 +64,9 @@ def _load_jsonl(path: Path) -> list[Example]:
             if not isinstance(record, dict) or "text" not in record or "label" not in record:
                 raise DatasetError(f'{path}:{lineno}: record needs "text" and "label" fields')
             text, label = record["text"], record["label"]
-            if not (isinstance(text, (str, int, float)) and isinstance(label, (str, int, float))):
-                raise DatasetError(f"{path}:{lineno}: text and label must not be null, lists or objects")
+            # exact types, because bool is an int: true must not load as the label "True"
+            if type(text) not in (str, int, float) or type(label) not in (str, int, float):
+                raise DatasetError(f"{path}:{lineno}: text and label must not be null, booleans, lists or objects")
             try:
                 examples.append(Example(text=str(text), label=str(label)))
             except DatasetError as err:
@@ -71,7 +76,7 @@ def _load_jsonl(path: Path) -> list[Example]:
 
 def _load_csv(path: Path) -> list[Example]:
     examples = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             return []
@@ -143,7 +148,7 @@ class PromptTemplate:
         """Parse a plain-text file with [instruction], [example], [query] sections."""
         sections: dict[str, list[str]] = {}
         current = None
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
             name = line.strip().lower()
             if name in ("[instruction]", "[example]", "[query]"):
                 current = name[1:-1]

@@ -37,7 +37,6 @@ from .aggregate import (
 )
 from .data import Example, GENERIC_TEMPLATE, PromptTemplate, label_pools, load_dataset, pool_sizes
 from .providers import NextTokenBatch, ProviderSpec, next_token_generation
-from .radius import good_radius
 from .rng import NoiseStreams, substream
 from .simplex import min_ball_radius_oracle
 
@@ -85,7 +84,6 @@ class RunConfig:
     demos_path: str = "demos.jsonl"
     traces_path: str = "traces.jsonl"
     stop_tokens: tuple[str, ...] = ()
-    radius_mode: str = "oracle"  # "oracle" | "goodradius"
     n_runs: int = 5
     n_trials: int = 500
 
@@ -99,8 +97,6 @@ class RunConfig:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.gamma_mode not in (GAMMA_DATASET, GAMMA_LABEL):
             raise ConfigurationError(f"unknown gamma_mode {self.gamma_mode!r}")
-        if self.radius_mode not in ("oracle", "goodradius"):
-            raise ConfigurationError(f"unknown radius_mode {self.radius_mode!r}")
         if self.sigma1 is not None and self.epsilon is not None:
             raise ConfigurationError("set either sigma1 or a target epsilon, not both")
         self.mechanism(self.sigma1)  # the spec checks the charged fields
@@ -247,24 +243,20 @@ def settle_privacy(
 
 
 def token_step(
-    run: ResolvedRun, label: str, prefix: str, position: int,
-    draw_path: tuple, noise_path: tuple | None = None,
-) -> tuple[NextTokenBatch, str | None, AggregationTrace | None]:
+    run: ResolvedRun, label: str, prefix: str, position: int, draw_path: tuple, noise_path: tuple,
+) -> tuple[NextTokenBatch, str, AggregationTrace]:
     """One token position: draw M subsets, query the model with all M+1
-    prompts in one call and restrict to the public top-K; given noise_path,
-    also aggregate the M vectors adaptively and select the token.
+    prompts in one call, restrict to the public top-K, aggregate the M
+    vectors adaptively and select the token.
 
     draw_path and noise_path name the substreams of the subset draw and of
-    the aggregator's noise.  Returns (batch, token, aggregation trace); the
-    last two are None without noise_path.
+    the aggregator's noise.  Returns (batch, token, aggregation trace).
     """
     config = run.config
     batch = next_token_generation(
         run.provider, run.pools, label, config.m, config.n, config.k,
         run.template, prefix, substream(config.seed, *draw_path), position=position,
     )
-    if noise_path is None:
-        return batch, None, None
     vector, trace = adaptive_aggregate(
         batch.private_vectors, config.aggregation(run.sigma1, len(batch.support)),
         NoiseStreams.from_seed(config.seed, *noise_path),
@@ -356,50 +348,44 @@ def audit_traces(traces, config: RunConfig) -> dict:
 
 
 def measure_cluster_radius(run: ResolvedRun) -> dict:
-    """Covering-radius statistics of the private vectors along generation paths.
+    """Exact and private covering radii of the private vectors along generation paths.
 
-    Each of n_runs paths advances by the argmax of the exact mean of the M
-    vectors; at every position their 80%-coverage radius is measured either
-    exactly (radius_mode="oracle") or with the private search
-    (radius_mode="goodradius").  Reports per-position radii plus the overall
-    mean and standard deviation.
+    Each of n_runs paths runs token_step at every position and advances by
+    the argmax of the exact mean of the M vectors, so both blocks depend on
+    unnoised private data.  "oracle" holds the exact 80%-coverage radius
+    (min_ball_radius_oracle), "goodradius" the step's private target radius
+    (trace.target_radius): per-position and per-run means, overall mean,
+    standard deviation and maximum.
     """
     config = run.config
-    spec = config.aggregation(run.sigma1, config.k)
-    per_run: list[list[float]] = []
+    radii: dict[str, list[list[float]]] = {"oracle": [], "goodradius": []}
     labels_used: list[str] = []
     for run_idx in range(config.n_runs):
         label_rng = substream(config.seed, "radius", run_idx, "label")
         label = run.labels[int(label_rng.integers(len(run.labels)))]
         labels_used.append(label)
         prefix = ""
-        radii: list[float] = []
+        oracle, private = [], []
         for position in range(config.t_max):
             path = ("radius", run_idx, "token", position)
-            batch, _, _ = token_step(run, label, prefix, position, (*path, "subsample"))
+            batch, _, aggregation = token_step(run, label, prefix, position, (*path, "subsample"), path)
             points = batch.private_vectors
-            if config.radius_mode == "oracle":
-                radius = min_ball_radius_oracle(points, config.rho)
-            else:
-                radius = good_radius(
-                    points, spec.coverage_target, spec.sigma0, spec.theta,
-                    substream(config.seed, *path, "goodradius"),
-                )
-            radii.append(radius)
+            oracle.append(min_ball_radius_oracle(points, config.rho))
+            private.append(aggregation.target_radius)
             prefix += select_token(points.mean(axis=0), batch.support)
-        per_run.append(radii)
-    flat = np.array(per_run, dtype=float)
-    return {
-        "mode": config.radius_mode,
-        "runs": config.n_runs,
-        "positions": config.t_max,
-        "labels": labels_used,
-        "per_position_mean": flat.mean(axis=0).tolist(),
-        "per_run_mean": flat.mean(axis=1).tolist(),
-        "mean": float(flat.mean()),
-        "std": float(flat.std()),
-        "max": float(flat.max()),
-    }
+        radii["oracle"].append(oracle)
+        radii["goodradius"].append(private)
+    report: dict = {"runs": config.n_runs, "positions": config.t_max, "labels": labels_used}
+    for mode, per_run in radii.items():
+        flat = np.array(per_run, dtype=float)
+        report[mode] = {
+            "per_position_mean": flat.mean(axis=0).tolist(),
+            "per_run_mean": flat.mean(axis=1).tolist(),
+            "mean": float(flat.mean()),
+            "std": float(flat.std()),
+            "max": float(flat.max()),
+        }
+    return report
 
 
 def run_utility_comparison(run: ResolvedRun) -> dict:

@@ -55,7 +55,7 @@ def good_radius(
     sigma0: float,
     theta: float,
     rng: np.random.Generator,
-    trace: list[RadiusSearchStep] | None = None,
+    trace: list[RadiusSearchStep],
 ) -> float:
     """Privately estimate a radius covering at least t of the input points:
     a noisy bisection for r with L(r) >= t and L(r/2) < t.
@@ -85,6 +85,5 @@ def good_radius(
         else:
             r_low = r_mid
             branch = "raise_low"
-        if trace is not None:
-            trace.append(RadiusSearchStep(r_mid, noisy_half, noisy_mid, branch))
+        trace.append(RadiusSearchStep(r_mid, noisy_half, noisy_mid, branch))
     return (r_low + r_high) / 2.0

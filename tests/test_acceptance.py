@@ -116,7 +116,7 @@ def test_accountant_closed_forms():
 
     assert binary_search_iterations(0.1) == 3
     counter = DrawCounter()
-    good_radius(np.tile([0.5, 0.5], (4, 1)), 1, 1.0, 0.1, counter)
+    good_radius(np.tile([0.5, 0.5], (4, 1)), 1, 1.0, 0.1, counter, [])
     assert counter.draws == 2 * 3
 
     elapsed = perf_counter() - t0
@@ -285,7 +285,7 @@ def test_radius_search_fidelity():
         points, _ = helpers.clustered_points(rng, m, k, cluster_radius=float(rng.uniform(0.02, 0.12)))
         t = math.ceil(0.8 * m)
         score = CoverageScore(points)
-        r = good_radius(points, t, 0.0, theta, substream(seed, "acc4"))
+        r = good_radius(points, t, 0.0, theta, substream(seed, "acc4"), [])
         assert score.l_value(t, r + theta) >= t, (seed, r)
         pairwise = score._dists[np.triu_indices(m, 1)]
         grid = np.unique(np.concatenate([pairwise, np.arange(0.0, SIMPLEX_RADIUS + theta / 4, theta / 4)]))
@@ -540,9 +540,9 @@ def test_cluster_radius_measurement():
         provider=ProviderSpec(kind="synthetic", seed=11),
         m=40, n=1, k=100, t_max=8,
         sigma0=0.0, sigma1=0.0, sigma2=0.0,
-        n_runs=5, seed=101, radius_mode="oracle",
+        n_runs=5, seed=101,
     )
-    result = measure_cluster_radius(resolve_run(config))
+    result = measure_cluster_radius(resolve_run(config))["oracle"]
     assert 0.07 <= result["mean"] <= 0.13, result["mean"]
     assert result["max"] < SIMPLEX_RADIUS
     elapsed = perf_counter() - t0

@@ -1,0 +1,85 @@
+"""The package names the benchmark under bench/ looks up.
+
+The benchmark imports the package and patches some of its functions by
+name, so a rename in src/ can silently turn a traced layer absent or break
+a workload.  These checks run the lookups the benchmark makes, without
+running it.
+"""
+
+import ast
+import dataclasses
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dpfewshot import aggregate, data, pipeline, providers, radius, rng
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+BENCH_SOURCES = sorted([*BENCH_DIR.glob("*.py"), *BENCH_DIR.glob("tests/*.py")])
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """bench/tracer.py and bench/workloads.py, imported as the benchmark imports them."""
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        return importlib.import_module("tracer"), importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+
+
+def module_attributes(source: Path):
+    """(module, attribute, call node or None) for each `<module>.<name>` in source
+    whose module the file imports with `from dpfewshot import ...`."""
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "dpfewshot" for alias in node.names}
+    for node in ast.walk(tree):
+        func = node.func if isinstance(node, ast.Call) else node
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in imported:
+            yield func.value.id, func.attr, node if isinstance(node, ast.Call) else None
+
+
+def test_every_tracer_target_resolves_to_a_callable(bench):
+    tracer, _ = bench
+    for layer in tracer.LAYERS:
+        for target in layer.targets:
+            module, _, attr = target.partition(":")
+            obj = importlib.import_module(module)
+            for part in attr.split("."):
+                obj = getattr(obj, part)
+            assert callable(obj), target
+
+
+def test_workload_class_bodies_build_their_specs(bench):
+    _, workloads = bench
+    assert isinstance(workloads.SynthM40.base_config, pipeline.RunConfig)
+    assert isinstance(workloads.AggregateM40.cfg, aggregate.AggregationConfig)
+
+
+@pytest.mark.parametrize("source", BENCH_SOURCES, ids=lambda path: path.relative_to(BENCH_DIR).as_posix())
+def test_every_module_attribute_and_keyword_exists(source):
+    for module, attr, call in module_attributes(source):
+        obj = getattr(importlib.import_module(f"dpfewshot.{module}"), attr, None)
+        assert obj is not None, f"{module}.{attr}"
+        if call is not None and dataclasses.is_dataclass(obj):
+            names = {f.name for f in dataclasses.fields(obj)}
+            assert {kw.arg for kw in call.keywords} <= names, f"{module}.{attr}"
+
+
+def test_patched_and_called_names():
+    assert pipeline.next_token_generation is providers.next_token_generation
+    assert aggregate.good_radius is radius.good_radius
+    pool = [data.Example(text=f"item {i}", label=label) for label in ("a", "b") for i in range(4)]
+    batch = providers.next_token_generation(
+        providers.SyntheticProvider(seed=1), pool, "b", 4, 1, 10, data.GENERIC_TEMPLATE, "",
+        np.random.default_rng(0), position=0,
+    )
+    assert batch.private_vectors.shape == (4, 10)
+    assert isinstance(rng.NoiseStreams.from_seed(1, 2), rng.NoiseStreams)
+    config = pipeline.RunConfig(task="t", m=1, n=1, t_max=10, t_hat=1, sigma0=10.0, sigma1=1.0, sigma2=3.0, delta=1e-5)
+    report = pipeline.report_privacy(config, 1000, {"c0": 500, "c1": 500})
+    assert report["epsilon"]["dataset"]["epsilon"] > 0

@@ -60,7 +60,6 @@ CLI_SURFACE = {
     "demos_out": ("demos_path", "str"),
     "traces_out": ("traces_path", "str"),
     "stop_tokens": ("stop_tokens", "csv"),
-    "radius_mode": ("radius_mode", "str"),
     "runs": ("n_runs", "int"),
     "trials": ("n_trials", "int"),
     "provider": ("provider.kind", "str"),
@@ -203,8 +202,7 @@ class TestRefusals:
         assert "cannot account for a dataset of 0 rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
-        "generate", "report-privacy", "calibrate", "compare-utility",
-        "measure-radius", "measure-radius --radius-mode goodradius",
+        "generate", "report-privacy", "calibrate", "compare-utility", "measure-radius",
     ])
     @pytest.mark.parametrize("flag, message", [
         ("--t-hat", "t_hat must be positive"),
@@ -297,6 +295,37 @@ class TestRefusals:
         assert f"template {section} section does not render" in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "d.jsonl").exists()
+
+    @pytest.mark.parametrize("argv, files, message", [
+        ("generate --config {dir}/run.cfg", {"run.cfg": "labels = a,b\nsigma1 0.5\n"}, "run.cfg:2: expected 'key = value'"),
+        ("calibrate --dataset-size 1000 --sigma1 0.5", {}, "calibrate needs a target --epsilon"),
+        *((f"generate --labels a,b --n-shots 1 --sigma1 1 --{flag} 0", {}, "m, n, k, t_max, n_shots must be positive")
+          for flag in ("m", "n", "k", "t-max", "n-shots")),
+        ("generate --labels a,b --n-shots 1 --sigma1 1 --gamma-mode pool", {}, "unknown gamma_mode 'pool'"),
+        ("generate --dataset {dir}/d.csv --sigma1 1", {"d.csv": "text,label\nok,a\n,a\n"},
+         "d.csv:3: example text must be non-empty"),
+        ("generate --dataset {dir}/d.jsonl --sigma1 1", {"d.jsonl": '{"text": "", "label": "a"}\n'},
+         "d.jsonl:1: example text must be non-empty"),
+        ("generate --dataset {dir}/d.csv --sigma1 1", {"d.csv": "text,label\nok,a\nonly\n"},
+         "d.csv:3: missing text or label value"),
+        ("generate --dataset {dir}/d.csv --sigma1 1", {"d.csv": "text,label\nok,\n"},
+         "d.csv:2: example label must be non-empty"),
+    ])
+    def test_refusal_exits_2_before_any_provider_call(self, tmp_path, capsys, monkeypatch, argv, files, message):
+        for name, content in files.items():
+            (tmp_path / name).write_text(content)
+        calls = []
+        monkeypatch.setattr(SyntheticProvider, "next_token_distribution", lambda *a, **kw: calls.append(kw))
+        code = run_cli(
+            *argv.format(dir=tmp_path).split(),
+            "--demos-out", str(tmp_path / "out.jsonl"), "--traces-out", str(tmp_path / "t.jsonl"),
+        )
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert calls == []
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_empty_label_set_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
@@ -425,9 +454,12 @@ class TestReports:
     def test_measure_radius_table(self, config_file, capsys):
         code = run_cli("measure-radius", "--config", str(config_file), "--runs", "2")
         assert code == EXIT_OK
-        out = capsys.readouterr().out
-        assert "position  mean_radius" in out
-        assert "overall mean" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["runs = 2", "position  oracle    goodradius"]
+        assert [len(line.split()) for line in lines[2:5]] == [3, 3, 3]
+        assert lines[5].startswith("oracle: mean = ")
+        assert lines[6].startswith("goodradius: mean = ")
+        assert len(lines) == 7
 
     def test_compare_utility_json(self, config_file, capsys):
         code = run_cli("compare-utility", "--config", str(config_file), "--trials", "10")

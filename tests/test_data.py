@@ -63,6 +63,36 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=r"bad\.jsonl:2: text and label must not be null"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("record", [{"text": "ok", "label": True}, {"text": False, "label": "a"}])
+    def test_boolean_value_refused_with_line(self, tmp_path, record):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"text": "ok", "label": "a"}\n' + json.dumps(record) + "\n")
+        with pytest.raises(DatasetError, match=r"bad\.jsonl:2: text and label must not be null, booleans"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("name, content", [
+        ("data.csv", "text,label\nhello,\n"),
+        ("data.jsonl", '{"text": "ok", "label": "a"}\n{"text": "hello", "label": ""}\n'),
+    ])
+    def test_empty_label_refused_with_line(self, tmp_path, name, content):
+        path = tmp_path / name
+        path.write_text(content)
+        with pytest.raises(DatasetError, match=re.escape(f"{name}:2: example label must be non-empty")):
+            load_dataset(path)
+
+    def test_example_refuses_empty_label(self):
+        with pytest.raises(DatasetError, match="example label must be non-empty"):
+            Example("text", "")
+
+    @pytest.mark.parametrize("name, content", [
+        ("data.csv", "text,label\nplain,y\n"),
+        ("data.jsonl", '{"text": "plain", "label": "y"}\n'),
+    ])
+    def test_byte_order_mark_accepted(self, tmp_path, name, content):
+        path = tmp_path / name
+        path.write_text("\ufeff" + content, encoding="utf-8")
+        assert load_dataset(path) == [Example("plain", "y")]
+
     def test_numbers_still_read_as_text(self, tmp_path):
         path = tmp_path / "numbers.jsonl"
         path.write_text('{"text": 12.5, "label": 3}\n')
@@ -128,6 +158,11 @@ class TestPromptTemplate:
         template = PromptTemplate.from_file(path)
         assert template.instruction == "Do the thing."
         assert "{generated}" in template.query_format
+
+    def test_from_file_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "template.txt"
+        path.write_text("\ufeff[instruction]\nDo it.\n[example]\n{label} {text}\n[query]\n{generated}\n", encoding="utf-8")
+        assert PromptTemplate.from_file(path) == PromptTemplate("Do it.", "{label} {text}", "{generated}")
 
     def test_from_file_missing_section(self, tmp_path):
         path = tmp_path / "template.txt"

@@ -1,7 +1,7 @@
 """Golden outputs of every loop that runs the per-token step.
 
 The README quickstart settings (synthetic provider, M=10, K=100, t_max=20,
-4 shots) drive `generate` (its files and its stdout), both modes of `measure_cluster_radius`,
+4 shots) drive `generate` (its files and its stdout), `measure_cluster_radius`,
 `run_utility_comparison` and `report_privacy`.  Each output is pinned by
 its SHA-256 digest, so a refactor of the token loop or the accountant that
 changes a single byte of a fixed-seed output fails here.  The benchmark
@@ -61,8 +61,7 @@ GOLDEN = {
     "demos": "75c63a3bc74761ecb8f797c056b51c5e46b7e203a7fa52f404bd269024da9989",
     "generate_stdout": "eb8783a03b6c69571f7856c73be68f005a295ca3c0db433ef5c1346284aa7758",
     "traces": "228f3dd5d15eca4f54185b2718d600ee06a162e07b4cf01e9a258b30b80f8124",
-    "radius_oracle": "5c78d579358482d21c49b166827fbac0c28b7210f16144ac820aff6cb53911f8",
-    "radius_goodradius": "7be6535a6b0a70343978169ffe8a31de5c99626f1e7ab4a6775c44c6110164af",
+    "radius": "d0c349997fc44bc6b055a131bcd3cc6ac3dc15ddfa509a89f53a2be4aaa06585",
     "utility": "44ee75415d23335051be68bf59210a66a6a0c2403b3ba96891a2646adb72b583",
     "privacy_sigma1": "9f696880758a1ae32aadf1366a8a9e3e0284b64ee84a433178acc200ada9b989",
     "privacy_calibrated": "55887d384acdfef59b9bc326632c8faa0834d86100df01e8c04d7aabc20f4ea5",
@@ -94,15 +93,9 @@ def test_generate_files(tmp_path, capsys):
     assert digest(traces.read_bytes()) == GOLDEN["traces"]
 
 
-def test_measure_cluster_radius_oracle():
+def test_measure_cluster_radius():
     report = measure_cluster_radius(resolve_run(dataclasses.replace(CONFIG, n_runs=3)))
-    assert json_digest(report) == GOLDEN["radius_oracle"]
-
-
-def test_measure_cluster_radius_goodradius():
-    config = dataclasses.replace(CONFIG, n_runs=3, radius_mode="goodradius")
-    report = measure_cluster_radius(resolve_run(config))
-    assert json_digest(report) == GOLDEN["radius_goodradius"]
+    assert json_digest(report) == GOLDEN["radius"]
 
 
 def test_run_utility_comparison():

@@ -18,8 +18,10 @@ from dpfewshot.pipeline import (
     run_utility_comparison,
     write_outputs,
 )
+from dpfewshot.accountant import binary_search_iterations
 from dpfewshot.data import load_dataset
 from dpfewshot.providers import ProviderSpec, SyntheticProvider
+from dpfewshot.simplex import SIMPLEX_RADIUS
 
 LABELS = ("World", "Sports", "Business", "Technology")
 
@@ -143,8 +145,8 @@ class TestMeasureClusterRadius:
     def test_zero_spread_means_zero_radius(self):
         config = noiseless_config(t_max=3, n_runs=2)
         report = measure_cluster_radius(resolve_run(config))
-        assert report["mean"] == 0.0
-        assert report["max"] == 0.0
+        assert report["oracle"]["mean"] == 0.0
+        assert report["oracle"]["max"] == 0.0
 
     def test_calibrated_spread_lands_near_point_one(self):
         config = RunConfig(
@@ -154,12 +156,16 @@ class TestMeasureClusterRadius:
             n_runs=3, seed=9,
         )
         report = measure_cluster_radius(resolve_run(config))
-        assert 0.07 <= report["mean"] <= 0.13
+        assert 0.07 <= report["oracle"]["mean"] <= 0.13
 
-    def test_goodradius_mode_labels_output(self):
-        config = noiseless_config(t_max=2, n_runs=2, radius_mode="goodradius")
+    def test_goodradius_block_is_the_noiseless_search_on_coincident_vectors(self):
+        # every L(r) reaches t, so each bisection step halves the bracket top
+        config = noiseless_config(t_max=2, n_runs=2)
         report = measure_cluster_radius(resolve_run(config))
-        assert report["mode"] == "goodradius"
+        floor = SIMPLEX_RADIUS / 2 ** (binary_search_iterations(config.theta) + 1)
+        assert report["goodradius"]["per_position_mean"] == [floor, floor]
+        assert report["goodradius"]["per_run_mean"] == [floor, floor]
+        assert (report["runs"], report["positions"], len(report["labels"])) == (2, 2, 2)
 
 
 class TestUtilityComparison:

@@ -173,6 +173,22 @@ class TestSyntheticProvider:
                 outliers += 1
         assert outliers >= 1
 
+    def test_outlier_never_takes_the_public_argmax(self):
+        # with two tokens, half the outlier draws land on the public argmax
+        # and must move to the other token
+        provider = SyntheticProvider(seed=2, vocab_size=2, outlier_fraction=1.0)
+        collisions = 0
+        for label in ("x", "y", "z"):
+            for position in range(20):
+                _, block = provider.next_token_distribution(["p"] * 9, label=label, position=position, top_n=2)
+                top = int(np.argmax(block[0]))
+                assert all(int(np.argmax(row)) != top for row in block[1:]), (label, position)
+                for i in range(8):
+                    rng = substream(provider.seed, "private", label, position, i)
+                    rng.uniform()
+                    collisions += int(rng.integers(2)) == top
+        assert collisions > 100
+
 
 def uncached_distribution(provider, label, position, subset_index):
     """SyntheticProvider's distribution derived straight from substream, no cache."""

@@ -117,7 +117,7 @@ class TestLFunction:
 class TestGoodRadius:
     def test_full_tolerance_returns_bracket_midpoint(self):
         rng = CountingRng()
-        result = good_radius(always_covering(), 1, 1.0, SIMPLEX_RADIUS, rng)
+        result = good_radius(always_covering(), 1, 1.0, SIMPLEX_RADIUS, rng, [])
         assert result == pytest.approx(math.sqrt(2) / 4)
         assert rng.draws == 0
 
@@ -139,14 +139,14 @@ class TestGoodRadius:
     def test_noiseless_identical_points_converge_below_theta(self):
         points = np.tile([0.2, 0.3, 0.5], (8, 1))
         rng = substream(0, "unused")
-        r = good_radius(points, 8, 0.0, 0.1, rng)
+        r = good_radius(points, 8, 0.0, 0.1, rng, [])
         assert 0.0 <= r <= 0.1
 
     def test_uncoverable_demand_pins_to_bracket_top(self):
         # two antipodal clusters, full coverage demanded: no radius in the
         # bracket reaches across, so the search climbs to the top
         points = np.vstack([np.tile([1.0, 0.0], (4, 1)), np.tile([0.0, 1.0], (4, 1))])
-        r = good_radius(points, 8, 0.0, 0.1, substream(1, "x"))
+        r = good_radius(points, 8, 0.0, 0.1, substream(1, "x"), [])
         assert r == pytest.approx(SIMPLEX_RADIUS, abs=0.1)
 
     def test_noiseless_output_has_coverage_at_theta_slack(self):
@@ -156,7 +156,7 @@ class TestGoodRadius:
             points, _ = helpers.clustered_points(rng, m, 6)
             t = math.ceil(0.8 * m)
             score = CoverageScore(points)
-            r = good_radius(points, t, 0.0, 0.1, substream(seed, "nl"))
+            r = good_radius(points, t, 0.0, 0.1, substream(seed, "nl"), [])
             assert score.l_value(t, r + 0.1) >= t
 
     def test_branches_follow_noisy_scores(self):
@@ -165,16 +165,16 @@ class TestGoodRadius:
         points = never_covering(10)  # L(r) = 5
         # half passes: +6 pushes the first noisy value over t
         rng = CountingRng([6.0, -99.0, 99.0, 99.0, 99.0, 99.0])
-        r_half = good_radius(points, t, 0.5, 0.3, rng)
+        r_half = good_radius(points, t, 0.5, 0.3, rng, [])
         # both fail: bracket floor rises instead
         rng = CountingRng([-99.0, -99.0, 99.0, 99.0, 99.0, 99.0])
-        r_fail = good_radius(points, t, 0.5, 0.3, rng)
+        r_fail = good_radius(points, t, 0.5, 0.3, rng, [])
         assert r_half < r_fail
 
     def test_seeded_determinism(self):
         points, _ = helpers.clustered_points(np.random.default_rng(5), 12, 4)
-        first = good_radius(points, 10, 2.0, 0.1, substream(99, "gr"))
-        second = good_radius(points, 10, 2.0, 0.1, substream(99, "gr"))
+        first = good_radius(points, 10, 2.0, 0.1, substream(99, "gr"), [])
+        second = good_radius(points, 10, 2.0, 0.1, substream(99, "gr"), [])
         assert first == second
 
     def test_trace_records_midpoints(self):
@@ -187,6 +187,6 @@ class TestGoodRadius:
 
     def test_rejects_bad_theta(self):
         with pytest.raises(ValueError):
-            good_radius(always_covering(), 1, 1.0, 0.0, CountingRng())
+            good_radius(always_covering(), 1, 1.0, 0.0, CountingRng(), [])
         with pytest.raises(ValueError):
-            good_radius(always_covering(), 1, 1.0, 0.8, CountingRng())
+            good_radius(always_covering(), 1, 1.0, 0.8, CountingRng(), [])
