@@ -186,7 +186,23 @@ def _logsumexp(terms: list[float]) -> float:
     return peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
 
 
-def subsample_amplify(coeff: float, ctx: SubsamplingContext, alpha: int) -> float:
+def _log_binomial_prefixes(gamma: float, alpha: int) -> list[float]:
+    """The coefficient-free head of each term of subsample_amplify's log-sum,
+    for j = 2..alpha: j log gamma plus log C(alpha, j), summed in the order
+    the full term adds them, so head + rest equals the unsplit sum bitwise."""
+    log_gamma = math.log(gamma)
+    prefixes = [2.0 * log_gamma + math.log(math.comb(alpha, 2))]
+    for j in range(3, alpha + 1):
+        prefixes.append(
+            j * log_gamma
+            + math.lgamma(alpha + 1) - math.lgamma(j + 1) - math.lgamma(alpha - j + 1)
+        )
+    return prefixes
+
+
+def subsample_amplify(
+    coeff: float, ctx: SubsamplingContext, alpha: int, prefixes: list[float] | None = None
+) -> float:
     """Amplified RDP at integer order alpha >= 2 of a mechanism whose RDP
     curve is tau(alpha) = coeff * alpha.
 
@@ -198,7 +214,9 @@ def subsample_amplify(coeff: float, ctx: SubsamplingContext, alpha: int) -> floa
 
     where the inner min{2, (e^{tau(inf)} - 1)^j} factors are already
     resolved to 2 because every composed primitive here is Gaussian
-    (tau(inf) = inf).  The sum is accumulated in log space.
+    (tau(inf) = inf).  The sum is accumulated in log space.  A caller that
+    evaluates many coefficients at one (gamma, alpha) may pass the
+    coefficient-free heads of the terms, _log_binomial_prefixes(gamma, alpha).
     """
     if int(alpha) != alpha:
         raise ValueError(f"subsampling amplification needs an integer order, got {alpha}")
@@ -206,17 +224,13 @@ def subsample_amplify(coeff: float, ctx: SubsamplingContext, alpha: int) -> floa
     if alpha < 2:
         raise ValueError(f"order must be >= 2, got {alpha}")
     gamma = ctx.gamma
-    log_gamma = math.log(gamma)
+    if prefixes is None:
+        prefixes = _log_binomial_prefixes(gamma, alpha)
     tau2 = coeff * 2
     pair_term = min(math.log(4.0) + _log_expm1(tau2), math.log(2.0) + tau2)
-    terms = [0.0, 2.0 * log_gamma + math.log(math.comb(alpha, 2)) + pair_term]
-    for j in range(3, alpha + 1):
-        terms.append(
-            j * log_gamma
-            + math.lgamma(alpha + 1) - math.lgamma(j + 1) - math.lgamma(alpha - j + 1)
-            + (j - 1) * (coeff * j)
-            + math.log(2.0)
-        )
+    terms = [0.0, prefixes[0] + pair_term]
+    for j, prefix in enumerate(prefixes[1:], 3):
+        terms.append(prefix + (j - 1) * (coeff * j) + math.log(2.0))
     if not all(t < math.inf and not math.isnan(t) for t in terms):
         raise AmplificationOverflowError(
             f"amplification bound not representable at alpha={alpha}, gamma={gamma}"
@@ -244,18 +258,21 @@ def amplified_rdp(
     profile: MechanismProfile,
     ctx: SubsamplingContext,
     alpha_grid: tuple[int, ...] = DEFAULT_ALPHA_GRID,
+    prefixes: dict[int, list[float]] | None = None,
 ) -> dict[int, float]:
     """Subsampled per-token RDP at each order of the grid, in ascending order.
 
     Orders at which the amplification bound overflows are left out.
+    prefixes, if given, holds each order's _log_binomial_prefixes at ctx.gamma.
     """
     if not alpha_grid:
         raise ValueError("alpha_grid must be non-empty")
     coeff = per_iteration_coefficient(profile)
     amplified = {}
     for alpha in sorted(alpha_grid):
+        heads = None if prefixes is None else prefixes[alpha]
         try:
-            amplified[alpha] = subsample_amplify(coeff, ctx, alpha)
+            amplified[alpha] = subsample_amplify(coeff, ctx, alpha, heads)
         except AmplificationOverflowError:
             continue
     return amplified
@@ -293,9 +310,12 @@ def calibrate_sigma1(
     CALIBRATION_REL_TOL on epsilon.
     """
     lo, hi = CALIBRATION_BRACKET
+    # The bisection moves only sigma1, so the terms that depend on gamma and
+    # the order alone are computed once per calibration.
+    prefixes = {alpha: _log_binomial_prefixes(ctx.gamma, alpha) for alpha in DEFAULT_ALPHA_GRID}
 
     def eps_at(s1: float) -> float:
-        amplified = amplified_rdp(replace(profile, sigma1=s1), ctx)
+        amplified = amplified_rdp(replace(profile, sigma1=s1), ctx, prefixes=prefixes)
         return best_epsilon(amplified, t_max, target.delta)[0]
 
     eps_hi = eps_at(lo)   # small sigma1 -> large epsilon

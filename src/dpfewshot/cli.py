@@ -74,7 +74,7 @@ _OPTIONS = _option_table()
 def read_config_file(path) -> dict[str, str]:
     """Parse a flat ``key = value`` file; '#' starts a comment line."""
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

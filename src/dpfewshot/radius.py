@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accountant import binary_search_iterations
-from .simplex import SIMPLEX_RADIUS, pairwise_distances
+from .simplex import SIMPLEX_RADIUS, distances
 
 
 @dataclass(frozen=True)
@@ -30,20 +30,61 @@ class RadiusSearchStep:
 
 
 class CoverageScore:
-    """L(r) evaluator with the pairwise distance matrix computed once."""
+    """L(r) evaluator that screens pairs with one Gram product and recomputes
+    exactly only the pairs the screen cannot decide.
+
+    Every mask equals ``pairwise_distances(points) <= r``: a pair whose
+    Gram-form squared distance lies within its rounding bound of r^2 is
+    decided by the same norm the exact matrix stores.
+    """
 
     def __init__(self, points: np.ndarray):
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[0] < 1:
             raise ValueError("points must be a non-empty (M, K) array")
-        self.m = points.shape[0]
-        self._dists = pairwise_distances(points)
+        if not np.isfinite(points).all():
+            raise ValueError("points must be finite")
+        self.m, k = points.shape
+        self._points = points
+        sq = np.einsum("ij,ij->i", points, points)
+        s = sq[:, None] + sq
+        d2 = s - 2.0 * (points @ points.T)
+        np.fill_diagonal(d2, 0.0)
+        # With u = eps/2 and D the true squared distance, to first order in u:
+        # - Gram form, any summation order, FMA or not: |d2 - D| <= (2K + 3) u S,
+        #   where S = sq_i + sq_j;
+        # - the exact path's sqrt(sum diff^2) squared is D (1 + theta) with
+        #   |theta| <= (K + 4) u, and D <= 2 S, so it is off by <= 2 (K + 4) u S;
+        # - forming tol, r * r and the shifts d2 +- tol, r^2 -+ c r^2 takes
+        #   five more roundings, each at most u (3 S + r^2).
+        # Their sum, (4K + 26) u S + 5 u r^2, is below tol = 8 (K + 4) u (S + r^2)
+        # for every K >= 1, and tiny covers the absolute error of underflow
+        # (under 8K subnormal ulps).
+        # A pair with d2 + tol <= r^2 is inside, d2 - tol > r^2 outside; an
+        # overflowed d2 (NaN or inf) is neither, so it is recomputed exactly.
+        self._c = 4 * (k + 4) * np.finfo(float).eps
+        tol = self._c * s + np.finfo(float).tiny
+        self._upper = d2 + tol
+        self._lower = d2 - tol
+
+    def within(self, r: float) -> np.ndarray:
+        """(M, M) mask of the pairs at distance <= r."""
+        if not r >= 0.0:  # no distance is <= a negative or NaN radius
+            return np.zeros((self.m, self.m), dtype=bool)
+        r2 = r * r
+        inside = self._upper <= r2 - self._c * r2
+        unsure = ~(inside | (self._lower > r2 + self._c * r2))
+        if unsure.any():
+            i, j = np.nonzero(unsure)
+            near = distances(self._points[np.maximum(i, j)], self._points[np.minimum(i, j)])
+            inside[i, j] = near <= r
+        return inside
 
     def l_value(self, t: int, r: float) -> float:
         """Average of the t largest capped counts min(B_r(x_i), t)."""
         if not 1 <= t <= self.m:
             raise ValueError(f"t must lie in [1, {self.m}], got {t}")
-        counts = np.count_nonzero(self._dists <= r, axis=1)
+        counts = self.within(r).sum(axis=1)
         capped = np.minimum(counts, t)
         top = np.partition(capped, self.m - t)[self.m - t:]
         return float(top.sum()) / t

@@ -49,7 +49,7 @@ from dpfewshot.pipeline import (
 from dpfewshot.providers import ProviderSpec
 from dpfewshot.radius import CoverageScore, good_radius
 from dpfewshot.rng import NoiseStreams, substream
-from dpfewshot.simplex import SIMPLEX_RADIUS
+from dpfewshot.simplex import SIMPLEX_RADIUS, pairwise_distances
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -287,7 +287,7 @@ def test_radius_search_fidelity():
         score = CoverageScore(points)
         r = good_radius(points, t, 0.0, theta, substream(seed, "acc4"), [])
         assert score.l_value(t, r + theta) >= t, (seed, r)
-        pairwise = score._dists[np.triu_indices(m, 1)]
+        pairwise = pairwise_distances(points)[np.triu_indices(m, 1)]
         grid = np.unique(np.concatenate([pairwise, np.arange(0.0, SIMPLEX_RADIUS + theta / 4, theta / 4)]))
         r_prime = _smallest_bracketing_radius(score, t, grid)
         if r_prime is not None and r_prime <= SIMPLEX_RADIUS:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dpfewshot import accountant
 from dpfewshot.accountant import (
     DEFAULT_ALPHA_GRID,
     AmplificationOverflowError,
@@ -218,6 +219,24 @@ class TestSubsampleAmplify:
     def test_overflow_is_signaled(self):
         with pytest.raises(AmplificationOverflowError):
             subsample_amplify(5e307, SubsamplingContext(1, 100), 8)
+
+    def test_precomputed_heads_give_the_same_bits(self):
+        # calibrate_sigma1 computes the coefficient-free heads once; every
+        # value must equal the unsplit sum, so no calibrated sigma1 moves
+        for m, n in ((1, 7), (4, 120_000), (40, 5_452), (160, 1_000)):
+            ctx = SubsamplingContext(m, n)
+            heads = {a: accountant._log_binomial_prefixes(ctx.gamma, a) for a in DEFAULT_ALPHA_GRID}
+            for c in (1e-4, 0.031, 0.17, 3.1, 40.0):
+                for alpha in DEFAULT_ALPHA_GRID:
+                    try:
+                        want = subsample_amplify(c, ctx, alpha)
+                    except AmplificationOverflowError:
+                        with pytest.raises(AmplificationOverflowError):
+                            subsample_amplify(c, ctx, alpha, heads[alpha])
+                        continue
+                    assert subsample_amplify(c, ctx, alpha, heads[alpha]) == want, (m, n, c, alpha)
+            profile = MechanismProfile(sigma0=10.0, sigma1=0.9, sigma2=3.0, t_hat=2)
+            assert amplified_rdp(profile, ctx, prefixes=heads) == amplified_rdp(profile, ctx)
 
 
 class TestComposeAndTotal:

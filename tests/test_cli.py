@@ -123,6 +123,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="bad.cfg:2"):
             read_config_file(path)
 
+    @pytest.mark.parametrize("first_line", [0, 1], ids=["comment_first", "key_first"])
+    def test_byte_order_mark_accepted(self, tmp_path, capsys, first_line):
+        # a file saved with a UTF-8 byte-order mark reads like the same file without one
+        text = "".join(BASE_CONFIG.splitlines(keepends=True)[first_line:])
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert read_config_file(marked) == read_config_file(plain)
+        reports = []
+        for path in (plain, marked):
+            assert run_cli("report-privacy", "--config", str(path), "--dataset-size", "1000") == EXIT_OK
+            out = capsys.readouterr()
+            assert out.err == ""
+            reports.append(out.out)
+        assert reports[0] == reports[1]
+
     def test_flags_override_file(self, config_file):
         values = read_config_file(config_file)
         config = build_run_config(values, {"seed": 999, "t_max": 7})

@@ -7,7 +7,7 @@ import helpers
 from dpfewshot.accountant import binary_search_iterations
 from dpfewshot.radius import CoverageScore, good_radius
 from dpfewshot.rng import substream
-from dpfewshot.simplex import SIMPLEX_RADIUS, coverage_count, distances
+from dpfewshot.simplex import SIMPLEX_RADIUS, coverage_count, distances, pairwise_distances
 
 
 class CountingRng:
@@ -30,6 +30,18 @@ def always_covering(m=8):
 def never_covering(m):
     """Two antipodal clusters: at t = m, L(r) stays below t on [0, sqrt(2)/2]."""
     return np.eye(2)[np.arange(m) % 2]
+
+
+def dirichlet_corpus(repeats):
+    """Seeded (M, K) batches, M = 1..40 each repeat: Dirichlet rows of every
+    spread, about 20% of them replaced by vertices."""
+    rng = np.random.default_rng(2024)
+    for m in list(range(1, 41)) * repeats:
+        k = int(rng.integers(2, 151))
+        points = rng.dirichlet(np.full(k, rng.choice([0.05, 1.0, 20.0])), size=m)
+        outliers = rng.random(m) < 0.2
+        points[outliers] = np.eye(k)[rng.integers(k, size=int(outliers.sum()))]
+        yield points
 
 
 def line_on_simplex(offsets):
@@ -83,13 +95,9 @@ class TestLFunction:
     def test_pair_distances_match_full_matrix_bitwise(self):
         # One norm per pair, mirrored, must equal the full (M, M) matrix byte
         # for byte: Dirichlet rows of every spread, some replaced by vertices.
-        rng = np.random.default_rng(2024)
-        for m in list(range(1, 41)) * 4:
-            k = int(rng.integers(2, 151))
-            points = rng.dirichlet(np.full(k, rng.choice([0.05, 1.0, 20.0])), size=m)
-            outliers = rng.random(m) < 0.2
-            points[outliers] = np.eye(k)[rng.integers(k, size=int(outliers.sum()))]
-            dists = CoverageScore(points)._dists
+        for points in dirichlet_corpus(4):
+            m = points.shape[0]
+            dists = pairwise_distances(points)
             full = distances(points[:, None, :], points)
             assert dists.shape == full.shape == (m, m)
             assert dists.tobytes() == full.tobytes()
@@ -97,7 +105,7 @@ class TestLFunction:
             assert not np.diagonal(dists).any()
 
     def test_single_point_has_zero_distance_matrix(self):
-        dists = CoverageScore(np.array([[0.3, 0.7]]))._dists
+        dists = pairwise_distances(np.array([[0.3, 0.7]]))
         assert dists.shape == (1, 1) and dists[0, 0] == 0.0
 
     def test_neighbor_sensitivity_at_most_two(self):
@@ -112,6 +120,58 @@ class TestLFunction:
             for r in grid:
                 delta = abs(CoverageScore(points).l_value(t, r) - CoverageScore(neighbor).l_value(t, r))
                 assert delta <= 2.0 + 1e-9
+
+
+class TestScreen:
+    """CoverageScore.within screens pairs with a Gram product; every mask
+    must equal the exact matrix's, boundary pairs included."""
+
+    @staticmethod
+    def assert_matches_exact(points, radii):
+        score = CoverageScore(points)
+        want = pairwise_distances(points) <= np.asarray(radii)[:, None, None]
+        got = np.stack([score.within(r) for r in radii])
+        assert np.array_equal(np.count_nonzero(got, axis=2), np.count_nonzero(want, axis=2))
+        assert np.array_equal(got, want)
+
+    def test_mask_matches_exact_matrix_at_every_distance(self):
+        # each exact distance, both float neighbours and half of it; r = 0
+        # with a vertex row and a data row each appearing twice
+        for points in dirichlet_corpus(1):
+            k = points.shape[1]
+            points = np.vstack([points, np.eye(k)[[0, 0]], points[:1]])
+            d = np.unique(pairwise_distances(points))
+            radii = np.concatenate([d, np.nextafter(d, 0.0), np.nextafter(d, 2.0), d / 2, [0.0]])
+            self.assert_matches_exact(points, radii)
+
+    def test_pair_on_the_boundary(self):
+        # rows an exact distance apart, with r that distance and just below it
+        points = np.array([[0.5, 0.5], [0.25, 0.75]])
+        d = pairwise_distances(points)[0, 1]
+        self.assert_matches_exact(points, [d, np.nextafter(d, 0.0)])
+        assert CoverageScore(points).within(d).all()
+        assert not CoverageScore(points).within(np.nextafter(d, 0.0))[0, 1]
+        points = line_on_simplex([0.0, 0.1, 0.3])
+        d = pairwise_distances(points)[np.triu_indices(3, 1)]
+        self.assert_matches_exact(points, [*d, *np.nextafter(d, 0.0)])
+
+    def test_duplicate_rows_at_zero_radius(self):
+        points = np.vstack([np.eye(5)[[2, 2, 2]], np.full((2, 5), 0.2)])
+        assert CoverageScore(points).within(0.0).sum(axis=1).tolist() == [3, 3, 3, 2, 2]
+
+    def test_negative_and_nan_radius_cover_nothing(self):
+        points = np.tile([0.2, 0.3, 0.5], (4, 1))
+        for r in (-0.1, math.nan):
+            assert not CoverageScore(points).within(r).any()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_row_refused(self, bad):
+        points = np.tile([0.2, 0.3, 0.5], (4, 1))
+        points[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CoverageScore(points)
+        with pytest.raises(ValueError, match="finite"):
+            good_radius(points, 2, 1.0, 0.1, CountingRng(), [])
 
 
 class TestGoodRadius:
