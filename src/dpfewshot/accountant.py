@@ -31,9 +31,9 @@ from dataclasses import dataclass, replace
 
 from .simplex import SIMPLEX_RADIUS
 
-#: Integer Renyi orders scanned by default.  The subsampling theorem is
-#: stated for integer orders only; 64 covers every regime this package
-#: calibrates (extending the grid can only tighten epsilon).
+#: The integer Renyi orders every epsilon is minimized over: the subsampling
+#: theorem is stated for integer orders only, and 64 covers every regime
+#: this package calibrates (extending the grid can only tighten epsilon).
 DEFAULT_ALPHA_GRID: tuple[int, ...] = tuple(range(2, 65))
 
 CALIBRATION_BRACKET = (1e-3, 1e3)
@@ -122,25 +122,27 @@ def gaussian_rdp(sensitivity: float, noise_std: float, alpha: float) -> float:
 @dataclass(frozen=True)
 class ChargedEvent:
     """count Gaussian releases per token, each at noise_multiplier times its
-    sensitivity (None for a sigma1 not yet calibrated)."""
+    sensitivity.  count is listed at any multiplier; coefficient and total
+    refuse one that cannot be priced (None, zero, or no positive finite square)."""
 
     count: int
     noise_multiplier: float | None
 
-    def __post_init__(self):
+    def _priced(self) -> float:
         s = self.noise_multiplier
-        if s is not None and not (s > 0 and 0 < s * s < math.inf):
+        if s is None or not (s > 0 and 0 < s * s < math.inf):
             raise ValueError(f"noise multipliers must be positive with a positive, finite square, got {s}")
+        return s
 
     @property
     def coefficient(self) -> float:
         """RDP coefficient of one release: tau(alpha) = coefficient * alpha."""
-        return 1.0 / (2.0 * self.noise_multiplier**2)
+        return 1.0 / (2.0 * self._priced()**2)
 
     @property
     def total(self) -> float:
         """RDP coefficient of all count releases."""
-        return self.count / (2.0 * self.noise_multiplier**2)
+        return self.count / (2.0 * self._priced()**2)
 
 
 def charged_events(profile: MechanismProfile) -> dict[str, ChargedEvent]:
@@ -154,8 +156,6 @@ def charged_events(profile: MechanismProfile) -> dict[str, ChargedEvent]:
 
 def per_iteration_coefficient(profile: MechanismProfile) -> float:
     """Linear coefficient c of the per-token curve tau(alpha) = c * alpha."""
-    if profile.sigma1 is None:
-        raise ValueError("profile has no sigma1; calibrate or set it first")
     events = charged_events(profile)
     means, checks = events["mean_estimates"], events["coverage_checks"]
     # The radius search enters as one total and the loop release by release:
@@ -257,19 +257,16 @@ def rdp_to_dp(alpha: float, tau: float, delta: float) -> float:
 def amplified_rdp(
     profile: MechanismProfile,
     ctx: SubsamplingContext,
-    alpha_grid: tuple[int, ...] = DEFAULT_ALPHA_GRID,
     prefixes: dict[int, list[float]] | None = None,
 ) -> dict[int, float]:
-    """Subsampled per-token RDP at each order of the grid, in ascending order.
+    """Subsampled per-token RDP at each order of DEFAULT_ALPHA_GRID, ascending.
 
     Orders at which the amplification bound overflows are left out.
     prefixes, if given, holds each order's _log_binomial_prefixes at ctx.gamma.
     """
-    if not alpha_grid:
-        raise ValueError("alpha_grid must be non-empty")
     coeff = per_iteration_coefficient(profile)
     amplified = {}
-    for alpha in sorted(alpha_grid):
+    for alpha in DEFAULT_ALPHA_GRID:
         heads = None if prefixes is None else prefixes[alpha]
         try:
             amplified[alpha] = subsample_amplify(coeff, ctx, alpha, heads)

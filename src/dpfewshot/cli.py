@@ -1,11 +1,12 @@
-"""Command-line surface: generate, measure-radius, report-privacy,
-compare-utility, calibrate.
+"""Command-line surface: generate, measure-radius, report-privacy (which
+calibrates sigma1 when given a target epsilon) and compare-utility.
 
 Every flag is named after a RunConfig or ProviderSpec field (_ALIASES
 lists the ten that differ) and can also be set in a flat ``key = value``
 config file; flags override file values.  Every command resolves its run
 and prices it before releasing anything.  Exit codes: 0 success,
-2 configuration error, 3 provider error, 4 calibration infeasible.
+2 configuration error or unreadable input file, 3 provider error,
+4 calibration infeasible.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .accountant import AmplificationOverflowError, UnachievableBudgetError, per_iteration_coefficient
-from .data import DatasetError, label_pools, load_dataset, pool_sizes
+from .data import label_pools, load_dataset, pool_sizes
 from .pipeline import (
     ConfigurationError,
     RunConfig,
@@ -41,6 +42,16 @@ def _csv_tuple(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _json_strings(text: str) -> tuple[str, ...]:
+    try:
+        values = json.loads(text)
+    except json.JSONDecodeError:
+        values = None
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise ConfigurationError(f"stop_tokens must be a JSON list of strings, got {text!r}")
+    return tuple(values)
+
+
 #: Flags whose names differ from their RunConfig or ProviderSpec field.
 _ALIASES = {
     "dataset": "dataset_path",
@@ -58,12 +69,14 @@ _ALIASES = {
 
 def _option_table() -> dict[str, tuple[str, object]]:
     """key -> (RunConfig field or provider.* field, converter), one key per field."""
-    converters = {"int": int, "float": float, "tuple[str, ...]": _csv_tuple}
+    # By field type, except stop_tokens: read as JSON, a token keeps its whitespace.
+    converters = {"int": int, "float": float, "tuple[str, ...]": _csv_tuple, "stop_tokens": _json_strings}
     keys = {target: key for key, target in _ALIASES.items()}
     fields = [(f.name, f) for f in dataclasses.fields(RunConfig) if f.name != "provider"]
     fields += [("provider." + f.name, f) for f in dataclasses.fields(ProviderSpec)]
     return {
-        keys.get(target, f.name): (target, converters.get(f.type.removesuffix(" | None"), str))
+        keys.get(target, f.name):
+            (target, converters.get(target, converters.get(f.type.removesuffix(" | None"), str)))
         for target, f in fields
     }
 
@@ -118,10 +131,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
     for key, (_, convert) in _OPTIONS.items():
         flag = "--" + key.replace("_", "-")
-        if convert in (int, float):
-            parser.add_argument(flag, dest=key, type=convert)
-        else:
-            parser.add_argument(flag, dest=key)
+        parser.add_argument(flag, dest=key, type=convert if convert in (int, float) else None)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -145,19 +155,18 @@ def _privacy_report(config: RunConfig, dataset_size: int | None) -> dict:
 
 def _resolve(args) -> tuple[RunConfig, object]:
     """The command's config and its resolved run: a ResolvedRun, or the
-    privacy report for report-privacy and calibrate.
+    privacy report for report-privacy.
 
     Refuses the run before the command releases anything unless the
     aggregator accepts its mechanism and the accountant can price it.
     """
     config = _config_from_args(args)
-    if args.command in _REPORT_COMMANDS:
-        run = _privacy_report(config, args.dataset_size)
-        sigma1 = run["sigma1"]
-    else:
-        run = resolve_run(config)
-        sigma1 = run.sigma1
-    per_iteration_coefficient(config.aggregation(sigma1, config.k))
+    if args.command == "report-privacy":
+        report = _privacy_report(config, args.dataset_size)  # prices the mechanism
+        config.aggregation(report["sigma1"], config.k)
+        return config, report
+    run = resolve_run(config)  # checks the aggregator's fields
+    per_iteration_coefficient(config.mechanism(run.sigma1))
     return config, run
 
 
@@ -197,22 +206,12 @@ def cmd_compare_utility(config: RunConfig, run) -> int:
     return EXIT_OK
 
 
-def cmd_calibrate(config: RunConfig, report: dict) -> int:
-    if config.epsilon is None:
-        raise ConfigurationError("calibrate needs a target --epsilon")
-    print(f"sigma1 = {report['sigma1']:.9g}")
-    print(json.dumps(report["epsilon"], indent=2, sort_keys=True))
-    return EXIT_OK
-
-
 _COMMANDS = {
     "generate": cmd_generate,
     "measure-radius": cmd_measure_radius,
     "report-privacy": cmd_report_privacy,
     "compare-utility": cmd_compare_utility,
-    "calibrate": cmd_calibrate,
 }
-_REPORT_COMMANDS = ("report-privacy", "calibrate")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         sub = subparsers.add_parser(name)
         _add_common_flags(sub)
-        if name in _REPORT_COMMANDS:
+        if name == "report-privacy":
             sub.add_argument("--dataset-size", dest="dataset_size", type=int)
     return parser
 
@@ -239,7 +238,7 @@ def main(argv=None) -> int:
     except ProviderError as err:
         print(f"provider error: {err}", file=sys.stderr)
         return EXIT_PROVIDER
-    except (ConfigurationError, DatasetError, ValueError, AmplificationOverflowError) as err:
+    except (ValueError, AmplificationOverflowError, OSError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

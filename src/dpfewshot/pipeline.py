@@ -201,6 +201,7 @@ def resolve_run(config: RunConfig, provider=None) -> ResolvedRun:
     if provider is None:
         provider = config.provider.build()
     sigma1, delta, _ = settle_privacy(config, dataset_size, counts)
+    config.aggregation(sigma1, config.k)  # refuses bad lam, mu or rho before any provider call
     return ResolvedRun(
         config=config, pools=pools, labels=labels, template=template,
         provider=provider, sigma1=sigma1, delta=delta,

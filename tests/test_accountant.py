@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,14 @@ class TestChargedEvents:
         assert {name: e.count for name, e in events.items()} == {
             "goodradius_draws": 6, "mean_estimates": 2, "coverage_checks": 1,
         }
+
+    @pytest.mark.parametrize("sigma", [None, 0.0, 1e-200, 1e200])
+    def test_unpriceable_multiplier_counts_but_is_refused_when_priced(self, sigma):
+        event = charged_events(MechanismProfile(sigma0=10.0, sigma1=sigma, sigma2=3.0, t_hat=2))["mean_estimates"]
+        assert event.count == 3
+        for price in ("coefficient", "total"):
+            with pytest.raises(ValueError, match=re.escape(f"positive, finite square, got {sigma}")):
+                getattr(event, price)
 
 
 class TestPerIterationRdp:
@@ -259,25 +268,6 @@ class TestComposeAndTotal:
         second = gaussian_rdp(1.0, 1.0, alpha)
         assert first + second == pytest.approx(0.7 * alpha)
 
-    def test_singleton_grid_equals_pipeline(self):
-        ctx = SubsamplingContext(20, 10000)
-        alpha = 9
-        eps, best = best_epsilon(amplified_rdp(PROFILE, ctx, (alpha,)), 50, 1e-5)
-        coeff = per_iteration_coefficient(PROFILE)
-        expected = rdp_to_dp(alpha, 50 * subsample_amplify(coeff, ctx, alpha), 1e-5)
-        assert best == alpha
-        assert eps == pytest.approx(expected, rel=1e-12)
-
-    def test_empty_grid_is_refused(self):
-        with pytest.raises(ValueError, match="alpha_grid must be non-empty"):
-            amplified_rdp(PROFILE, SubsamplingContext(20, 10000), ())
-
-    def test_superset_grid_never_increases_epsilon(self):
-        ctx = SubsamplingContext(20, 10000)
-        eps_small, _ = best_epsilon(amplified_rdp(PROFILE, ctx, tuple(range(2, 17))), 50, 1e-5)
-        eps_large, _ = best_epsilon(amplified_rdp(PROFILE, ctx, tuple(range(2, 65))), 50, 1e-5)
-        assert eps_large <= eps_small + 1e-15
-
     def test_returned_alpha_achieves_minimum(self):
         ctx = SubsamplingContext(40, 3000)
         eps, best = best_epsilon(amplified_rdp(PROFILE, ctx), 20, 1e-4)
@@ -342,6 +332,8 @@ class TestValidation:
     def test_profile_rejects_bad_values(self):
         with pytest.raises(ValueError):
             per_iteration_coefficient(MechanismProfile(0.0, 1.0, 1.0, 1))
+        with pytest.raises(ValueError):
+            per_iteration_coefficient(MechanismProfile(1.0, None, 1.0, 1))
         with pytest.raises(ValueError):
             MechanismProfile(1.0, -1.0, 1.0, 1)
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from dpfewshot.cli import (
     main,
     read_config_file,
 )
+from dpfewshot.accountant import DpBudget, SubsamplingContext, calibrate_sigma1
 from dpfewshot.pipeline import ConfigurationError, RunConfig, report_privacy
 from dpfewshot.providers import SyntheticProvider
 
@@ -59,7 +60,7 @@ CLI_SURFACE = {
     "seed": ("seed", "int"),
     "demos_out": ("demos_path", "str"),
     "traces_out": ("traces_path", "str"),
-    "stop_tokens": ("stop_tokens", "csv"),
+    "stop_tokens": ("stop_tokens", "json"),
     "runs": ("n_runs", "int"),
     "trials": ("n_trials", "int"),
     "provider": ("provider.kind", "str"),
@@ -78,11 +79,11 @@ CLI_SURFACE = {
 
 class TestSurface:
     def test_option_table_is_pinned(self):
-        kinds = {int: "int", float: "float", str: "str", cli._csv_tuple: "csv"}
+        kinds = {int: "int", float: "float", str: "str", cli._csv_tuple: "csv", cli._json_strings: "json"}
         table = {key: (target, kinds[convert]) for key, (target, convert) in cli._OPTIONS.items()}
         assert table == CLI_SURFACE
 
-    @pytest.mark.parametrize("command", ["generate", "measure-radius", "report-privacy", "compare-utility", "calibrate"])
+    @pytest.mark.parametrize("command", ["generate", "measure-radius", "report-privacy", "compare-utility"])
     def test_every_command_takes_every_key(self, command):
         sub = cli.build_parser()._subparsers._group_actions[0].choices[command]
         numeric = {"int": int, "float": float}
@@ -209,7 +210,6 @@ class TestRefusals:
         ("generate", "--dataset", "{empty}", "--labels", "a,b", "--n-shots", "1", "--epsilon", "4"),
         ("report-privacy", "--dataset", "{empty}", "--labels", "a,b", "--epsilon", "4"),
         ("report-privacy", "--dataset-size", "0", "--sigma1", "0.5"),
-        ("calibrate", "--dataset-size", "0", "--epsilon", "4"),
     ])
     def test_empty_dataset_exits_2(self, tmp_path, capsys, argv):
         empty = tmp_path / "empty.jsonl"
@@ -219,7 +219,7 @@ class TestRefusals:
         assert "cannot account for a dataset of 0 rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
-        "generate", "report-privacy", "calibrate", "compare-utility", "measure-radius",
+        "generate", "report-privacy", "compare-utility", "measure-radius",
     ])
     @pytest.mark.parametrize("flag, message", [
         ("--t-hat", "t_hat must be positive"),
@@ -230,14 +230,10 @@ class TestRefusals:
     ])
     def test_every_command_refuses_the_same_mechanism(self, tmp_path, capsys, command, flag, message):
         path = tmp_path / "run.cfg"
-        if command == "calibrate":
-            path.write_text(BASE_CONFIG.replace("sigma1 = 0.5", "epsilon = 4"))
-        else:
-            path.write_text(BASE_CONFIG)
+        path.write_text(BASE_CONFIG)
         extra = {
             "generate": ("--demos-out", str(tmp_path / "d.jsonl"), "--traces-out", str(tmp_path / "t.jsonl")),
             "report-privacy": ("--dataset-size", "1000"),
-            "calibrate": ("--dataset-size", "1000"),
         }.get(command, ())
         code = run_cli(*command.split(), "--config", str(path), flag, "0", *extra)
         assert code == EXIT_CONFIG
@@ -315,7 +311,6 @@ class TestRefusals:
 
     @pytest.mark.parametrize("argv, files, message", [
         ("generate --config {dir}/run.cfg", {"run.cfg": "labels = a,b\nsigma1 0.5\n"}, "run.cfg:2: expected 'key = value'"),
-        ("calibrate --dataset-size 1000 --sigma1 0.5", {}, "calibrate needs a target --epsilon"),
         *((f"generate --labels a,b --n-shots 1 --sigma1 1 --{flag} 0", {}, "m, n, k, t_max, n_shots must be positive")
           for flag in ("m", "n", "k", "t-max", "n-shots")),
         ("generate --labels a,b --n-shots 1 --sigma1 1 --gamma-mode pool", {}, "unknown gamma_mode 'pool'"),
@@ -367,7 +362,7 @@ class TestRefusals:
         assert demos.exists() and traces.exists()
 
     @pytest.mark.parametrize("command, noise", [
-        ("report-privacy", ("--sigma1", "0.5")), ("calibrate", ("--epsilon", "4")),
+        ("report-privacy", ("--sigma1", "0.5")), ("report-privacy", ("--epsilon", "4")),
     ])
     def test_dataset_and_dataset_size_together_exit_2(self, tmp_path, capsys, command, noise):
         path = tmp_path / "d.jsonl"
@@ -392,6 +387,24 @@ class TestRefusals:
         assert "labels must be distinct, got ['a', 'a']" in capsys.readouterr().err
         assert not (tmp_path / "d.jsonl").exists()
 
+    @pytest.mark.parametrize("argv", [
+        "generate --dataset {missing}.jsonl --sigma1 1",
+        "generate --labels a,b --n-shots 1 --sigma1 1 --template {missing}.tmpl",
+        "generate --config {missing}.cfg",
+        "report-privacy --dataset {missing}.csv --sigma1 1",
+    ], ids=["dataset", "template", "config", "report_dataset"])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, argv):
+        missing = tmp_path / "missing"
+        code = run_cli(
+            *argv.format(missing=missing).split(),
+            "--demos-out", str(tmp_path / "d.jsonl"), "--traces-out", str(tmp_path / "t.jsonl"),
+        )
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert str(missing) in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "d.jsonl").exists()
+
     def test_negative_max_retries_exits_2(self, config_file, capsys):
         code = run_cli(
             "generate", "--config", str(config_file),
@@ -408,6 +421,37 @@ class TestRefusals:
         )
         assert code == EXIT_CONFIG
         assert "vocab_size must be positive, got 0" in capsys.readouterr().err
+
+
+class TestStopTokens:
+    # This run emits ' w132', ' w001', ' w030', ...: every synthetic token starts with a space.
+    ARGV = ("generate", "--labels", "World,Sports", "--n-shots", "1", "--sigma1", "0.6", "--t-max", "6", "--seed", "3")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_stop_token_keeps_its_whitespace(self, tmp_path, source):
+        demos = tmp_path / "d.jsonl"
+        outputs = ("--demos-out", str(demos), "--traces-out", str(tmp_path / "t.jsonl"))
+        if source == "flag":
+            extra = ("--stop-tokens", '[" w030"]')
+        else:
+            path = tmp_path / "run.cfg"
+            path.write_text('stop_tokens = ["\\n", " w030"]\n')
+            extra = ("--config", str(path))
+        assert run_cli(*self.ARGV, *extra, *outputs) == EXIT_OK
+        demo = json.loads(demos.read_text())
+        assert demo["tokens"][2] == " w030"
+        assert demo["token_count"] == 3
+        assert demo["stop_rule"] == "stop_token"
+
+    @pytest.mark.parametrize("value", ["a,b", '" w030"', "[1]", "[\"a\""])
+    def test_anything_but_a_json_list_of_strings_exits_2(self, tmp_path, capsys, value):
+        code = run_cli(
+            *self.ARGV, "--stop-tokens", value,
+            "--demos-out", str(tmp_path / "d.jsonl"), "--traces-out", str(tmp_path / "t.jsonl"),
+        )
+        assert code == EXIT_CONFIG
+        assert "stop_tokens must be a JSON list of strings" in capsys.readouterr().err
+        assert not (tmp_path / "d.jsonl").exists()
 
 
 class TestReports:
@@ -451,19 +495,22 @@ class TestReports:
         path = tmp_path / "c.cfg"
         path.write_text(BASE_CONFIG.replace("sigma1 = 0.5", "epsilon = 4"))
         code = run_cli(
-            "calibrate", "--config", str(path), "--dataset-size", "10000", "--t-max", "10"
+            "report-privacy", "--config", str(path), "--dataset-size", "10000", "--t-max", "10"
         )
         assert code == EXIT_OK
-        out = capsys.readouterr().out
-        assert out.startswith("sigma1 = ")
-        sigma1 = float(out.splitlines()[0].split("=")[1])
-        assert sigma1 > 0
+        report = json.loads(capsys.readouterr().out)
+        config = build_run_config(read_config_file(path), {"t_max": 10})
+        expected = calibrate_sigma1(
+            DpBudget(4.0, 1 / 10000), config.mechanism(None), SubsamplingContext(4, 10000), 10
+        )
+        assert report["sigma1"] == expected
+        assert report["calibration"] == {"target_epsilon": 4.0, "gamma_mode": "dataset"}
 
     def test_unachievable_target_exits_4(self, tmp_path, capsys):
         path = tmp_path / "c.cfg"
         path.write_text(BASE_CONFIG.replace("sigma1 = 0.5", "epsilon = 0.0001"))
         code = run_cli(
-            "calibrate", "--config", str(path), "--dataset-size", "1000", "--t-max", "20"
+            "report-privacy", "--config", str(path), "--dataset-size", "1000", "--t-max", "20"
         )
         assert code == EXIT_CALIBRATION
         assert "calibration infeasible" in capsys.readouterr().err

@@ -133,6 +133,32 @@ class TestOutputsAndAudit:
         assert audit["consumed"]["coverage_checks"] <= audit["charged"]["coverage_checks"]
         assert audit["consumed"]["goodradius_draws"] == audit["charged"]["goodradius_draws"]
 
+    def test_audit_of_a_zero_noise_replay_lists_the_charged_counts(self):
+        config = noiseless_config(t_max=3)
+        _, traces = generate_shots(resolve_run(config))
+        per_token = {
+            "goodradius_draws": 2 * binary_search_iterations(config.theta),
+            "mean_estimates": config.t_hat + 1,
+            "coverage_checks": config.t_hat,
+        }
+        audit = audit_traces(traces, config)
+        assert audit["ok"]
+        assert audit["charged"] == {name: len(traces) * count for name, count in per_token.items()}
+
+    @pytest.mark.parametrize("field, value", [("lam", -1.0), ("mu", 0.0), ("rho", 1.5)])
+    def test_bad_aggregator_field_is_refused_before_any_provider_call(self, field, value):
+        calls = []
+
+        class CountingProvider(SyntheticProvider):
+            def next_token_distribution(self, *args, **kwargs):
+                calls.append(args)
+                return super().next_token_distribution(*args, **kwargs)
+
+        config = RunConfig(labels=("a", "b"), n_shots=1, sigma1=0.5, **{field: value})
+        with pytest.raises(ValueError):
+            generate_shots(resolve_run(config, provider=CountingProvider(seed=0, vocab_size=200)))
+        assert calls == []
+
     def test_trace_records_are_json_serializable(self):
         run = resolve_run(noiseless_config(sigma1=0.4))
         _, traces = generate_shots(run)
