@@ -27,7 +27,7 @@ data-dependent early stop can never reduce the charged budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .simplex import SIMPLEX_RADIUS
 
@@ -79,6 +79,7 @@ class SubsamplingContext:
 
     m: int
     n: int
+    _heads: dict[int, list[float]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -89,6 +90,13 @@ class SubsamplingContext:
     @property
     def gamma(self) -> float:
         return self.m / self.n
+
+    def heads(self, alpha: int) -> list[float]:
+        """_log_binomial_prefixes(gamma, alpha), computed at most once per order
+        and kept on this instance only, so separate commands share no memo."""
+        if alpha not in self._heads:
+            self._heads[alpha] = _log_binomial_prefixes(self.gamma, alpha)
+        return self._heads[alpha]
 
 
 @dataclass(frozen=True)
@@ -200,9 +208,7 @@ def _log_binomial_prefixes(gamma: float, alpha: int) -> list[float]:
     return prefixes
 
 
-def subsample_amplify(
-    coeff: float, ctx: SubsamplingContext, alpha: int, prefixes: list[float] | None = None
-) -> float:
+def subsample_amplify(coeff: float, ctx: SubsamplingContext, alpha: int) -> float:
     """Amplified RDP at integer order alpha >= 2 of a mechanism whose RDP
     curve is tau(alpha) = coeff * alpha.
 
@@ -214,18 +220,15 @@ def subsample_amplify(
 
     where the inner min{2, (e^{tau(inf)} - 1)^j} factors are already
     resolved to 2 because every composed primitive here is Gaussian
-    (tau(inf) = inf).  The sum is accumulated in log space.  A caller that
-    evaluates many coefficients at one (gamma, alpha) may pass the
-    coefficient-free heads of the terms, _log_binomial_prefixes(gamma, alpha).
+    (tau(inf) = inf).  The sum is accumulated in log space, from the
+    coefficient-free heads of its terms that ctx holds (ctx.heads).
     """
     if int(alpha) != alpha:
         raise ValueError(f"subsampling amplification needs an integer order, got {alpha}")
     alpha = int(alpha)
     if alpha < 2:
         raise ValueError(f"order must be >= 2, got {alpha}")
-    gamma = ctx.gamma
-    if prefixes is None:
-        prefixes = _log_binomial_prefixes(gamma, alpha)
+    prefixes = ctx.heads(alpha)
     tau2 = coeff * 2
     pair_term = min(math.log(4.0) + _log_expm1(tau2), math.log(2.0) + tau2)
     terms = [0.0, prefixes[0] + pair_term]
@@ -233,7 +236,7 @@ def subsample_amplify(
         terms.append(prefix + (j - 1) * (coeff * j) + math.log(2.0))
     if not all(t < math.inf and not math.isnan(t) for t in terms):
         raise AmplificationOverflowError(
-            f"amplification bound not representable at alpha={alpha}, gamma={gamma}"
+            f"amplification bound not representable at alpha={alpha}, gamma={ctx.gamma}"
         )
     return _logsumexp(terms) / (alpha - 1)
 
@@ -254,22 +257,16 @@ def rdp_to_dp(alpha: float, tau: float, delta: float) -> float:
     return tau + math.log((alpha - 1) / alpha) - (math.log(delta) + math.log(alpha)) / (alpha - 1)
 
 
-def amplified_rdp(
-    profile: MechanismProfile,
-    ctx: SubsamplingContext,
-    prefixes: dict[int, list[float]] | None = None,
-) -> dict[int, float]:
+def amplified_rdp(profile: MechanismProfile, ctx: SubsamplingContext) -> dict[int, float]:
     """Subsampled per-token RDP at each order of DEFAULT_ALPHA_GRID, ascending.
 
     Orders at which the amplification bound overflows are left out.
-    prefixes, if given, holds each order's _log_binomial_prefixes at ctx.gamma.
     """
     coeff = per_iteration_coefficient(profile)
     amplified = {}
     for alpha in DEFAULT_ALPHA_GRID:
-        heads = None if prefixes is None else prefixes[alpha]
         try:
-            amplified[alpha] = subsample_amplify(coeff, ctx, alpha, heads)
+            amplified[alpha] = subsample_amplify(coeff, ctx, alpha)
         except AmplificationOverflowError:
             continue
     return amplified
@@ -307,12 +304,9 @@ def calibrate_sigma1(
     CALIBRATION_REL_TOL on epsilon.
     """
     lo, hi = CALIBRATION_BRACKET
-    # The bisection moves only sigma1, so the terms that depend on gamma and
-    # the order alone are computed once per calibration.
-    prefixes = {alpha: _log_binomial_prefixes(ctx.gamma, alpha) for alpha in DEFAULT_ALPHA_GRID}
 
     def eps_at(s1: float) -> float:
-        amplified = amplified_rdp(replace(profile, sigma1=s1), ctx, prefixes=prefixes)
+        amplified = amplified_rdp(replace(profile, sigma1=s1), ctx)
         return best_epsilon(amplified, t_max, target.delta)[0]
 
     eps_hi = eps_at(lo)   # small sigma1 -> large epsilon

@@ -55,10 +55,9 @@ class AggregationConfig(MechanismProfile):
             raise ValueError("lam must be nonnegative")
         if not 0.0 < self.mu <= 1.0 or not 0.0 < self.rho <= 1.0:
             raise ValueError("mu and rho must lie in (0, 1]")
-        coeff = self.lam * self.sigma1 * math.sqrt(self.k) / self.m
-        if coeff >= 0.5:
+        if self.margin(1.0) >= 1.0:
             warnings.warn(
-                f"margin coefficient 2*lam*sigma1*sqrt(k)/m = {2 * coeff:.3f} >= 1; "
+                f"margin coefficient 2*lam*sigma1*sqrt(k)/m = {self.margin(1.0):.3f} >= 1; "
                 "the radius update cannot shrink and the loop will stop at the floor check",
                 stacklevel=2,
             )

@@ -109,7 +109,10 @@ def build_run_config(file_values: dict[str, str], flag_values: dict[str, object]
     def assign(key: str, value):
         target, convert = _OPTIONS[key]
         if isinstance(value, str):
-            value = convert(value)
+            try:
+                value = convert(value)
+            except ValueError as err:
+                raise ConfigurationError(f"option {key!r}: {err}") from err
         if target.startswith("provider."):
             provider_fields[target.split(".", 1)[1]] = value
         else:
@@ -153,9 +156,9 @@ def _privacy_report(config: RunConfig, dataset_size: int | None) -> dict:
     return report_privacy(config, dataset_size)
 
 
-def _resolve(args) -> tuple[RunConfig, object]:
-    """The command's config and its resolved run: a ResolvedRun, or the
-    privacy report for report-privacy.
+def _resolve(args):
+    """The object the command runs on: a ResolvedRun, or the privacy report
+    for report-privacy.
 
     Refuses the run before the command releases anything unless the
     aggregator accepts its mechanism and the accountant can price it.
@@ -164,26 +167,40 @@ def _resolve(args) -> tuple[RunConfig, object]:
     if args.command == "report-privacy":
         report = _privacy_report(config, args.dataset_size)  # prices the mechanism
         config.aggregation(report["sigma1"], config.k)
-        return config, report
+        return report
     run = resolve_run(config)  # checks the aggregator's fields
-    per_iteration_coefficient(config.mechanism(run.sigma1))
-    return config, run
+    per_iteration_coefficient(run.aggregation)
+    return run
 
 
-def cmd_generate(config: RunConfig, run) -> int:
+def _check_output_paths(config: RunConfig) -> None:
+    """Create the output directories and refuse a path that cannot be
+    written, before the run's first provider call."""
+    for path in (config.demos_path, config.traces_path):
+        try:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigurationError(f"cannot write {path}: {err}") from err
+        if Path(path).is_dir():
+            raise ConfigurationError(f"cannot write {path}: it is a directory")
+
+
+def cmd_generate(run) -> int:
+    config = run.config
+    _check_output_paths(config)
     demos, traces = generate_shots(run)
     write_outputs(demos, traces, config.demos_path, config.traces_path)
     audit = audit_traces(traces, config)
     print(f"wrote {len(demos)} demos to {config.demos_path}")
     print(f"wrote {len(traces)} token traces to {config.traces_path}")
-    print(f"sigma1 = {run.sigma1:.9g}")
+    print(f"sigma1 = {run.aggregation.sigma1:.9g}")
     print(f"audit: consumed <= charged: {audit['ok']} ({audit['consumed']} vs {audit['charged']})")
     if not audit["ok"]:
         return EXIT_CONFIG
     return EXIT_OK
 
 
-def cmd_measure_radius(config: RunConfig, run) -> int:
+def cmd_measure_radius(run) -> int:
     report = measure_cluster_radius(run)
     oracle, private = report["oracle"], report["goodradius"]
     print(f"runs = {report['runs']}")
@@ -196,12 +213,12 @@ def cmd_measure_radius(config: RunConfig, run) -> int:
     return EXIT_OK
 
 
-def cmd_report_privacy(config: RunConfig, report: dict) -> int:
+def cmd_report_privacy(report: dict) -> int:
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 
 
-def cmd_compare_utility(config: RunConfig, run) -> int:
+def cmd_compare_utility(run) -> int:
     print(json.dumps(run_utility_comparison(run), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -231,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](*_resolve(args))
+        return _COMMANDS[args.command](_resolve(args))
     except UnachievableBudgetError as err:
         print(f"calibration infeasible: {err}", file=sys.stderr)
         return EXIT_CALIBRATION

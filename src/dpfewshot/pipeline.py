@@ -99,6 +99,8 @@ class RunConfig:
             raise ConfigurationError(f"unknown gamma_mode {self.gamma_mode!r}")
         if self.sigma1 is not None and self.epsilon is not None:
             raise ConfigurationError("set either sigma1 or a target epsilon, not both")
+        if self.delta is not None and not 0.0 < self.delta < 1.0:
+            raise ConfigurationError(f"delta must lie in (0, 1), got {self.delta}")
         self.mechanism(self.sigma1)  # the spec checks the charged fields
 
     def mechanism(self, sigma1: float | None) -> MechanismProfile:
@@ -150,19 +152,20 @@ class SyntheticDemo:
 
 @dataclass
 class ResolvedRun:
-    """A RunConfig with label pools (label_pools), template, provider, and sigma1 materialized."""
+    """A RunConfig with label pools (label_pools), template, provider, and
+    the checked aggregator spec at the settled sigma1 and support size k."""
 
     config: RunConfig
     pools: dict[str, tuple[Example, ...]]
     labels: tuple[str, ...]
     template: PromptTemplate
     provider: object
-    sigma1: float
-    delta: float | None
+    aggregation: AggregationConfig
 
 
 def resolve_run(config: RunConfig, provider=None) -> ResolvedRun:
-    """Load data and template, infer labels, and settle sigma1 and delta."""
+    """Load data and template, infer labels, settle sigma1 and build the
+    aggregator spec, refusing bad lam, mu or rho before any provider call."""
     if config.dataset_path is not None:
         dataset = load_dataset(
             config.dataset_path, config.dataset_format, config.labels or None
@@ -200,11 +203,10 @@ def resolve_run(config: RunConfig, provider=None) -> ResolvedRun:
     )
     if provider is None:
         provider = config.provider.build()
-    sigma1, delta, _ = settle_privacy(config, dataset_size, counts)
-    config.aggregation(sigma1, config.k)  # refuses bad lam, mu or rho before any provider call
+    sigma1, _, _ = settle_privacy(config, dataset_size, counts)
     return ResolvedRun(
         config=config, pools=pools, labels=labels, template=template,
-        provider=provider, sigma1=sigma1, delta=delta,
+        provider=provider, aggregation=config.aggregation(sigma1, config.k),
     )
 
 
@@ -259,7 +261,7 @@ def token_step(
         run.template, prefix, substream(config.seed, *draw_path), position=position,
     )
     vector, trace = adaptive_aggregate(
-        batch.private_vectors, config.aggregation(run.sigma1, len(batch.support)),
+        batch.private_vectors, dataclasses.replace(run.aggregation, k=len(batch.support)),
         NoiseStreams.from_seed(config.seed, *noise_path),
     )
     return batch, select_token(vector, batch.support), trace
@@ -398,11 +400,11 @@ def run_utility_comparison(run: ResolvedRun) -> dict:
     Reports rates, a 95% normal-approximation interval, and the discordant
     pair counts for a one-sided paired comparison.
     """
-    config = run.config
-    if min(config.sigma0, run.sigma1, config.sigma2) == 0.0:
+    config, spec = run.config, run.aggregation
+    if min(spec.sigma0, spec.sigma1, spec.sigma2) == 0.0:
         sigma_baseline = 0.0  # an infinite budget is matched by zero noise
     else:
-        sigma_baseline = matched_baseline_sigma(config.mechanism(run.sigma1))
+        sigma_baseline = matched_baseline_sigma(spec)
     adaptive_hits = 0
     baseline_hits = 0
     only_adaptive = 0

@@ -229,23 +229,24 @@ class TestSubsampleAmplify:
         with pytest.raises(AmplificationOverflowError):
             subsample_amplify(5e307, SubsamplingContext(1, 100), 8)
 
-    def test_precomputed_heads_give_the_same_bits(self):
-        # calibrate_sigma1 computes the coefficient-free heads once; every
-        # value must equal the unsplit sum, so no calibrated sigma1 moves
+    def test_warm_heads_give_the_same_bits(self):
+        # A context keeps the coefficient-free heads of the terms it has
+        # computed; every later value must equal a fresh context's, so no
+        # calibrated sigma1 moves
+        profile = MechanismProfile(sigma0=10.0, sigma1=0.9, sigma2=3.0, t_hat=2)
         for m, n in ((1, 7), (4, 120_000), (40, 5_452), (160, 1_000)):
-            ctx = SubsamplingContext(m, n)
-            heads = {a: accountant._log_binomial_prefixes(ctx.gamma, a) for a in DEFAULT_ALPHA_GRID}
+            warm = SubsamplingContext(m, n)
+            amplified_rdp(profile, warm)
             for c in (1e-4, 0.031, 0.17, 3.1, 40.0):
                 for alpha in DEFAULT_ALPHA_GRID:
                     try:
-                        want = subsample_amplify(c, ctx, alpha)
+                        want = subsample_amplify(c, SubsamplingContext(m, n), alpha)
                     except AmplificationOverflowError:
                         with pytest.raises(AmplificationOverflowError):
-                            subsample_amplify(c, ctx, alpha, heads[alpha])
+                            subsample_amplify(c, warm, alpha)
                         continue
-                    assert subsample_amplify(c, ctx, alpha, heads[alpha]) == want, (m, n, c, alpha)
-            profile = MechanismProfile(sigma0=10.0, sigma1=0.9, sigma2=3.0, t_hat=2)
-            assert amplified_rdp(profile, ctx, prefixes=heads) == amplified_rdp(profile, ctx)
+                    assert subsample_amplify(c, warm, alpha) == want, (m, n, c, alpha)
+            assert amplified_rdp(profile, warm) == amplified_rdp(profile, SubsamplingContext(m, n))
 
 
 class TestComposeAndTotal:
@@ -310,6 +311,21 @@ class TestCalibration:
         ]
         assert sigmas == sorted(sigmas, reverse=True)
         assert all(a > b for a, b in zip(sigmas, sigmas[1:]))
+
+    def test_heads_are_computed_once_per_order_and_context(self, monkeypatch):
+        computed = []
+        original = accountant._log_binomial_prefixes
+
+        def counting(gamma, alpha):
+            computed.append(alpha)
+            return original(gamma, alpha)
+
+        monkeypatch.setattr(accountant, "_log_binomial_prefixes", counting)
+        base = MechanismProfile(sigma0=10.0, sigma1=None, sigma2=3.0, t_hat=1, theta=0.1)
+        for _ in range(2):  # an equal context is a new memo: nothing is shared
+            computed.clear()
+            calibrate_sigma1(DpBudget(4.0, 1e-5), base, SubsamplingContext(20, 120000), 100)
+            assert sorted(computed) == list(DEFAULT_ALPHA_GRID)
 
     def test_unachievable_budget_names_bracket(self):
         ctx = SubsamplingContext(20, 10000)

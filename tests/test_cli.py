@@ -227,6 +227,7 @@ class TestRefusals:
         ("--mu", "mu and rho must lie in (0, 1]"),
         ("--runs", "n_runs must be positive, got 0"),
         ("--trials", "n_trials must be positive, got 0"),
+        ("--delta", "delta must lie in (0, 1), got 0"),
     ])
     def test_every_command_refuses_the_same_mechanism(self, tmp_path, capsys, command, flag, message):
         path = tmp_path / "run.cfg"
@@ -311,6 +312,8 @@ class TestRefusals:
 
     @pytest.mark.parametrize("argv, files, message", [
         ("generate --config {dir}/run.cfg", {"run.cfg": "labels = a,b\nsigma1 0.5\n"}, "run.cfg:2: expected 'key = value'"),
+        ("generate --config {dir}/run.cfg", {"run.cfg": "labels = a,b\nsigma1 = 0.5\nm = abc\n"},
+         "option 'm': invalid literal for int() with base 10: 'abc'"),
         *((f"generate --labels a,b --n-shots 1 --sigma1 1 --{flag} 0", {}, "m, n, k, t_max, n_shots must be positive")
           for flag in ("m", "n", "k", "t-max", "n-shots")),
         ("generate --labels a,b --n-shots 1 --sigma1 1 --gamma-mode pool", {}, "unknown gamma_mode 'pool'"),
@@ -338,6 +341,28 @@ class TestRefusals:
         assert captured.out == ""
         assert calls == []
         assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("flag, path, message", [
+        ("--demos-out", "afile/d.jsonl", "cannot write {dir}/afile/d.jsonl: [Errno 17] File exists"),
+        ("--traces-out", "afile/sub/t.jsonl", "cannot write {dir}/afile/sub/t.jsonl: [Errno 20] Not a directory"),
+        ("--demos-out", "adir", "cannot write {dir}/adir: it is a directory"),
+    ])
+    def test_unwritable_output_path_exits_2_before_any_provider_call(
+        self, tmp_path, capsys, monkeypatch, flag, path, message
+    ):
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "adir").mkdir()
+        calls = []
+        monkeypatch.setattr(SyntheticProvider, "next_token_distribution", lambda *a, **kw: calls.append(kw))
+        outputs = {"--demos-out": str(tmp_path / "d.jsonl"), "--traces-out": str(tmp_path / "t.jsonl")}
+        outputs[flag] = str(tmp_path / path)
+        code = run_cli("generate", "--labels", "a,b", "--n-shots", "1", "--sigma1", "1",
+                       *(arg for item in outputs.items() for arg in item))
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert message.format(dir=tmp_path) in captured.err
+        assert captured.out == ""
+        assert calls == []
 
     def test_empty_label_set_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

@@ -18,7 +18,7 @@ from dpfewshot.pipeline import (
     run_utility_comparison,
     write_outputs,
 )
-from dpfewshot.accountant import binary_search_iterations
+from dpfewshot.accountant import DpBudget, SubsamplingContext, binary_search_iterations, calibrate_sigma1
 from dpfewshot.data import load_dataset
 from dpfewshot.providers import ProviderSpec, SyntheticProvider
 from dpfewshot.simplex import SIMPLEX_RADIUS
@@ -297,8 +297,10 @@ class TestResolveRun:
             dataset_path=str(path), m=2, n=2, t_max=3,
         )
         run = resolve_run(config)
-        assert run.delta == pytest.approx(1 / 32)
-        assert run.sigma1 > 0
+        assert report_privacy(config, 32)["delta"] == 1 / 32
+        assert run.aggregation.sigma1 == calibrate_sigma1(
+            DpBudget(8.0, 1 / 32), config.mechanism(None), SubsamplingContext(4, 32), 3
+        )
 
     @pytest.mark.parametrize("gamma_mode", ["dataset", "label"])
     def test_agrees_with_report_privacy(self, tmp_path, gamma_mode):
@@ -316,8 +318,11 @@ class TestResolveRun:
         run = resolve_run(config)
         dataset = load_dataset(path)
         report = report_privacy(config, len(dataset), Counter(ex.label for ex in dataset))
-        assert run.delta == report["delta"] == 1 / 155
-        assert run.sigma1 == report["sigma1"]
+        assert report["delta"] == 1 / 155
+        drawn_from = {"dataset": 155, "label": 25}[gamma_mode]
+        assert run.aggregation.sigma1 == report["sigma1"] == calibrate_sigma1(
+            DpBudget(6.0, 1 / 155), config.mechanism(None), SubsamplingContext(4, drawn_from), 3
+        )
 
     def test_token_steps_never_iterate_the_dataset(self, tmp_path, monkeypatch):
         class CountingList(list):
