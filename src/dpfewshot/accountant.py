@@ -105,8 +105,8 @@ class DpBudget:
     delta: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be a positive finite number, got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 

@@ -55,6 +55,8 @@ class AggregationConfig(MechanismProfile):
             raise ValueError("lam must be nonnegative")
         if not 0.0 < self.mu <= 1.0 or not 0.0 < self.rho <= 1.0:
             raise ValueError("mu and rho must lie in (0, 1]")
+        if self.sigma1 is None:
+            raise ValueError("sigma1 is required: the aggregator runs at a settled sigma1")
         if self.margin(1.0) >= 1.0:
             warnings.warn(
                 f"margin coefficient 2*lam*sigma1*sqrt(k)/m = {self.margin(1.0):.3f} >= 1; "

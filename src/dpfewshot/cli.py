@@ -174,9 +174,13 @@ def _resolve(args):
 
 
 def _check_output_paths(config: RunConfig) -> None:
-    """Create the output directories and refuse a path that cannot be
-    written, before the run's first provider call."""
-    for path in (config.demos_path, config.traces_path):
+    """Refuse demos and traces paths that resolve to one file, create the
+    output directories and refuse a path that cannot be written, before the
+    run's first provider call."""
+    paths = (config.demos_path, config.traces_path)
+    if Path(paths[0]).resolve() == Path(paths[1]).resolve():
+        raise ConfigurationError(f"demos_out {paths[0]} and traces_out {paths[1]} are the same file")
+    for path in paths:
         try:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
         except OSError as err:

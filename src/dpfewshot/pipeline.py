@@ -99,6 +99,8 @@ class RunConfig:
             raise ConfigurationError(f"unknown gamma_mode {self.gamma_mode!r}")
         if self.sigma1 is not None and self.epsilon is not None:
             raise ConfigurationError("set either sigma1 or a target epsilon, not both")
+        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+            raise ConfigurationError(f"epsilon must be a positive finite number, got {self.epsilon}")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ConfigurationError(f"delta must lie in (0, 1), got {self.delta}")
         self.mechanism(self.sigma1)  # the spec checks the charged fields
@@ -152,11 +154,12 @@ class SyntheticDemo:
 
 @dataclass
 class ResolvedRun:
-    """A RunConfig with label pools (label_pools), template, provider, and
-    the checked aggregator spec at the settled sigma1 and support size k."""
+    """A RunConfig with label pools (label_pools; None without a dataset),
+    template, provider, and the checked aggregator spec at the settled
+    sigma1 and support size k."""
 
     config: RunConfig
-    pools: dict[str, tuple[Example, ...]]
+    pools: dict[str, tuple[Example, ...]] | None
     labels: tuple[str, ...]
     template: PromptTemplate
     provider: object
@@ -170,20 +173,12 @@ def resolve_run(config: RunConfig, provider=None) -> ResolvedRun:
         dataset = load_dataset(
             config.dataset_path, config.dataset_format, config.labels or None
         )
-        dataset_size = len(dataset)
-        pools = label_pools(dataset)
+        dataset_size, pools = len(dataset), label_pools(dataset)
     elif not config.labels:
         raise ConfigurationError("labels are required when no dataset file is given")
     else:
-        # The synthetic provider ignores prompt content; this pool only exists
-        # so the subset draw runs unchanged.  It is no population to account for.
-        pools = {
-            label: tuple(Example(text=f"synthetic corpus item {i}", label=label)
-                         for i in range(config.m * config.n))
-            for label in config.labels
-        }
-        dataset_size = None
-    counts = pool_sizes(pools)
+        dataset_size, pools = None, None  # no private records: every prompt is the public one
+    counts = pool_sizes(pools or {})
     labels = config.labels or tuple(sorted(counts))
     needed = config.m * config.n
     short = [f"label {label!r} has {counts.get(label, 0)} examples, need {needed} "

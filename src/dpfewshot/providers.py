@@ -299,18 +299,20 @@ def next_token_generation(
 ) -> NextTokenBatch:
     """One token position: draw subsets, query the provider, restrict to top-K.
 
-    data is label pools or a list of examples (see partition_subsets).  All
-    randomness (the subset draw) happens before the provider call, which
-    answers the public prompt and the M private prompts in one block whose
-    public row 0 alone fixes the support.
+    data is label pools or a list of examples (see partition_subsets), or
+    None for a run without private records: nothing is drawn and all M+1
+    prompts are the public one.  All randomness (the subset draw) happens
+    before the provider call, which answers the public prompt and the M
+    private prompts in one block whose public row 0 alone fixes the support.
     """
-    subsets = partition_subsets(data, label, m, n, rng)
     public_prompt = template.render([], label, prefix)
-    private_prompts = [template.render(subset, label, prefix) for subset in subsets]
+    if data is None:
+        prompts = [public_prompt] * (m + 1)
+    else:
+        subsets = partition_subsets(data, label, m, n, rng)
+        prompts = [public_prompt, *(template.render(subset, label, prefix) for subset in subsets)]
     try:
-        vocab, block = provider.next_token_distribution(
-            [public_prompt, *private_prompts], label=label, position=position, top_n=k
-        )
+        vocab, block = provider.next_token_distribution(prompts, label=label, position=position, top_n=k)
     except ProviderError as err:
         raise ProviderError(f"token position {position}: {err}") from err
     return restrict_topk(vocab, block, k)

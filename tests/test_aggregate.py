@@ -237,6 +237,10 @@ class TestConfigValidation:
                 m=2, k=100, lam=0.5, t_hat=1, sigma0=1.0, sigma1=1.0, sigma2=1.0
             )
 
+    def test_missing_sigma1_is_named(self):
+        with pytest.raises(ValueError, match="sigma1 is required"):
+            AggregationConfig(m=10, k=100, lam=0.2, t_hat=1, sigma0=10, sigma1=None, sigma2=3)
+
     def test_bad_fractions_rejected(self):
         with pytest.raises(ValueError):
             make_cfg(4, 3, mu=1.5)

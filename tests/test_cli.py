@@ -255,6 +255,8 @@ class TestRefusals:
          "noise multipliers must be positive with a positive, finite square"),
         ("report-privacy --dataset-size 1000 --sigma1 1e200",
          "noise multipliers must be positive with a positive, finite square"),
+        *((f"{command} --epsilon {value}", f"epsilon must be a positive finite number, got {value}")
+          for command in ("generate", "report-privacy --dataset-size 1000") for value in ("nan", "inf")),
     ])
     def test_unpriceable_multiplier_exits_2(self, tmp_path, capsys, argv, message):
         command, *flags = argv.split()
@@ -363,6 +365,22 @@ class TestRefusals:
         assert message.format(dir=tmp_path) in captured.err
         assert captured.out == ""
         assert calls == []
+
+    @pytest.mark.parametrize("demos, traces", [("x.jsonl", "x.jsonl"), ("sub/../y.jsonl", "y.jsonl")])
+    def test_one_file_for_both_outputs_exits_2_before_any_provider_call(
+        self, tmp_path, capsys, monkeypatch, demos, traces
+    ):
+        calls = []
+        monkeypatch.setattr(SyntheticProvider, "next_token_distribution", lambda *a, **kw: calls.append(kw))
+        monkeypatch.chdir(tmp_path)
+        code = run_cli("generate", "--labels", "a,b", "--n-shots", "1", "--sigma1", "0.6", "--t-max", "3",
+                       "--k", "20", "--demos-out", demos, "--traces-out", traces)
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"demos_out {demos} and traces_out {traces} are the same file" in captured.err
+        assert captured.out == ""
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_label_set_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

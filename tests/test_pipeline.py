@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dpfewshot import pipeline
+from dpfewshot import pipeline, providers
 from dpfewshot.pipeline import (
     ConfigurationError,
     RunConfig,
@@ -19,7 +19,7 @@ from dpfewshot.pipeline import (
     write_outputs,
 )
 from dpfewshot.accountant import DpBudget, SubsamplingContext, binary_search_iterations, calibrate_sigma1
-from dpfewshot.data import load_dataset
+from dpfewshot.data import PromptTemplate, load_dataset
 from dpfewshot.providers import ProviderSpec, SyntheticProvider
 from dpfewshot.simplex import SIMPLEX_RADIUS
 
@@ -105,6 +105,30 @@ class TestGenerateShots:
         run = resolve_run(noiseless_config(n_shots=3, t_max=1))
         demos, _ = generate_shots(run)
         assert [d.trace_id for d in demos] == ["demo-0000", "demo-0001", "demo-0002"]
+
+
+class TestWithoutDataset:
+    """A run without a dataset has no private records: it draws no subsets
+    and sends the public prompt, rendered once, as all M+1 prompts."""
+
+    def test_resolves_without_pools(self):
+        assert resolve_run(RunConfig(labels=("a", "b"), n_shots=1, sigma1=0.6)).pools is None
+
+    def test_draws_no_subsets(self, monkeypatch):
+        draws = []
+        draw = providers.partition_subsets
+        monkeypatch.setattr(providers, "partition_subsets", lambda *a: draws.append(a) or draw(*a))
+        _, traces = generate_shots(resolve_run(noiseless_config()))
+        assert len(traces) == 10
+        assert draws == []
+
+    def test_renders_once_per_token(self, monkeypatch):
+        renders = []
+        render = PromptTemplate.render
+        monkeypatch.setattr(PromptTemplate, "render", lambda self, *a: renders.append(a) or render(self, *a))
+        _, traces = generate_shots(resolve_run(noiseless_config()))
+        assert len(renders) == len(traces) == 10
+        assert [subset for subset, *_ in renders] == [[]] * len(traces)
 
 
 class TestOutputsAndAudit:

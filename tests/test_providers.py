@@ -14,6 +14,7 @@ import dpfewshot
 from dpfewshot import providers
 from dpfewshot.cli import EXIT_PROVIDER, main
 from dpfewshot.data import Example, GENERIC_TEMPLATE
+from dpfewshot.pipeline import RunConfig, generate_shots, resolve_run
 from dpfewshot.providers import (
     HttpProvider,
     ProviderError,
@@ -524,6 +525,17 @@ class TestNextTokenGeneration:
         np.testing.assert_allclose(batch.private_vectors[0], expected / expected.sum(), atol=1e-9)
         [request] = provider.session.requests
         assert len(request["json"]["prompt"]) == 3
+
+    def test_run_without_dataset_sends_the_public_prompt_m_plus_1_times(self):
+        m, label = 3, "y"
+        provider = HttpProvider(
+            base_url="http://api.test", model="m", backoff=0.0,
+            session=FakeSession([(200, choices_reply(*[{" a": -0.5, " b": -1.0}] * (m + 1)))]),
+        )
+        config = RunConfig(labels=(label,), n_shots=1, m=m, k=2, t_max=1, sigma1=0.6)
+        generate_shots(resolve_run(config, provider=provider))
+        [request] = provider.session.requests
+        assert request["json"]["prompt"] == [GENERIC_TEMPLATE.render([], label, "")] * (m + 1)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_REPLIES))

@@ -1,9 +1,11 @@
-"""The README's "Quickstart" and "Library use" examples run as written."""
+"""The README's "Quickstart" and "Library use" examples run as written, and
+its list of flag aliases is the CLI's."""
 
 import re
 import shlex
 from pathlib import Path
 
+from dpfewshot import cli
 from dpfewshot.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -34,3 +36,9 @@ def test_library_use_example_runs():
     exec(compile(code, str(README), "exec"), namespace)
     assert namespace["vector"].shape == (100,)
     assert namespace["trace"].mean_estimates >= 1
+
+
+def test_flag_aliases_match_the_cli():
+    sentence = re.search(r"except these aliases:(.*?)\.\s", _section("Quickstart"), re.S).group(1)
+    pairs = re.findall(r"`(\w+)`\s+\(`([\w.]+)`\)", sentence)
+    assert sorted(pairs) == sorted(cli._ALIASES.items())
