@@ -135,9 +135,9 @@ class TokenTrace:
     aggregation: AggregationTrace
 
     def to_record(self) -> dict:
-        record = dataclasses.asdict(self)
-        record.update(record.pop("aggregation"))
-        return record
+        own = {name: value for name, value in vars(self).items() if name != "aggregation"}
+        steps = [vars(step).copy() for step in self.aggregation.goodradius_steps]
+        return {**own, **vars(self.aggregation), "goodradius_steps": steps}
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ class SyntheticDemo:
     stop_rule: str  # "t_max" | "stop_token"
 
     def to_record(self) -> dict:
-        return {**dataclasses.asdict(self), "tokens": list(self.tokens), "token_count": len(self.tokens)}
+        return {**vars(self), "tokens": list(self.tokens), "token_count": len(self.tokens)}
 
 
 @dataclass
@@ -253,7 +253,8 @@ def token_step(
     config = run.config
     batch = next_token_generation(
         run.provider, run.pools, label, config.m, config.n, config.k,
-        run.template, prefix, substream(config.seed, *draw_path), position=position,
+        run.template, prefix, None if run.pools is None else substream(config.seed, *draw_path),
+        position=position,
     )
     vector, trace = adaptive_aggregate(
         batch.private_vectors, dataclasses.replace(run.aggregation, k=len(batch.support)),

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import partition_subsets
-from .rng import substream
+from .rng import substream, substreams
 from .simplex import project_to_simplex
 
 logger = logging.getLogger(__name__)
@@ -86,8 +86,8 @@ class SyntheticProvider:
     Gaussian noise of scale ``spread``, or (with probability
     ``outlier_fraction``) returns a near-point-mass on some other token.
     Output is a pure function of (seed, label, position, subset_index); the
-    prompt text is ignored.  Each call derives its (label, position) center
-    once, stacks the M+1 rows of logits and softmaxes them row-wise.
+    prompt text is ignored.  Each call derives the center once and the M
+    private streams in one ``substreams`` batch, and softmaxes each logit row.
     """
 
     seed: int
@@ -112,18 +112,21 @@ class SyntheticProvider:
         self, prompts, *, label: str, position: int, top_n: int
     ) -> tuple[tuple[str, ...], np.ndarray]:
         center = self.center_logits(label, position)
-        logits = np.zeros((len(prompts), self.vocab_size))
-        logits[0] = center
-        for row in range(1, len(prompts)):
-            rng = substream(self.seed, "private", label, position, row - 1)
-            if rng.uniform() < self.outlier_fraction:
+        paths = [("private", label, position, i) for i in range(len(prompts) - 1)]
+        noise, outliers = np.zeros((len(paths), self.vocab_size)), []
+        for row, rng in enumerate(substreams(self.seed, paths)):
+            if rng.random() < self.outlier_fraction:
                 target = int(rng.integers(self.vocab_size))
                 if target == int(np.argmax(center)):
                     target = (target + 1) % self.vocab_size
-                logits[row, target] = 12.0
+                outliers.append((row, target))
             else:
-                logits[row] = center + self.spread * rng.standard_normal(self.vocab_size)
-        return self.vocab, _softmax(logits)
+                rng.standard_normal(out=noise[row])
+        private = center + self.spread * noise
+        for row, target in outliers:
+            private[row] = 0.0
+            private[row, target] = 12.0
+        return self.vocab, _softmax(np.vstack([center, private]))
 
 
 @dataclass
@@ -294,16 +297,16 @@ def next_token_generation(
     k: int,
     template,
     prefix: str,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     position: int = 0,
 ) -> NextTokenBatch:
     """One token position: draw subsets, query the provider, restrict to top-K.
 
     data is label pools or a list of examples (see partition_subsets), or
-    None for a run without private records: nothing is drawn and all M+1
-    prompts are the public one.  All randomness (the subset draw) happens
-    before the provider call, which answers the public prompt and the M
-    private prompts in one block whose public row 0 alone fixes the support.
+    None for a run without private records: rng may then be None, nothing
+    is drawn and all M+1 prompts are the public one.  All randomness (the
+    subset draw) happens before the provider call, which answers the public
+    prompt and the M private prompts in one block whose public row 0 alone fixes the support.
     """
     public_prompt = template.render([], label, prefix)
     if data is None:

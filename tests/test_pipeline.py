@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -130,6 +131,17 @@ class TestWithoutDataset:
         assert len(renders) == len(traces) == 10
         assert [subset for subset, *_ in renders] == [[]] * len(traces)
 
+    def test_derives_no_subset_draw_stream(self, monkeypatch, tmp_path):
+        paths = []
+        derive = pipeline.substream
+        monkeypatch.setattr(pipeline, "substream", lambda seed, *path: paths.append(path) or derive(seed, *path))
+        generate_shots(resolve_run(noiseless_config()))
+        assert [path for path in paths if path[-1] == "subsample"] == []
+        data = tmp_path / "d.jsonl"
+        data.write_text("".join(json.dumps({"text": f"x{i}", "label": l}) + "\n" for l in LABELS for i in range(8)))
+        _, traces = generate_shots(resolve_run(noiseless_config(labels=(), dataset_path=str(data))))
+        assert len([path for path in paths if path[-1] == "subsample"]) == len(traces)
+
 
 class TestOutputsAndAudit:
     def test_round_trip_and_determinism(self, tmp_path):
@@ -189,6 +201,17 @@ class TestOutputsAndAudit:
         for trace in traces:
             parsed = json.loads(json.dumps(trace.to_record()))
             assert parsed["break_reason"] in ("max_iters", "coverage_failed", "radius_floor")
+
+    def test_records_equal_the_flattened_asdict(self):
+        demos, traces = generate_shots(resolve_run(noiseless_config(sigma1=0.4, sigma0=10.0)))
+        assert any(trace.aggregation.goodradius_steps for trace in traces)
+        for trace in traces:
+            want = dataclasses.asdict(trace)
+            want.update(want.pop("aggregation"))
+            assert trace.to_record() == want
+        for demo in demos:
+            want = {**dataclasses.asdict(demo), "tokens": list(demo.tokens), "token_count": len(demo.tokens)}
+            assert demo.to_record() == want
 
 
 class TestMeasureClusterRadius:

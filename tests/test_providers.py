@@ -23,7 +23,7 @@ from dpfewshot.providers import (
     next_token_generation,
     restrict_topk,
 )
-from dpfewshot.rng import substream
+from dpfewshot.rng import substream, substreams
 from dpfewshot.simplex import project_to_simplex
 
 
@@ -211,7 +211,34 @@ def uncached_distribution(provider, label, position, subset_index):
     return dict(zip([f" w{i:03d}" for i in range(vocab_size)], probs.tolist()))
 
 
+def per_row_block(provider, prompts, label, position):
+    """SyntheticProvider's block built row by row: one substream, uniform and normal draw per row."""
+    center = provider.center_logits(label, position)
+    logits = np.zeros((len(prompts), provider.vocab_size))
+    logits[0] = center
+    for row in range(1, len(prompts)):
+        rng = substream(provider.seed, "private", label, position, row - 1)
+        if rng.uniform() < provider.outlier_fraction:
+            target = int(rng.integers(provider.vocab_size))
+            if target == int(np.argmax(center)):
+                target = (target + 1) % provider.vocab_size
+            logits[row, target] = 12.0
+        else:
+            logits[row] = center + provider.spread * rng.standard_normal(provider.vocab_size)
+    return providers._softmax(logits)
+
+
 class TestSyntheticCenter:
+    @pytest.mark.parametrize("m", [1, 4, 40])
+    @pytest.mark.parametrize("outlier_fraction", [0.0, 0.2, 1.0])
+    def test_block_equals_per_row_loop(self, m, outlier_fraction):
+        provider = SyntheticProvider(seed=11, outlier_fraction=outlier_fraction)
+        prompts = ["p"] * (m + 1)
+        for label, position in [("x", 0), ("x", 7), ("Sci/Tech", 99)]:
+            vocab, block = provider.next_token_distribution(prompts, label=label, position=position, top_n=100)
+            assert vocab == provider.vocab
+            assert np.array_equal(block, per_row_block(provider, prompts, label, position))
+
     def test_interleaved_calls_match_uncached_formula(self):
         providers = [SyntheticProvider(seed=s, vocab_size=40, outlier_fraction=0.3) for s in (3, 8)]
         keys = [(p, label, pos) for p in providers for label in ("x", "y") for pos in (0, 1)]
@@ -236,6 +263,9 @@ class TestSyntheticCenter:
         paths = []
         monkeypatch.setattr(
             providers, "substream", lambda seed, *path: paths.append(path) or substream(seed, *path)
+        )
+        monkeypatch.setattr(
+            providers, "substreams", lambda seed, batch: paths.extend(batch) or substreams(seed, batch)
         )
         SyntheticProvider(seed=5, vocab_size=10).next_token_distribution(
             ["p"] * (m + 1), label="x", position=2, top_n=10

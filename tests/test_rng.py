@@ -1,9 +1,14 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dpfewshot.rng import substream
+import dpfewshot
+from dpfewshot.rng import substream, substreams
 
 
 def list_entropy_stream(master_seed, *path):
@@ -36,3 +41,46 @@ def test_numpy_integer_seeds_match_python_ints():
     for seed in (np.uint64(2**64 - 1), np.int64(-1), np.uint32(2**32 - 1)):
         assert substream(seed, "x").bit_generator.state == list_entropy_stream(int(seed), "x").bit_generator.state
 
+
+def assert_same_stream(got, want):
+    assert got.bit_generator.state == want.bit_generator.state
+    np.testing.assert_array_equal(got.bit_generator.random_raw(8), want.bit_generator.random_raw(8))
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS + RANDOM_SEEDS)
+def test_batch_matches_substream(seed):
+    batch = substreams(seed, PATHS)  # mixed path lengths in one batch
+    assert len(batch) == len(PATHS)
+    for got, path in zip(batch, PATHS):
+        assert_same_stream(got, substream(seed, *path))
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 41])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, -1])  # 5- and 6-word entropy
+def test_batch_sizes(seed, size):
+    paths = [("private", "World", 2, i) if i % 3 else ("center", "x", i) for i in range(size)]
+    batch = substreams(seed, paths)
+    assert len(batch) == size
+    for got, path in zip(batch, paths):
+        assert_same_stream(got, substream(seed, *path))
+
+
+def test_batch_numpy_integer_seeds():
+    for seed in (np.uint64(2**64 - 1), np.int64(-1), np.uint32(2**32 - 1), np.int32(7)):
+        for got, path in zip(substreams(seed, PATHS), PATHS):
+            assert_same_stream(got, substream(int(seed), *path))
+
+
+def test_batch_streams_are_independent_objects():
+    first, second = substreams(3, [("x",), ("x",)])
+    assert first is not second
+    first.random(5)
+    assert_same_stream(second, substream(3, "x"))
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """numpy loads numpy.random lazily; importing the package must not pull it in."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dpfewshot.__file__).parents[1]))
+    code = "import sys, dpfewshot; print('numpy.random' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
