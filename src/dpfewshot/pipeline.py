@@ -3,7 +3,9 @@
 Everything here is driven by a RunConfig and a master seed.  Each noise or
 sampling site draws from a named substream of that seed (label draw,
 per-token subsample, per-token noise bundle), so outputs and trace files
-are byte-stable for a fixed config.
+are byte-stable for a fixed config.  step_streams derives a demo's per-token
+streams in one substreams batch; a stream an early stop never reads
+consumes no draw, so batching moves no byte.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .aggregate import (
 )
 from .data import Example, GENERIC_TEMPLATE, PromptTemplate, label_pools, load_dataset, pool_sizes
 from .providers import NextTokenBatch, ProviderSpec, next_token_generation
-from .rng import NoiseStreams, substream
+from .rng import NoiseStreams, substream, substreams
 from .simplex import min_ball_radius_oracle
 
 
@@ -103,6 +105,9 @@ class RunConfig:
             raise ConfigurationError(f"epsilon must be a positive finite number, got {self.epsilon}")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ConfigurationError(f"delta must lie in (0, 1), got {self.delta}")
+        for name, seed in (("seed", self.seed), ("provider_seed", self.provider.seed)):
+            if not 0 <= seed < 2**64:  # rng reduces seeds mod 2**64, so another would alias one of these
+                raise ConfigurationError(f"{name} must lie in [0, 2**64), got {seed}")
         self.mechanism(self.sigma1)  # the spec checks the charged fields
 
     def mechanism(self, sigma1: float | None) -> MechanismProfile:
@@ -240,25 +245,49 @@ def settle_privacy(
     return sigma1, delta, subsampling
 
 
+#: Most token steps whose streams one substreams call derives.  A batch costs
+#: about five substream calls, so a demo (t_max <= STEP_BATCH) takes one; the
+#: bound caps the Generators held at once over a long utility comparison.
+STEP_BATCH = 256
+
+
+def step_streams(run: ResolvedRun, prefixes, *noise_suffix):
+    """Yield each token step's (subset-draw stream, NoiseStreams) for the step
+    paths in prefixes: ``substream(seed, *prefix, "subsample")`` (None without a
+    dataset) and ``NoiseStreams.from_seed(seed, *prefix, *noise_suffix)``.
+
+    They are derived lazily, one substreams batch per STEP_BATCH steps, so a
+    step's batch is ready before the step starts.
+    """
+    suffixes = [(*noise_suffix, site) for site in NoiseStreams.SITES]
+    if run.pools is not None:
+        suffixes.insert(0, ("subsample",))
+    for first in range(0, len(prefixes), STEP_BATCH):
+        chunk = prefixes[first : first + STEP_BATCH]
+        streams = iter(substreams(run.config.seed, [(*prefix, *suffix) for prefix in chunk for suffix in suffixes]))
+        for _ in chunk:
+            draw = None if run.pools is None else next(streams)
+            yield draw, NoiseStreams(**{site: next(streams) for site in NoiseStreams.SITES})
+
+
 def token_step(
-    run: ResolvedRun, label: str, prefix: str, position: int, draw_path: tuple, noise_path: tuple,
+    run: ResolvedRun, label: str, prefix: str, position: int,
+    draw: np.random.Generator | None, noise: NoiseStreams,
 ) -> tuple[NextTokenBatch, str, AggregationTrace]:
     """One token position: draw M subsets, query the model with all M+1
     prompts in one call, restrict to the public top-K, aggregate the M
     vectors adaptively and select the token.
 
-    draw_path and noise_path name the substreams of the subset draw and of
-    the aggregator's noise.  Returns (batch, token, aggregation trace).
+    draw and noise are the step's streams from step_streams.  Returns
+    (batch, token, aggregation trace).
     """
     config = run.config
     batch = next_token_generation(
         run.provider, run.pools, label, config.m, config.n, config.k,
-        run.template, prefix, None if run.pools is None else substream(config.seed, *draw_path),
-        position=position,
+        run.template, prefix, draw, position=position,
     )
     vector, trace = adaptive_aggregate(
-        batch.private_vectors, dataclasses.replace(run.aggregation, k=len(batch.support)),
-        NoiseStreams.from_seed(config.seed, *noise_path),
+        batch.private_vectors, dataclasses.replace(run.aggregation, k=len(batch.support)), noise,
     )
     return batch, select_token(vector, batch.support), trace
 
@@ -271,9 +300,9 @@ def generate_demo(run: ResolvedRun, label: str, demo_index: int) -> tuple[Synthe
     tokens: list[str] = []
     traces: list[TokenTrace] = []
     stop_rule = "t_max"
-    for position in range(config.t_max):
-        path = ("demo", demo_index, "token", position)
-        batch, token, aggregation = token_step(run, label, prefix, position, (*path, "subsample"), path)
+    streams = step_streams(run, [("demo", demo_index, "token", position) for position in range(config.t_max)])
+    for position, (draw, noise) in enumerate(streams):
+        batch, token, aggregation = token_step(run, label, prefix, position, draw, noise)
         tokens.append(token)
         prefix += token
         traces.append(
@@ -365,9 +394,9 @@ def measure_cluster_radius(run: ResolvedRun) -> dict:
         labels_used.append(label)
         prefix = ""
         oracle, private = [], []
-        for position in range(config.t_max):
-            path = ("radius", run_idx, "token", position)
-            batch, _, aggregation = token_step(run, label, prefix, position, (*path, "subsample"), path)
+        streams = step_streams(run, [("radius", run_idx, "token", position) for position in range(config.t_max)])
+        for position, (draw, noise) in enumerate(streams):
+            batch, _, aggregation = token_step(run, label, prefix, position, draw, noise)
             points = batch.private_vectors
             oracle.append(min_ball_radius_oracle(points, config.rho))
             private.append(aggregation.target_radius)
@@ -405,11 +434,10 @@ def run_utility_comparison(run: ResolvedRun) -> dict:
     baseline_hits = 0
     only_adaptive = 0
     only_baseline = 0
-    for trial in range(config.n_trials):
+    streams = step_streams(run, [("utility", trial) for trial in range(config.n_trials)], "adaptive")
+    for trial, (draw, noise) in enumerate(streams):
         label = run.labels[trial % len(run.labels)]
-        batch, adaptive_token, _ = token_step(
-            run, label, "", trial, ("utility", trial, "subsample"), ("utility", trial, "adaptive")
-        )
+        batch, adaptive_token, _ = token_step(run, label, "", trial, draw, noise)
         points = batch.private_vectors
         consensus = select_token(points.mean(axis=0), batch.support)
         baseline_vec = baseline_aggregate(

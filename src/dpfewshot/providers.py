@@ -8,7 +8,9 @@ provider for desk-scale runs (clustered around hash-derived per-(label,
 position) centers), and a client for OpenAI-compatible completions endpoints
 exposing logprobs, which sends all M+1 prompts in one request.  restrict_topk
 then fixes the candidate support from row 0 alone, so private data never
-influences it.
+influences it: one ``np.lexsort`` ranks row 0 by descending probability, ties
+by each token's rank in Python str order, computed once per vocabulary (the
+synthetic provider's is fixed; an http reply's is new each call).
 """
 
 from __future__ import annotations
@@ -48,18 +50,29 @@ class NextTokenBatch:
     fallback_indices: tuple[int, ...]
 
 
+@functools.lru_cache(maxsize=1)
+def _str_rank(vocab: tuple[str, ...]) -> np.ndarray:
+    """Each token's position in Python str order (read-only; the last vocabulary's is kept).
+
+    Not numpy's ``U``-dtype order, which drops trailing NULs and so ties " a" with " a\\x00".
+    """
+    rank = np.empty(len(vocab), dtype=np.intp)
+    rank[sorted(range(len(vocab)), key=vocab.__getitem__)] = np.arange(len(vocab))
+    rank.flags.writeable = False
+    return rank
+
+
 def restrict_topk(vocab, block: np.ndarray, k: int) -> NextTokenBatch:
     """Restrict block rows 1.. to the top-min(k, |vocab|) tokens of public row 0 and renormalize."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    public = block[0].tolist()
-    total = math.fsum(public)
+    total = math.fsum(block[0].tolist())
     if not abs(total - 1.0) <= 1e-6:
         raise ValueError(f"public distribution sums to {total}, expected 1")
-    ranked = sorted(zip([-p for p in public], vocab, range(len(vocab))))[:k]
-    support = tuple(tok for _, tok, _ in ranked)
-    columns = np.array([j for _, _, j in ranked], dtype=np.intp)
+    vocab = tuple(vocab)
+    columns = np.lexsort((_str_rank(vocab), -block[0]))[:k]
     vectors, fallback = project_to_simplex(block[1:].take(columns, axis=1))
+    support = tuple(map(vocab.__getitem__, columns.tolist()))
     return NextTokenBatch(support, vectors, tuple(np.flatnonzero(fallback).tolist()))
 
 
@@ -86,8 +99,9 @@ class SyntheticProvider:
     Gaussian noise of scale ``spread``, or (with probability
     ``outlier_fraction``) returns a near-point-mass on some other token.
     Output is a pure function of (seed, label, position, subset_index); the
-    prompt text is ignored.  Each call derives the center once and the M
-    private streams in one ``substreams`` batch, and softmaxes each logit row.
+    prompt text is ignored.  Each call derives the center stream and the M
+    private streams in one ``substreams`` batch (the center is element 0,
+    scaled by center_logits), and softmaxes each logit row.
     """
 
     seed: int
@@ -103,18 +117,21 @@ class SyntheticProvider:
     def vocab(self) -> tuple[str, ...]:
         return tuple(f" w{i:03d}" for i in range(self.vocab_size))
 
-    def center_logits(self, label: str, position: int) -> np.ndarray:
-        """Center logits of (label, position)."""
-        rng = substream(self.seed, "center", label, position)
+    def center_logits(self, label: str, position: int, rng: np.random.Generator | None = None) -> np.ndarray:
+        """Center logits of (label, position), drawn from rng: its ("center", label, position)
+        stream, derived here unless the caller derived it in a batch."""
+        if rng is None:
+            rng = substream(self.seed, "center", label, position)
         return CENTER_SCALE * rng.standard_normal(self.vocab_size)
 
     def next_token_distribution(
         self, prompts, *, label: str, position: int, top_n: int
     ) -> tuple[tuple[str, ...], np.ndarray]:
-        center = self.center_logits(label, position)
         paths = [("private", label, position, i) for i in range(len(prompts) - 1)]
+        center_rng, *row_rngs = substreams(self.seed, [("center", label, position), *paths])
+        center = self.center_logits(label, position, center_rng)
         noise, outliers = np.zeros((len(paths), self.vocab_size)), []
-        for row, rng in enumerate(substreams(self.seed, paths)):
+        for row, rng in enumerate(row_rngs):
             if rng.random() < self.outlier_fraction:
                 target = int(rng.integers(self.vocab_size))
                 if target == int(np.argmax(center)):

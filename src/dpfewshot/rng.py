@@ -7,6 +7,11 @@ token position can never shift the draws consumed at another.
 
 ``substreams`` runs numpy's SeedSequence mixing once, vectorised over many
 paths: its i-th Generator has exactly the state of ``substream(seed, *paths[i])``.
+A batch has a fixed cost of about five ``substream`` calls, so callers batch
+whole units of work: the synthetic provider derives a token's center and M
+row streams in one call, and the pipeline derives every stream a demo's token
+steps read in one call.  Per-token noise batches (three paths) would be slower
+than three ``substream`` calls.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import functools
 import hashlib
 import struct
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -99,10 +105,9 @@ class NoiseStreams:
     mean: np.random.Generator
     check: np.random.Generator
 
+    #: The field names, each also the last element of its stream's path.
+    SITES: ClassVar[tuple[str, ...]] = ("goodradius", "mean", "check")
+
     @classmethod
     def from_seed(cls, master_seed: int, *path) -> "NoiseStreams":
-        return cls(
-            goodradius=substream(master_seed, *path, "goodradius"),
-            mean=substream(master_seed, *path, "mean"),
-            check=substream(master_seed, *path, "check"),
-        )
+        return cls(**{site: substream(master_seed, *path, site) for site in cls.SITES})

@@ -20,8 +20,10 @@ from dpfewshot.pipeline import (
     write_outputs,
 )
 from dpfewshot.accountant import DpBudget, SubsamplingContext, binary_search_iterations, calibrate_sigma1
-from dpfewshot.data import PromptTemplate, load_dataset
+from dpfewshot.aggregate import adaptive_aggregate, select_token
+from dpfewshot.data import PromptTemplate, load_dataset, partition_subsets
 from dpfewshot.providers import ProviderSpec, SyntheticProvider
+from dpfewshot.rng import NoiseStreams, substream
 from dpfewshot.simplex import SIMPLEX_RADIUS
 
 LABELS = ("World", "Sports", "Business", "Technology")
@@ -133,14 +135,74 @@ class TestWithoutDataset:
 
     def test_derives_no_subset_draw_stream(self, monkeypatch, tmp_path):
         paths = []
-        derive = pipeline.substream
+        derive, derive_batch = pipeline.substream, pipeline.substreams
         monkeypatch.setattr(pipeline, "substream", lambda seed, *path: paths.append(path) or derive(seed, *path))
+        monkeypatch.setattr(pipeline, "substreams", lambda seed, batch: paths.extend(batch) or derive_batch(seed, batch))
         generate_shots(resolve_run(noiseless_config()))
         assert [path for path in paths if path[-1] == "subsample"] == []
         data = tmp_path / "d.jsonl"
         data.write_text("".join(json.dumps({"text": f"x{i}", "label": l}) + "\n" for l in LABELS for i in range(8)))
         _, traces = generate_shots(resolve_run(noiseless_config(labels=(), dataset_path=str(data))))
         assert len([path for path in paths if path[-1] == "subsample"]) == len(traces)
+
+
+def write_dataset(path, per_label=8):
+    path.write_text("".join(
+        json.dumps({"text": f"x{i}", "label": label}) + "\n" for label in LABELS for i in range(per_label)
+    ))
+    return str(path)
+
+
+class TestStepStreams:
+    """A demo's streams come from one substreams batch, equal to per-token derivation."""
+
+    @pytest.mark.parametrize("with_dataset", [False, True])
+    def test_batch_equals_per_token_derivation(self, tmp_path, monkeypatch, with_dataset):
+        overrides = dict(sigma1=0.4, sigma0=2.0, sigma2=1.0, t_max=6, n_shots=4)
+        if with_dataset:
+            overrides.update(labels=(), dataset_path=write_dataset(tmp_path / "d.jsonl"))
+        config = noiseless_config(**overrides)
+        first, _ = generate_shots(resolve_run(config))
+        config = dataclasses.replace(config, stop_tokens=(first[0].tokens[1],))  # ends demo 0 early
+        run = resolve_run(config)
+        batches, draws, derived = [], [], []
+        step, draw, derive = pipeline.next_token_generation, providers.partition_subsets, pipeline.substreams
+        monkeypatch.setattr(pipeline, "next_token_generation", lambda *a, **kw: batches.append(step(*a, **kw)) or batches[-1])
+        monkeypatch.setattr(providers, "partition_subsets", lambda *a: draws.append((a, draw(*a))) or draws[-1][1])
+        monkeypatch.setattr(pipeline, "substreams", lambda seed, paths: derived.append(paths) or derive(seed, paths))
+        demos, traces = generate_shots(run)
+        monkeypatch.undo()
+        assert demos[0].stop_rule == "stop_token" and len(demos[0].tokens) < config.t_max
+        assert len(derived) == config.n_shots  # one batch per demo
+        assert len(batches) == len(traces)
+        assert len(draws) == (len(traces) if with_dataset else 0)
+        for trace, batch in zip(traces, batches):
+            path = ("demo", int(trace.trace_id.removeprefix("demo-")), "token", trace.position)
+            vector, again = adaptive_aggregate(
+                batch.private_vectors, dataclasses.replace(run.aggregation, k=len(batch.support)),
+                NoiseStreams.from_seed(config.seed, *path),
+            )
+            assert again == trace.aggregation
+            assert select_token(vector, batch.support) == trace.chosen_token
+        for trace, ((pools, label, m, n, _), subsets) in zip(traces, draws):
+            path = ("demo", int(trace.trace_id.removeprefix("demo-")), "token", trace.position, "subsample")
+            assert subsets == partition_subsets(pools, label, m, n, substream(config.seed, *path))
+
+    @pytest.mark.parametrize("pools", [None, {}])
+    def test_batches_of_step_batch_steps_equal_per_step_derivation(self, monkeypatch, pools):
+        monkeypatch.setattr(pipeline, "STEP_BATCH", 3)
+        run = dataclasses.replace(resolve_run(noiseless_config()), pools=pools)
+        prefixes = [("utility", trial) for trial in range(7)]
+        streams = list(pipeline.step_streams(run, prefixes, "adaptive"))
+        assert len(streams) == len(prefixes)
+        for (draw, noise), prefix in zip(streams, prefixes):
+            if pools is None:
+                assert draw is None
+            else:
+                assert draw.bit_generator.state == substream(run.config.seed, *prefix, "subsample").bit_generator.state
+            want = NoiseStreams.from_seed(run.config.seed, *prefix, "adaptive")
+            for site in NoiseStreams.SITES:
+                assert getattr(noise, site).bit_generator.state == getattr(want, site).bit_generator.state
 
 
 class TestOutputsAndAudit:
@@ -370,6 +432,12 @@ class TestResolveRun:
         assert run.aggregation.sigma1 == report["sigma1"] == calibrate_sigma1(
             DpBudget(6.0, 1 / 155), config.mechanism(None), SubsamplingContext(4, drawn_from), 3
         )
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seeds_at_the_range_edges_run(self, seed):
+        provider = ProviderSpec(kind="synthetic", seed=seed, vocab_size=30)
+        _, traces = generate_shots(resolve_run(noiseless_config(seed=seed, provider=provider, t_max=2)))
+        assert len(traces) == 4
 
     def test_token_steps_never_iterate_the_dataset(self, tmp_path, monkeypatch):
         class CountingList(list):

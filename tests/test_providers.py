@@ -40,6 +40,22 @@ def as_dists(result):
     return [dict(zip(vocab, row.tolist())) for row in block]
 
 
+def tuple_sort_topk(vocab, block, k):
+    """restrict_topk by its former ranking, the reference: Python's sorted over (-p, token, index)."""
+    ranked = sorted(zip([-p for p in block[0].tolist()], vocab, range(len(vocab))))[:k]
+    columns = np.array([j for _, _, j in ranked], dtype=np.intp)
+    vectors, fallback = project_to_simplex(block[1:].take(columns, axis=1))
+    return tuple(tok for _, tok, _ in ranked), vectors, tuple(np.flatnonzero(fallback).tolist())
+
+
+#: Tokens whose str order differs from their order here: unpadded numbers, NUL-suffixed
+#: twins, case, combining marks, CJK and an emoji.
+ORACLE_TOKENS = tuple(dict.fromkeys([
+    " a", " a\x00", " a\x00\x00", "a", "a\x00", "\x00", "", " ", "\t", "Z", "z", "é", "e\u0301",
+    "日本", "🙂", " w10", " w2", " w100", *(f" w{i}" for i in range(40)),
+]))
+
+
 class TestRestrictTopk:
     def test_full_vocab_is_identity_up_to_ordering(self):
         public = {"a": 0.5, "b": 0.3, "c": 0.2}
@@ -124,6 +140,26 @@ class TestRestrictTopk:
         assert batch.support == ("z", "a", "a\x00", "b")
         np.testing.assert_array_equal(batch.private_vectors, [[0.2, 0.4, 0.1, 0.3]])
         assert restrict_topk(vocab, block, 2).support == ("z", "a")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lexsort_equals_the_tuple_sort(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(250):
+            v = int(rng.integers(1, 40))
+            vocab = tuple(ORACLE_TOKENS[i] for i in rng.choice(len(ORACLE_TOKENS), v, replace=False))
+            # small integer weights tie exactly and include exact zeros
+            weights = rng.integers(0, 4, size=(int(rng.integers(1, 6)), v)).astype(float)
+            weights[0, int(rng.integers(v))] += 1.0
+            if rng.random() < 0.5:
+                weights[0] = rng.dirichlet(np.ones(v)) * weights[0].sum()
+            block = weights / weights.sum(axis=1, keepdims=True).clip(min=1.0)
+            k = int(rng.integers(1, v + 4))  # k >= V in about a quarter of the blocks
+            for same_vocab in (vocab, tuple(list(vocab))):  # a fresh rank, then the kept one for an equal tuple
+                batch = restrict_topk(same_vocab, block, k)
+                support, vectors, fallback = tuple_sort_topk(vocab, block, k)
+                assert batch.support == support
+                assert np.array_equal(batch.private_vectors, vectors)
+                assert batch.fallback_indices == fallback
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_gather_is_c_contiguous_and_rowwise_exact(self, seed):
@@ -257,6 +293,24 @@ class TestSyntheticCenter:
         provider = SyntheticProvider(seed=1, vocab_size=10)
         assert provider.vocab is provider.vocab
         assert provider.vocab == tuple(f" w{i:03d}" for i in range(10))
+
+    @pytest.mark.parametrize("m", [1, 40])
+    def test_batched_center_equals_center_logits(self, monkeypatch, m):
+        provider = SyntheticProvider(seed=11, outlier_fraction=0.2)
+        keys = [("x", 0), ("x", 7), ("Sci/Tech", 99)]
+        calls = []
+        center_logits = SyntheticProvider.center_logits
+        monkeypatch.setattr(
+            SyntheticProvider, "center_logits",
+            lambda self, *args: calls.append((args, center_logits(self, *args))) or calls[-1][1],
+        )
+        for label, position in keys:
+            provider.next_token_distribution(["p"] * (m + 1), label=label, position=position, top_n=100)
+        monkeypatch.undo()
+        assert [args[:2] for args, _ in calls] == keys
+        assert all(isinstance(args[2], np.random.Generator) for args, _ in calls)  # element 0 of the batch
+        for (args, center), (label, position) in zip(calls, keys):
+            assert center.tobytes() == provider.center_logits(label, position).tobytes()
 
     @pytest.mark.parametrize("m", [1, 4, 40])
     def test_one_center_derivation_per_call(self, monkeypatch, m):
