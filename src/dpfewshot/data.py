@@ -16,7 +16,7 @@ class DatasetError(ValueError):
     """A dataset file or record could not be used as configured."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Example:
     text: str
     label: str
@@ -33,34 +33,51 @@ def load_dataset(path, fmt: str | None = None, label_set=None) -> list[Example]:
 
     JSONL lines are objects with "text" and "label" keys whose values are
     strings or numbers; CSV needs a text,label header.  Both may start with
-    a UTF-8 byte-order mark.  Malformed records, empty values and JSON
-    booleans raise DatasetError with the line number; labels outside
-    label_set (when given) raise naming the label.
+    a UTF-8 byte-order mark.  Malformed records, empty values, JSON
+    booleans and labels outside label_set (when given) raise DatasetError
+    naming path:line; the first bad record in file order is the one named.
+    Equal labels share one string object.
     """
     path = Path(path)
     if fmt is None:
         fmt = path.suffix.lstrip(".").lower()
     if fmt not in ("jsonl", "csv"):
         raise DatasetError(f"unsupported dataset format {fmt!r} (expected jsonl or csv)")
-    examples = _load_jsonl(path) if fmt == "jsonl" else _load_csv(path)
-    if label_set is not None:
-        allowed = set(label_set)
-        for i, ex in enumerate(examples, start=1):
-            if ex.label not in allowed:
-                raise DatasetError(f"record {i}: unknown label {ex.label!r}")
-    return examples
+    allowed = None if label_set is None else frozenset(label_set)
+    return (_load_jsonl if fmt == "jsonl" else _load_csv)(path, allowed)
 
 
-def _load_jsonl(path: Path) -> list[Example]:
+def _example(text: str, label: str, labels: dict[str, str], allowed) -> Example:
+    """A checked Example whose label is labels' one copy of it."""
+    example = Example(text, labels.setdefault(label, label))
+    if allowed is not None and label not in allowed:
+        raise DatasetError(f"unknown label {label!r}")
+    return example
+
+
+_DECODER = json.JSONDecoder()
+
+
+def _load_jsonl(path: Path, allowed) -> list[Example]:
     examples = []
+    labels: dict[str, str] = {}
+    decode = _DECODER.raw_decode
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+            # A value that starts the line and ends at its newline is what
+            # json.loads would return; any other line takes json.loads' path.
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DatasetError(f"{path}:{lineno}: invalid JSON: {err}") from err
+                record, end = decode(line)
+                canonical = line[end:] in ("\n", "")
+            except ValueError:
+                canonical = False
+            if not canonical:
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise DatasetError(f"{path}:{lineno}: invalid JSON: {err}") from err
             if not isinstance(record, dict) or "text" not in record or "label" not in record:
                 raise DatasetError(f'{path}:{lineno}: record needs "text" and "label" fields')
             text, label = record["text"], record["label"]
@@ -68,25 +85,28 @@ def _load_jsonl(path: Path) -> list[Example]:
             if type(text) not in (str, int, float) or type(label) not in (str, int, float):
                 raise DatasetError(f"{path}:{lineno}: text and label must not be null, booleans, lists or objects")
             try:
-                examples.append(Example(text=str(text), label=str(label)))
+                examples.append(_example(str(text), str(label), labels, allowed))
             except DatasetError as err:
                 raise DatasetError(f"{path}:{lineno}: {err}") from err
     return examples
 
 
-def _load_csv(path: Path) -> list[Example]:
+def _load_csv(path: Path, allowed) -> list[Example]:
     examples = []
+    labels: dict[str, str] = {}
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             return []
         if "text" not in reader.fieldnames or "label" not in reader.fieldnames:
             raise DatasetError(f"{path}: header must contain text and label columns")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            # the line the record ends on: blank lines and quoted newlines count
+            lineno = reader.line_num
             if row.get("text") is None or row.get("label") is None:
                 raise DatasetError(f"{path}:{lineno}: missing text or label value")
             try:
-                examples.append(Example(text=row["text"], label=row["label"]))
+                examples.append(_example(row["text"], row["label"], labels, allowed))
             except DatasetError as err:
                 raise DatasetError(f"{path}:{lineno}: {err}") from err
     return examples

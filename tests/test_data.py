@@ -1,9 +1,13 @@
+import copy
+import dataclasses
 import json
+import pickle
 import re
 
 import numpy as np
 import pytest
 
+from dpfewshot import data
 from dpfewshot.data import (
     DatasetError,
     Example,
@@ -108,6 +112,33 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="Sports"):
             load_dataset(jsonl_file, label_set=["Business"])
 
+    @pytest.mark.parametrize("name, content, line", [
+        ("data.jsonl", '{"text": "a", "label": "Business"}\n\n{"text": "b", "label": "Sports"}\n', 3),
+        ("data.csv", 'text,label\na,Business\n"two\nlines",Business\nb,Sports\n', 5),
+    ])
+    def test_unknown_label_names_path_and_line(self, tmp_path, name, content, line):
+        path = tmp_path / name
+        path.write_text(content)
+        with pytest.raises(DatasetError, match=re.escape(f"{path}:{line}: unknown label 'Sports'")):
+            load_dataset(path, label_set=["Business"])
+        assert load_dataset(path, label_set=["Business", "Sports"])[-1].label == "Sports"
+
+    def test_first_bad_record_in_file_order_wins(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"text": "a", "label": "Sports"}\nnot json\n')
+        with pytest.raises(DatasetError, match=re.escape(f"{path}:1: unknown label 'Sports'")):
+            load_dataset(path, label_set=["Business"])
+
+    @pytest.mark.parametrize("content, line", [
+        ("text,label\n\nhello,\n", 3),
+        ('text,label\n"two\nlines",a\nhello,\n', 4),
+    ])
+    def test_csv_refusal_names_the_line_the_record_ends_on(self, tmp_path, content, line):
+        path = tmp_path / "data.csv"
+        path.write_text(content)
+        with pytest.raises(DatasetError, match=re.escape(f"{path}:{line}: example label must be non-empty")):
+            load_dataset(path)
+
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text('text,label\n"a, with comma",x\nplain,y\n')
@@ -125,6 +156,165 @@ class TestLoadDataset:
         path.write_text("x")
         with pytest.raises(DatasetError, match="format"):
             load_dataset(path)
+
+
+def reference_load_jsonl(path) -> list[Example]:
+    """The loader before the single-decode fast path: json.loads on every
+    line that is not blank.  The oracle the fast path must equal."""
+    examples = []
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise DatasetError(f"{path}:{lineno}: invalid JSON: {err}") from err
+            if not isinstance(record, dict) or "text" not in record or "label" not in record:
+                raise DatasetError(f'{path}:{lineno}: record needs "text" and "label" fields')
+            text, label = record["text"], record["label"]
+            if type(text) not in (str, int, float) or type(label) not in (str, int, float):
+                raise DatasetError(f"{path}:{lineno}: text and label must not be null, booleans, lists or objects")
+            try:
+                examples.append(Example(text=str(text), label=str(label)))
+            except DatasetError as err:
+                raise DatasetError(f"{path}:{lineno}: {err}") from err
+    return examples
+
+
+#: Lines that load.  Each fuzzed file is mostly these, so later lines are reached.
+GOOD_LINES = [
+    '{"text": "stocks rallied", "label": "Business"}',
+    '{"text":"team won","label":"Sports"}',
+    '{"label": "Business", "text": "rates were cut", "extra": [1, {"x": null}]}',
+    '{"text": 12.5, "label": 3}',
+    '{"text": NaN, "label": "x"}',
+    '{"text": -Infinity, "label": 1e400}',
+    '{"text": 1' + "0" * 5000 + '.5, "label": "huge float"}',
+    '{"text": "caf\\u00e9 \\"q\\" \\ud800", "label": "\\u2028"}',
+    '{"text": "raw \u2028 line \u2029 separators \x85 \xa0", "label": "x"}',
+    '{"text": "a", "label": "", "label": "dup"}',
+    '{"text": "a", "label": "dup", "text": "last wins"}',
+    '{"text": "a", "label": "x"}\t',
+    '{"text": "a", "label": "x"} ',
+    '  {"text": "padded", "label": "x"}',
+    '\t{"text": "tabbed", "label": "x"}',
+]
+
+#: Lines that are blank, refused, or not one value per line.
+ADVERSARIAL_LINES = [
+    "", " ", "\t", "\x0b", "\x0c", "\xa0", " \x0c\xa0\x0b ",
+    "\ufeff",
+    '\ufeff{"text": "mid-file mark", "label": "x"}',
+    '{"text": "split", ',
+    '"label": "across lines"}',
+    '{"text": "a", "label": "x"} {"text": "b", "label": "y"}',
+    '{"text": "a", "label": "x"}{"text": "b", "label": "y"}',
+    '{"text": "a", "label": "x"} trailing',
+    '{"text": "a", "label": "x"},',
+    '{"text": "a", "label": "x"}\x0c',
+    '{"text": "a", "label": "x"}\xa0',
+    "not json",
+    "{'text': 'a', 'label': 'x'}",
+    '{"text": "a", "label": x}',
+    '{"text": "raw\ttab", "label": "x"}',
+    '{"text": 1' + "0" * 5000 + ', "label": "too many digits"}',
+    "[" * 50_000,
+    "[1, 2]", '"text"', "5", "null", "NaN",
+    '{"text": "a"}',
+    '{"text": true, "label": "x"}',
+    '{"text": "a", "label": null}',
+    '{"text": ["a"], "label": "x"}',
+    '{"text": "", "label": "x"}',
+    '{"text": "a", "label": ""}',
+]
+
+
+def fuzzed_file(rng: np.random.Generator) -> bytes:
+    """A few lines, mostly loadable, joined by mixed line endings."""
+    lines = []
+    for _ in range(int(rng.integers(1, 9))):
+        pool = GOOD_LINES if rng.random() < 0.75 else ADVERSARIAL_LINES
+        lines.append(pool[int(rng.integers(len(pool)))])
+    endings = [("\n", "\r\n", "\r")[int(i)] for i in rng.integers(3, size=len(lines))]
+    if rng.random() < 0.3:
+        endings[-1] = ""  # no newline after the last line
+    text = "".join(line + end for line, end in zip(lines, endings))
+    return (("\ufeff" if rng.random() < 0.2 else "") + text).encode("utf-8", "surrogatepass")
+
+
+def outcome(load, path):
+    try:
+        return "loaded", load(path)
+    except (ValueError, RecursionError) as err:
+        return type(err), str(err)
+
+
+class TestFastPathExactness:
+    def test_fuzzed_files_load_as_the_reference_does(self, tmp_path):
+        path = tmp_path / "fuzz.jsonl"
+        loaded = 0
+        for seed in range(1000):
+            path.write_bytes(fuzzed_file(np.random.default_rng(seed)))
+            want = outcome(reference_load_jsonl, path)
+            assert outcome(load_dataset, path) == want, (seed, path.read_bytes()[:300])
+            loaded += want[0] == "loaded"
+        assert 100 < loaded < 900  # both outcomes are exercised
+
+    def test_every_line_alone_loads_as_the_reference_does(self, tmp_path):
+        path = tmp_path / "line.jsonl"
+        for line in GOOD_LINES + ADVERSARIAL_LINES:
+            for end in ("\n", "\r\n", "\r", ""):
+                path.write_bytes((line + end).encode("utf-8", "surrogatepass"))
+                assert outcome(load_dataset, path) == outcome(reference_load_jsonl, path), repr(line + end)
+
+
+class TestFastPathAndLayout:
+    @pytest.fixture
+    def loads_calls(self, monkeypatch):
+        calls = []
+        real = data.json.loads
+
+        def counting(s, **kwargs):
+            calls.append(s)
+            return real(s, **kwargs)
+
+        monkeypatch.setattr(data.json, "loads", counting)
+        return calls
+
+    def test_canonical_lines_skip_json_loads(self, tmp_path, loads_calls):
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join(json.dumps({"text": f"row {i}", "label": "ab"[i % 2]}) + "\n" for i in range(1000)))
+        assert len(load_dataset(path)) == 1000
+        assert loads_calls == []
+
+    def test_padded_line_takes_json_loads_and_blank_line_is_skipped(self, tmp_path, loads_calls):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"text": "a", "label": "x"}\n {"text": "b", "label": "x"}\n')
+        assert load_dataset(path) == [Example("a", "x"), Example("b", "x")]
+        assert loads_calls == [' {"text": "b", "label": "x"}\n']
+        path.write_text('{"text": "a", "label": "x"}\n \x0c\n{"text": "b", "label": "x"}')
+        assert len(load_dataset(path)) == 2
+        assert len(loads_calls) == 1  # blank lines are skipped before json.loads, as before
+
+    @pytest.mark.parametrize("name, content", [
+        ("data.jsonl", '{"text": "a", "label": "x"}\n{"text": "b", "label": "y"}\n{"text": "c", "label": "x"}\n'),
+        ("data.csv", "text,label\na,x\nb,y\nc,x\n"),
+    ])
+    def test_slotted_examples_share_label_strings(self, tmp_path, name, content):
+        path = tmp_path / name
+        path.write_text(content)
+        first, _, third = load_dataset(path)
+        assert not hasattr(first, "__dict__")
+        assert first.label is third.label
+
+    def test_example_pickles_and_copies(self):
+        ex = Example("some text", "label")
+        copies = [pickle.loads(pickle.dumps(ex, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies + [copy.deepcopy(ex), copy.copy(ex)]:
+            assert other == ex and type(other) is Example
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                other.label = "changed"
 
 
 class TestPromptTemplate:
