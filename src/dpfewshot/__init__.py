@@ -37,10 +37,8 @@ from .pipeline import (
     audit_traces,
     generate_demo,
     generate_shots,
-    measure_cluster_radius,
     report_privacy,
     resolve_run,
-    run_utility_comparison,
 )
 from .providers import (
     HttpProvider,
@@ -57,7 +55,6 @@ from .simplex import (
     SIMPLEX_RADIUS,
     coverage_count,
     distances,
-    min_ball_radius_oracle,
     project_to_ball,
     project_to_simplex,
 )

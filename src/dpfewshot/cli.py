@@ -1,8 +1,8 @@
-"""Command-line surface: generate, measure-radius, report-privacy (which
-calibrates sigma1 when given a target epsilon) and compare-utility.
+"""Command-line surface: generate and report-privacy (which calibrates
+sigma1 when given a target epsilon).
 
 Every flag is named after a RunConfig or ProviderSpec field (_ALIASES
-lists the ten that differ) and can also be set in a flat ``key = value``
+lists the eight that differ) and can also be set in a flat ``key = value``
 config file; flags override file values.  Every command resolves its run
 and prices it before releasing anything.  Exit codes: 0 success,
 2 configuration error or unreadable input file, 3 provider error,
@@ -24,10 +24,8 @@ from .pipeline import (
     RunConfig,
     audit_traces,
     generate_shots,
-    measure_cluster_radius,
     report_privacy,
     resolve_run,
-    run_utility_comparison,
     write_outputs,
 )
 from .providers import ProviderError, ProviderSpec
@@ -60,8 +58,6 @@ _ALIASES = {
     "lambda": "lam",
     "demos_out": "demos_path",
     "traces_out": "traces_path",
-    "runs": "n_runs",
-    "trials": "n_trials",
     "provider": "provider.kind",
     "provider_seed": "provider.seed",
 }
@@ -204,34 +200,14 @@ def cmd_generate(run) -> int:
     return EXIT_OK
 
 
-def cmd_measure_radius(run) -> int:
-    report = measure_cluster_radius(run)
-    oracle, private = report["oracle"], report["goodradius"]
-    print(f"runs = {report['runs']}")
-    print("position  oracle    goodradius")
-    columns = zip(oracle["per_position_mean"], private["per_position_mean"])
-    for position, (exact, searched) in enumerate(columns):
-        print(f"{position:8d}  {exact:.6f}  {searched:.6f}")
-    for mode, block in (("oracle", oracle), ("goodradius", private)):
-        print(f"{mode}: mean = {block['mean']:.6f}, std = {block['std']:.6f}, max = {block['max']:.6f}")
-    return EXIT_OK
-
-
 def cmd_report_privacy(report: dict) -> int:
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 
 
-def cmd_compare_utility(run) -> int:
-    print(json.dumps(run_utility_comparison(run), indent=2, sort_keys=True))
-    return EXIT_OK
-
-
 _COMMANDS = {
     "generate": cmd_generate,
-    "measure-radius": cmd_measure_radius,
     "report-privacy": cmd_report_privacy,
-    "compare-utility": cmd_compare_utility,
 }
 
 

@@ -69,14 +69,14 @@ def _load_jsonl(path: Path, allowed) -> list[Example]:
             try:
                 record, end = decode(line)
                 canonical = line[end:] in ("\n", "")
-            except ValueError:
+            except (ValueError, RecursionError):
                 canonical = False
             if not canonical:
                 if not line.strip():
                     continue
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError as err:
+                except (ValueError, RecursionError) as err:  # also too deep, or too many digits
                     raise DatasetError(f"{path}:{lineno}: invalid JSON: {err}") from err
             if not isinstance(record, dict) or "text" not in record or "label" not in record:
                 raise DatasetError(f'{path}:{lineno}: record needs "text" and "label" fields')

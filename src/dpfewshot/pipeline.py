@@ -1,4 +1,4 @@
-"""Run orchestration: demo generation, radius measurement, privacy reports.
+"""Run orchestration: demo generation and privacy reports.
 
 Everything here is driven by a RunConfig and a master seed.  Each noise or
 sampling site draws from a named substream of that seed (label draw,
@@ -27,20 +27,17 @@ from .accountant import (
     best_epsilon,
     calibrate_sigma1,
     charged_events,
-    matched_baseline_sigma,
     per_iteration_coefficient,
 )
 from .aggregate import (
     AggregationConfig,
     AggregationTrace,
     adaptive_aggregate,
-    baseline_aggregate,
     select_token,
 )
 from .data import Example, GENERIC_TEMPLATE, PromptTemplate, label_pools, load_dataset, pool_sizes
 from .providers import NextTokenBatch, ProviderSpec, next_token_generation
 from .rng import NoiseStreams, substream, substreams
-from .simplex import min_ball_radius_oracle
 
 
 class ConfigurationError(ValueError):
@@ -86,17 +83,12 @@ class RunConfig:
     demos_path: str = "demos.jsonl"
     traces_path: str = "traces.jsonl"
     stop_tokens: tuple[str, ...] = ()
-    n_runs: int = 5
-    n_trials: int = 500
 
     def __post_init__(self):
         if min(self.m, self.n, self.k, self.t_max, self.n_shots) < 1:
             raise ConfigurationError("m, n, k, t_max, n_shots must be positive")
         if len(set(self.labels)) < len(self.labels):
             raise ConfigurationError(f"labels must be distinct, got {list(self.labels)}")
-        for name in ("n_runs", "n_trials"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.gamma_mode not in (GAMMA_DATASET, GAMMA_LABEL):
             raise ConfigurationError(f"unknown gamma_mode {self.gamma_mode!r}")
         if self.sigma1 is not None and self.epsilon is not None:
@@ -245,29 +237,18 @@ def settle_privacy(
     return sigma1, delta, subsampling
 
 
-#: Most token steps whose streams one substreams call derives.  A batch costs
-#: about five substream calls, so a demo (t_max <= STEP_BATCH) takes one; the
-#: bound caps the Generators held at once over a long utility comparison.
-STEP_BATCH = 256
-
-
-def step_streams(run: ResolvedRun, prefixes, *noise_suffix):
+def step_streams(run: ResolvedRun, prefixes):
     """Yield each token step's (subset-draw stream, NoiseStreams) for the step
     paths in prefixes: ``substream(seed, *prefix, "subsample")`` (None without a
-    dataset) and ``NoiseStreams.from_seed(seed, *prefix, *noise_suffix)``.
+    dataset) and ``NoiseStreams.from_seed(seed, *prefix)``.
 
-    They are derived lazily, one substreams batch per STEP_BATCH steps, so a
-    step's batch is ready before the step starts.
+    All of them come from one substreams call, made before the first step.
     """
-    suffixes = [(*noise_suffix, site) for site in NoiseStreams.SITES]
-    if run.pools is not None:
-        suffixes.insert(0, ("subsample",))
-    for first in range(0, len(prefixes), STEP_BATCH):
-        chunk = prefixes[first : first + STEP_BATCH]
-        streams = iter(substreams(run.config.seed, [(*prefix, *suffix) for prefix in chunk for suffix in suffixes]))
-        for _ in chunk:
-            draw = None if run.pools is None else next(streams)
-            yield draw, NoiseStreams(**{site: next(streams) for site in NoiseStreams.SITES})
+    sites = NoiseStreams.SITES if run.pools is None else ("subsample", *NoiseStreams.SITES)
+    streams = iter(substreams(run.config.seed, [(*prefix, site) for prefix in prefixes for site in sites]))
+    for _ in prefixes:
+        draw = None if run.pools is None else next(streams)
+        yield draw, NoiseStreams(**{site: next(streams) for site in NoiseStreams.SITES})
 
 
 def token_step(
@@ -372,100 +353,6 @@ def audit_traces(traces, config: RunConfig) -> dict:
         "consumed": {name: sum(ns) for name, ns in used.items()},
         "charged": {name: len(traces) * events[name].count for name in used},
         "ok": ok and all(n == search for n in used["goodradius_draws"]),
-    }
-
-
-def measure_cluster_radius(run: ResolvedRun) -> dict:
-    """Exact and private covering radii of the private vectors along generation paths.
-
-    Each of n_runs paths runs token_step at every position and advances by
-    the argmax of the exact mean of the M vectors, so both blocks depend on
-    unnoised private data.  "oracle" holds the exact 80%-coverage radius
-    (min_ball_radius_oracle), "goodradius" the step's private target radius
-    (trace.target_radius): per-position and per-run means, overall mean,
-    standard deviation and maximum.
-    """
-    config = run.config
-    radii: dict[str, list[list[float]]] = {"oracle": [], "goodradius": []}
-    labels_used: list[str] = []
-    for run_idx in range(config.n_runs):
-        label_rng = substream(config.seed, "radius", run_idx, "label")
-        label = run.labels[int(label_rng.integers(len(run.labels)))]
-        labels_used.append(label)
-        prefix = ""
-        oracle, private = [], []
-        streams = step_streams(run, [("radius", run_idx, "token", position) for position in range(config.t_max)])
-        for position, (draw, noise) in enumerate(streams):
-            batch, _, aggregation = token_step(run, label, prefix, position, draw, noise)
-            points = batch.private_vectors
-            oracle.append(min_ball_radius_oracle(points, config.rho))
-            private.append(aggregation.target_radius)
-            prefix += select_token(points.mean(axis=0), batch.support)
-        radii["oracle"].append(oracle)
-        radii["goodradius"].append(private)
-    report: dict = {"runs": config.n_runs, "positions": config.t_max, "labels": labels_used}
-    for mode, per_run in radii.items():
-        flat = np.array(per_run, dtype=float)
-        report[mode] = {
-            "per_position_mean": flat.mean(axis=0).tolist(),
-            "per_run_mean": flat.mean(axis=1).tolist(),
-            "mean": float(flat.mean()),
-            "std": float(flat.std()),
-            "max": float(flat.max()),
-        }
-    return report
-
-
-def run_utility_comparison(run: ResolvedRun) -> dict:
-    """Agreement-with-consensus rates of both aggregators at matched privacy.
-
-    Both aggregators see the same batches; the fixed-noise baseline gets the
-    whole per-token budget on its single mean (matched_baseline_sigma).  The
-    consensus token is the argmax of the exact mean of the private vectors.
-    Reports rates, a 95% normal-approximation interval, and the discordant
-    pair counts for a one-sided paired comparison.
-    """
-    config, spec = run.config, run.aggregation
-    if min(spec.sigma0, spec.sigma1, spec.sigma2) == 0.0:
-        sigma_baseline = 0.0  # an infinite budget is matched by zero noise
-    else:
-        sigma_baseline = matched_baseline_sigma(spec)
-    adaptive_hits = 0
-    baseline_hits = 0
-    only_adaptive = 0
-    only_baseline = 0
-    streams = step_streams(run, [("utility", trial) for trial in range(config.n_trials)], "adaptive")
-    for trial, (draw, noise) in enumerate(streams):
-        label = run.labels[trial % len(run.labels)]
-        batch, adaptive_token, _ = token_step(run, label, "", trial, draw, noise)
-        points = batch.private_vectors
-        consensus = select_token(points.mean(axis=0), batch.support)
-        baseline_vec = baseline_aggregate(
-            points, sigma_baseline, substream(config.seed, "utility", trial, "baseline")
-        )
-        baseline_token = select_token(baseline_vec, batch.support)
-        a_hit = adaptive_token == consensus
-        b_hit = baseline_token == consensus
-        adaptive_hits += a_hit
-        baseline_hits += b_hit
-        only_adaptive += a_hit and not b_hit
-        only_baseline += b_hit and not a_hit
-    n = config.n_trials
-    rate_a = adaptive_hits / n
-    rate_b = baseline_hits / n
-
-    def half_width(rate):
-        return 1.96 * math.sqrt(max(rate * (1 - rate), 1e-12) / n)
-
-    return {
-        "trials": n,
-        "matched_baseline_sigma": sigma_baseline,
-        "adaptive_rate": rate_a,
-        "baseline_rate": rate_b,
-        "adaptive_ci95": [max(0.0, rate_a - half_width(rate_a)), min(1.0, rate_a + half_width(rate_a))],
-        "baseline_ci95": [max(0.0, rate_b - half_width(rate_b)), min(1.0, rate_b + half_width(rate_b))],
-        "only_adaptive_correct": only_adaptive,
-        "only_baseline_correct": only_baseline,
     }
 
 

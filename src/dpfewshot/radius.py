@@ -33,9 +33,10 @@ class CoverageScore:
     """L(r) evaluator that screens pairs with one Gram product and recomputes
     exactly only the pairs the screen cannot decide.
 
-    Every mask equals ``pairwise_distances(points) <= r``: a pair whose
-    Gram-form squared distance lies within its rounding bound of r^2 is
-    decided by the same norm the exact matrix stores.
+    Every mask equals the exact test ``distances(points[j], points[i]) <= r``
+    (i < j), the one norm per pair that study.diagnostics.pairwise_distances
+    stores: a pair whose Gram-form squared distance lies within its rounding
+    bound of r^2 is decided by that norm.
     """
 
     def __init__(self, points: np.ndarray):

@@ -42,14 +42,14 @@ from dpfewshot.pipeline import (
     RunConfig,
     audit_traces,
     generate_shots,
-    measure_cluster_radius,
     resolve_run,
     write_outputs,
 )
 from dpfewshot.providers import ProviderSpec
 from dpfewshot.radius import CoverageScore, good_radius
 from dpfewshot.rng import NoiseStreams, substream
-from dpfewshot.simplex import SIMPLEX_RADIUS, pairwise_distances
+from dpfewshot.simplex import SIMPLEX_RADIUS
+from study.diagnostics import measure_cluster_radius, pairwise_distances
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -539,10 +539,9 @@ def test_cluster_radius_measurement():
         labels=("alpha", "beta", "gamma", "delta"),
         provider=ProviderSpec(kind="synthetic", seed=11),
         m=40, n=1, k=100, t_max=8,
-        sigma0=0.0, sigma1=0.0, sigma2=0.0,
-        n_runs=5, seed=101,
+        sigma0=0.0, sigma1=0.0, sigma2=0.0, seed=101,
     )
-    result = measure_cluster_radius(resolve_run(config))["oracle"]
+    result = measure_cluster_radius(resolve_run(config), runs=5)["oracle"]
     assert 0.07 <= result["mean"] <= 0.13, result["mean"]
     assert result["max"] < SIMPLEX_RADIUS
     elapsed = perf_counter() - t0

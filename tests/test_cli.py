@@ -61,8 +61,6 @@ CLI_SURFACE = {
     "demos_out": ("demos_path", "str"),
     "traces_out": ("traces_path", "str"),
     "stop_tokens": ("stop_tokens", "json"),
-    "runs": ("n_runs", "int"),
-    "trials": ("n_trials", "int"),
     "provider": ("provider.kind", "str"),
     "provider_seed": ("provider.seed", "int"),
     "vocab_size": ("provider.vocab_size", "int"),
@@ -83,7 +81,10 @@ class TestSurface:
         table = {key: (target, kinds[convert]) for key, (target, convert) in cli._OPTIONS.items()}
         assert table == CLI_SURFACE
 
-    @pytest.mark.parametrize("command", ["generate", "measure-radius", "report-privacy", "compare-utility"])
+    def test_command_set_is_pinned(self):
+        assert set(cli.build_parser()._subparsers._group_actions[0].choices) == {"generate", "report-privacy"}
+
+    @pytest.mark.parametrize("command", ["generate", "report-privacy"])
     def test_every_command_takes_every_key(self, command):
         sub = cli.build_parser()._subparsers._group_actions[0].choices[command]
         numeric = {"int": int, "float": float}
@@ -218,15 +219,24 @@ class TestRefusals:
         assert code == EXIT_CONFIG
         assert "cannot account for a dataset of 0 rows" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [
-        "generate", "report-privacy", "compare-utility", "measure-radius",
-    ])
+    @pytest.mark.parametrize("line, message", [
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+        ('{"text": 1' + "0" * 5000 + ', "label": "a"}', "Exceeds the limit (4300 digits)"),
+    ], ids=["nested-too-deep", "too-many-digits"])
+    def test_undecodable_jsonl_line_exits_2_naming_path_and_line(self, tmp_path, capsys, line, message):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"text": "ok", "label": "a"}\n' + line + "\n")
+        code = run_cli("report-privacy", "--dataset", str(path), "--epsilon", "4", "--labels", "a")
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}:2: invalid JSON: ")
+        assert message in err
+
+    @pytest.mark.parametrize("command", ["generate", "report-privacy"])
     @pytest.mark.parametrize("flag, message", [
         ("--t-hat", "t_hat must be positive"),
         ("--sigma0", "noise multipliers must be positive"),
         ("--mu", "mu and rho must lie in (0, 1]"),
-        ("--runs", "n_runs must be positive, got 0"),
-        ("--trials", "n_trials must be positive, got 0"),
         ("--delta", "delta must lie in (0, 1), got 0"),
     ])
     def test_every_command_refuses_the_same_mechanism(self, tmp_path, capsys, command, flag, message):
@@ -563,20 +573,3 @@ class TestReports:
         )
         assert code == EXIT_CALIBRATION
         assert "calibration infeasible" in capsys.readouterr().err
-
-    def test_measure_radius_table(self, config_file, capsys):
-        code = run_cli("measure-radius", "--config", str(config_file), "--runs", "2")
-        assert code == EXIT_OK
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[:2] == ["runs = 2", "position  oracle    goodradius"]
-        assert [len(line.split()) for line in lines[2:5]] == [3, 3, 3]
-        assert lines[5].startswith("oracle: mean = ")
-        assert lines[6].startswith("goodradius: mean = ")
-        assert len(lines) == 7
-
-    def test_compare_utility_json(self, config_file, capsys):
-        code = run_cli("compare-utility", "--config", str(config_file), "--trials", "10")
-        assert code == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
-        assert 0.0 <= report["baseline_rate"] <= 1.0
-        assert report["trials"] == 10

@@ -159,8 +159,10 @@ class TestLoadDataset:
 
 
 def reference_load_jsonl(path) -> list[Example]:
-    """The loader before the single-decode fast path: json.loads on every
-    line that is not blank.  The oracle the fast path must equal."""
+    """The loader without the single-decode fast path: json.loads on every
+    line that is not blank, and a line it cannot decode (invalid, nested
+    too deep, or a number with too many digits) refused as invalid JSON.
+    The oracle the fast path must equal."""
     examples = []
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -168,7 +170,7 @@ def reference_load_jsonl(path) -> list[Example]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as err:
+            except (ValueError, RecursionError) as err:
                 raise DatasetError(f"{path}:{lineno}: invalid JSON: {err}") from err
             if not isinstance(record, dict) or "text" not in record or "label" not in record:
                 raise DatasetError(f'{path}:{lineno}: record needs "text" and "label" fields')

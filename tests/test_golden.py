@@ -1,11 +1,13 @@
 """Golden outputs of every loop that runs the per-token step.
 
 The README quickstart settings (synthetic provider, M=10, K=100, t_max=20,
-4 shots) drive `generate` (its files and its stdout), `measure_cluster_radius`,
-`run_utility_comparison` and `report_privacy`.  Each output is pinned by
-its SHA-256 digest, so a refactor of the token loop or the accountant that
-changes a single byte of a fixed-seed output fails here.  The benchmark
-only checks the `generate` path; this is the guard on the other loops.
+4 shots) drive `generate` (its files and its stdout), `report_privacy`, and
+the two loops of `study.diagnostics` that run the same token step,
+`measure_cluster_radius` and `run_utility_comparison`.  Each output is
+pinned by its SHA-256 digest, so a refactor of the token loop or the
+accountant that changes a single byte of a fixed-seed output fails here.
+The benchmark only checks the `generate` path; this is the guard on the
+other loops.
 
 A seeded corpus of aggregation batches (M 5..40, K 5..100, up to 25% vertex
 outliers) pins `adaptive_aggregate`'s chosen index and every trace field,
@@ -21,15 +23,10 @@ import numpy as np
 
 from dpfewshot.aggregate import AggregationConfig, adaptive_aggregate
 from dpfewshot.cli import main
-from dpfewshot.pipeline import (
-    RunConfig,
-    measure_cluster_radius,
-    report_privacy,
-    resolve_run,
-    run_utility_comparison,
-)
+from dpfewshot.pipeline import RunConfig, report_privacy, resolve_run
 from dpfewshot.providers import ProviderSpec
 from dpfewshot.rng import NoiseStreams
+from study.diagnostics import measure_cluster_radius, run_utility_comparison
 
 LABELS = ("World", "Sports", "Business", "Technology")
 
@@ -94,12 +91,12 @@ def test_generate_files(tmp_path, capsys):
 
 
 def test_measure_cluster_radius():
-    report = measure_cluster_radius(resolve_run(dataclasses.replace(CONFIG, n_runs=3)))
+    report = measure_cluster_radius(resolve_run(CONFIG), runs=3)
     assert json_digest(report) == GOLDEN["radius"]
 
 
 def test_run_utility_comparison():
-    report = run_utility_comparison(resolve_run(dataclasses.replace(CONFIG, n_trials=100)))
+    report = run_utility_comparison(resolve_run(CONFIG), trials=100)
     assert json_digest(report) == GOLDEN["utility"]
 
 

@@ -13,10 +13,8 @@ from dpfewshot.pipeline import (
     audit_traces,
     generate_demo,
     generate_shots,
-    measure_cluster_radius,
     report_privacy,
     resolve_run,
-    run_utility_comparison,
     write_outputs,
 )
 from dpfewshot.accountant import DpBudget, SubsamplingContext, binary_search_iterations, calibrate_sigma1
@@ -24,7 +22,6 @@ from dpfewshot.aggregate import adaptive_aggregate, select_token
 from dpfewshot.data import PromptTemplate, load_dataset, partition_subsets
 from dpfewshot.providers import ProviderSpec, SyntheticProvider
 from dpfewshot.rng import NoiseStreams, substream
-from dpfewshot.simplex import SIMPLEX_RADIUS
 
 LABELS = ("World", "Sports", "Business", "Technology")
 
@@ -188,22 +185,6 @@ class TestStepStreams:
             path = ("demo", int(trace.trace_id.removeprefix("demo-")), "token", trace.position, "subsample")
             assert subsets == partition_subsets(pools, label, m, n, substream(config.seed, *path))
 
-    @pytest.mark.parametrize("pools", [None, {}])
-    def test_batches_of_step_batch_steps_equal_per_step_derivation(self, monkeypatch, pools):
-        monkeypatch.setattr(pipeline, "STEP_BATCH", 3)
-        run = dataclasses.replace(resolve_run(noiseless_config()), pools=pools)
-        prefixes = [("utility", trial) for trial in range(7)]
-        streams = list(pipeline.step_streams(run, prefixes, "adaptive"))
-        assert len(streams) == len(prefixes)
-        for (draw, noise), prefix in zip(streams, prefixes):
-            if pools is None:
-                assert draw is None
-            else:
-                assert draw.bit_generator.state == substream(run.config.seed, *prefix, "subsample").bit_generator.state
-            want = NoiseStreams.from_seed(run.config.seed, *prefix, "adaptive")
-            for site in NoiseStreams.SITES:
-                assert getattr(noise, site).bit_generator.state == getattr(want, site).bit_generator.state
-
 
 class TestOutputsAndAudit:
     def test_round_trip_and_determinism(self, tmp_path):
@@ -274,52 +255,6 @@ class TestOutputsAndAudit:
         for demo in demos:
             want = {**dataclasses.asdict(demo), "tokens": list(demo.tokens), "token_count": len(demo.tokens)}
             assert demo.to_record() == want
-
-
-class TestMeasureClusterRadius:
-    def test_zero_spread_means_zero_radius(self):
-        config = noiseless_config(t_max=3, n_runs=2)
-        report = measure_cluster_radius(resolve_run(config))
-        assert report["oracle"]["mean"] == 0.0
-        assert report["oracle"]["max"] == 0.0
-
-    def test_calibrated_spread_lands_near_point_one(self):
-        config = RunConfig(
-            labels=LABELS,
-            provider=ProviderSpec(kind="synthetic", seed=11),
-            m=40, n=1, k=100, t_max=6, sigma1=0.0, sigma0=0.0, sigma2=0.0,
-            n_runs=3, seed=9,
-        )
-        report = measure_cluster_radius(resolve_run(config))
-        assert 0.07 <= report["oracle"]["mean"] <= 0.13
-
-    def test_goodradius_block_is_the_noiseless_search_on_coincident_vectors(self):
-        # every L(r) reaches t, so each bisection step halves the bracket top
-        config = noiseless_config(t_max=2, n_runs=2)
-        report = measure_cluster_radius(resolve_run(config))
-        floor = SIMPLEX_RADIUS / 2 ** (binary_search_iterations(config.theta) + 1)
-        assert report["goodradius"]["per_position_mean"] == [floor, floor]
-        assert report["goodradius"]["per_run_mean"] == [floor, floor]
-        assert (report["runs"], report["positions"], len(report["labels"])) == (2, 2, 2)
-
-
-class TestUtilityComparison:
-    def test_noiseless_rates_are_one(self):
-        config = noiseless_config(n_trials=40, m=6, k=10)
-        report = run_utility_comparison(resolve_run(config))
-        assert report["adaptive_rate"] == 1.0
-        assert report["baseline_rate"] == 1.0
-        assert report["matched_baseline_sigma"] == 0.0
-
-    def test_heavy_noise_drops_both_rates(self):
-        config = noiseless_config(
-            n_trials=60, m=6, k=10, sigma0=10.0, sigma1=1000.0, sigma2=3.0,
-            provider=ProviderSpec(kind="synthetic", seed=5, vocab_size=30, spread=0.2),
-        )
-        with pytest.warns(UserWarning, match="margin coefficient"):
-            report = run_utility_comparison(resolve_run(config))
-        assert report["adaptive_rate"] < 0.6
-        assert report["baseline_rate"] < 0.6
 
 
 class TestReportPrivacy:

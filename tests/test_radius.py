@@ -7,7 +7,8 @@ import helpers
 from dpfewshot.accountant import binary_search_iterations
 from dpfewshot.radius import CoverageScore, good_radius
 from dpfewshot.rng import substream
-from dpfewshot.simplex import SIMPLEX_RADIUS, coverage_count, distances, pairwise_distances
+from dpfewshot.simplex import SIMPLEX_RADIUS, coverage_count, distances
+from study.diagnostics import pairwise_distances
 
 
 class CountingRng:

@@ -24,7 +24,7 @@ def test_quickstart_commands_run(tmp_path, monkeypatch, capsys):
         shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
         if line.startswith("dpfewshot ")
     ]
-    assert len(commands) == 5
+    assert len(commands) == 3
     for argv in commands:
         assert main(argv[1:]) == EXIT_OK, argv
         assert capsys.readouterr().err == ""

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from dpfewshot.simplex import (
     SIMPLEX_RADIUS,
     coverage_count,
-    min_ball_radius_oracle,
     project_to_ball,
     project_to_simplex,
 )
@@ -98,27 +97,6 @@ class TestProjectToBall:
         assert np.linalg.norm(out[0] - center) <= radius * (1 + 1e-12) + 1e-15
 
 
-class TestL2Distance:
-    """The distance between two points is the radius that covers both."""
-
-    def test_identity(self):
-        assert min_ball_radius_oracle(np.array([[0.2, 0.8], [0.2, 0.8]]), 1.0) == 0.0
-
-    def test_simplex_vertices(self):
-        assert min_ball_radius_oracle(np.array([[1.0, 0, 0], [0, 1.0, 0]]), 1.0) == pytest.approx(
-            math.sqrt(2)
-        )
-
-    def test_plain_arithmetic(self):
-        assert min_ball_radius_oracle(np.array([[0.5, 0.5], [0.8, 0.2]]), 1.0) == pytest.approx(
-            math.sqrt(0.18)
-        )
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            min_ball_radius_oracle([[1.0], [1.0, 2.0]], 1.0)
-
-
 class TestCoverageCount:
     def test_all_at_center(self):
         points = np.tile([0.5, 0.5], (7, 1))
@@ -146,31 +124,6 @@ class TestCoverageCount:
                 if math.sqrt(sum((a - b) ** 2 for a, b in zip(row, center))) <= radius:
                     naive += 1
             assert coverage_count(points, center, radius) == naive
-
-
-class TestMinBallRadiusOracle:
-    def test_identical_points(self):
-        assert min_ball_radius_oracle(np.tile([0.2, 0.8], (5, 1)), 1.0) == 0.0
-
-    def test_half_coverage_of_two_points(self):
-        points = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert min_ball_radius_oracle(points, 0.5) == 0.0
-
-    def test_three_point_instance(self):
-        points = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        assert min_ball_radius_oracle(points, 1.0) == pytest.approx(math.sqrt(2) / 2)
-
-    def test_monotone_in_coverage_and_bounded(self):
-        for seed in range(50):
-            rng = np.random.default_rng(seed)
-            points = rng.random((int(rng.integers(2, 20)), 4))
-            fractions = [0.2, 0.5, 0.8, 1.0]
-            radii = [min_ball_radius_oracle(points, f) for f in fractions]
-            assert radii == sorted(radii)
-            max_pairwise = max(
-                np.linalg.norm(a - b) for a in points for b in points
-            )
-            assert radii[-1] <= max_pairwise + 1e-12
 
 
 def test_simplex_radius_constant():
