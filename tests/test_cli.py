@@ -84,6 +84,21 @@ class TestSurface:
     def test_command_set_is_pinned(self):
         assert set(cli.build_parser()._subparsers._group_actions[0].choices) == {"generate", "report-privacy"}
 
+    @pytest.mark.parametrize("command", ["measure-radius", "compare-utility"])
+    def test_removed_command_is_refused(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(command, "--labels", "a,b")
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generate", "report-privacy"])
+    @pytest.mark.parametrize("flag", ["--runs", "--trials"])
+    def test_removed_flag_is_refused(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(command, "--labels", "a,b", flag, "2")
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["generate", "report-privacy"])
     def test_every_command_takes_every_key(self, command):
         sub = cli.build_parser()._subparsers._group_actions[0].choices[command]
@@ -123,6 +138,13 @@ class TestConfigParsing:
         path = tmp_path / "bad.cfg"
         path.write_text("labels = a,b\nmystery = 3\n")
         with pytest.raises(ConfigurationError, match="bad.cfg:2"):
+            read_config_file(path)
+
+    @pytest.mark.parametrize("key", ["runs", "trials"])
+    def test_removed_diagnostic_key_rejected_with_line(self, tmp_path, key):
+        path = tmp_path / "old.cfg"
+        path.write_text(f"labels = a,b\n{key} = 3\n")
+        with pytest.raises(ConfigurationError, match=f"old.cfg:2: unknown option '{key}'"):
             read_config_file(path)
 
     @pytest.mark.parametrize("first_line", [0, 1], ids=["comment_first", "key_first"])

@@ -108,6 +108,22 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=":2"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("pad", ["", " "], ids=["decoder_first", "json_loads_only"])
+    @pytest.mark.parametrize("line, message", [
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        ('{"text": 1' + "0" * 5000 + ', "label": "a"}', "Exceeds the limit (4300 digits)"),
+    ], ids=["unclosed-nesting", "closed-nesting", "too-many-digits"])
+    def test_undecodable_line_refused_with_line(self, tmp_path, pad, line, message):
+        # a leading space sends the line straight to json.loads; without it the
+        # single decoder fails first and json.loads must fail the same way
+        path = tmp_path / "deep.jsonl"
+        path.write_text('{"text": "ok", "label": "a"}\n' + pad + line + "\n")
+        with pytest.raises(DatasetError) as err:
+            load_dataset(path)
+        assert str(err.value).startswith(f"{path}:2: invalid JSON: ")
+        assert message in str(err.value)
+
     def test_unknown_label_named(self, jsonl_file):
         with pytest.raises(DatasetError, match="Sports"):
             load_dataset(jsonl_file, label_set=["Business"])

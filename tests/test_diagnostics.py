@@ -87,6 +87,15 @@ class TestMeasureClusterRadius:
         assert report["goodradius"]["per_run_mean"] == [floor, floor]
         assert (report["runs"], report["positions"], len(report["labels"])) == (2, 2, 2)
 
+    def test_report_keys_and_shape(self):
+        report = measure_cluster_radius(resolve_run(noiseless_config(t_max=3)), runs=2)
+        assert set(report) == {"runs", "positions", "labels", "oracle", "goodradius"}
+        for mode in ("oracle", "goodradius"):
+            block = report[mode]
+            assert set(block) == {"per_position_mean", "per_run_mean", "mean", "std", "max"}
+            assert (len(block["per_position_mean"]), len(block["per_run_mean"])) == (3, 2)
+        assert set(report["labels"]) <= set(LABELS)
+
 
 class TestUtilityComparison:
     def test_noiseless_rates_are_one(self):
@@ -95,6 +104,19 @@ class TestUtilityComparison:
         assert report["adaptive_rate"] == 1.0
         assert report["baseline_rate"] == 1.0
         assert report["matched_baseline_sigma"] == 0.0
+
+    def test_report_keys_and_bounds(self):
+        config = noiseless_config(m=6, k=10, sigma0=2.0, sigma1=0.5, sigma2=1.0)
+        report = run_utility_comparison(resolve_run(config), trials=10)
+        assert set(report) == {
+            "trials", "matched_baseline_sigma", "adaptive_rate", "baseline_rate",
+            "adaptive_ci95", "baseline_ci95", "only_adaptive_correct", "only_baseline_correct",
+        }
+        assert report["trials"] == 10
+        for mode in ("adaptive", "baseline"):
+            low, high = report[f"{mode}_ci95"]
+            assert 0.0 <= low <= report[f"{mode}_rate"] <= high <= 1.0
+        assert report["only_adaptive_correct"] + report["only_baseline_correct"] <= 10
 
     def test_heavy_noise_drops_both_rates(self):
         config = noiseless_config(

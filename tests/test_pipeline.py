@@ -185,6 +185,24 @@ class TestStepStreams:
             path = ("demo", int(trace.trace_id.removeprefix("demo-")), "token", trace.position, "subsample")
             assert subsets == partition_subsets(pools, label, m, n, substream(config.seed, *path))
 
+    @pytest.mark.parametrize("pools", [None, {}])
+    def test_long_step_list_is_one_batch_equal_to_per_step_derivation(self, monkeypatch, pools):
+        run = dataclasses.replace(resolve_run(noiseless_config()), pools=pools)
+        prefixes = [("demo", 0, "token", position) for position in range(300)]
+        derived, derive = [], pipeline.substreams
+        monkeypatch.setattr(pipeline, "substreams", lambda seed, paths: derived.append(paths) or derive(seed, paths))
+        streams = list(pipeline.step_streams(run, prefixes))
+        assert len(derived) == 1
+        assert len(streams) == len(prefixes)
+        for (draw, noise), prefix in zip(streams, prefixes):
+            if pools is None:
+                assert draw is None
+            else:
+                assert draw.bit_generator.state == substream(run.config.seed, *prefix, "subsample").bit_generator.state
+            want = NoiseStreams.from_seed(run.config.seed, *prefix)
+            for site in NoiseStreams.SITES:
+                assert getattr(noise, site).bit_generator.state == getattr(want, site).bit_generator.state
+
 
 class TestOutputsAndAudit:
     def test_round_trip_and_determinism(self, tmp_path):
