@@ -24,7 +24,7 @@ import numpy as np
 from .accountant import MechanismProfile
 from .radius import RadiusSearchStep, good_radius
 from .rng import NoiseStreams
-from .simplex import SIMPLEX_RADIUS, coverage_count, project_to_ball, project_to_simplex
+from .simplex import SIMPLEX_RADIUS, coverage_count, distances, project_to_ball, project_to_simplex
 
 BREAK_MAX_ITERS = "max_iters"
 BREAK_COVERAGE_FAILED = "coverage_failed"
@@ -103,13 +103,15 @@ def radius_coverage_check(
     check_radius: float,
     cfg: AggregationConfig,
     rng: np.random.Generator,
+    dists: np.ndarray | None = None,
 ) -> tuple[bool, int, float]:
     """Noisy test that enough original vectors sit near the current center.
 
     Counts points within check_radius of the center, adds N(0, sigma2^2),
     and compares against mu * M.  Consumes exactly one Gaussian draw.
+    dists, if given, must be ``distances(points, center)``.
     """
-    raw = coverage_count(points, center, check_radius)
+    raw = coverage_count(points, center, check_radius, dists)
     noisy = raw + cfg.sigma2 * rng.standard_normal()
     return noisy >= cfg.mu * cfg.m, raw, noisy
 
@@ -141,7 +143,8 @@ def adaptive_aggregate(
 
     for _ in range(cfg.t_hat):
         next_r = target_r + cfg.margin(current_r)
-        passed, raw, noisy = radius_coverage_check(points, center, next_r, cfg, streams.check)
+        dists = distances(points, center)  # shared by the check and the projection at this center
+        passed, raw, noisy = radius_coverage_check(points, center, next_r, cfg, streams.check, dists)
         checks.append((raw, noisy))
         if not passed:
             break_reason = BREAK_COVERAGE_FAILED
@@ -151,7 +154,7 @@ def adaptive_aggregate(
             break
         current_r = next_r
         radius_sequence.append(current_r)
-        projected = project_to_ball(points, center, current_r)
+        projected = project_to_ball(points, center, current_r, dists)
         center, degenerate = project_to_simplex(
             noisy_mean_raw(projected, current_r, cfg.sigma1, streams.mean)
         )

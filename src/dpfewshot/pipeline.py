@@ -267,9 +267,10 @@ def token_step(
         run.provider, run.pools, label, config.m, config.n, config.k,
         run.template, prefix, draw, position=position,
     )
-    vector, trace = adaptive_aggregate(
-        batch.private_vectors, dataclasses.replace(run.aggregation, k=len(batch.support)), noise,
-    )
+    spec = run.aggregation
+    if len(batch.support) != spec.k:  # a vocabulary smaller than k
+        spec = dataclasses.replace(spec, k=len(batch.support))
+    vector, trace = adaptive_aggregate(batch.private_vectors, spec, noise)
     return batch, select_token(vector, batch.support), trace
 
 

@@ -48,8 +48,10 @@ class CoverageScore:
         self.m, k = points.shape
         self._points = points
         sq = np.einsum("ij,ij->i", points, points)
-        s = sq[:, None] + sq
-        d2 = s - 2.0 * (points @ points.T)
+        tol = sq[:, None] + sq  # S, scaled to the tolerance below
+        d2 = points @ points.T
+        d2 *= -2.0
+        d2 += tol  # S - 2 G in place: the negation is exact, so the bits are those of s - 2.0 * G
         np.fill_diagonal(d2, 0.0)
         # With u = eps/2 and D the true squared distance, to first order in u:
         # - Gram form, any summation order, FMA or not: |d2 - D| <= (2K + 3) u S,
@@ -64,9 +66,11 @@ class CoverageScore:
         # A pair with d2 + tol <= r^2 is inside, d2 - tol > r^2 outside; an
         # overflowed d2 (NaN or inf) is neither, so it is recomputed exactly.
         self._c = 4 * (k + 4) * np.finfo(float).eps
-        tol = self._c * s + np.finfo(float).tiny
+        tol *= self._c
+        tol += np.finfo(float).tiny
         self._upper = d2 + tol
-        self._lower = d2 - tol
+        d2 -= tol
+        self._lower = d2
 
     def within(self, r: float) -> np.ndarray:
         """(M, M) mask of the pairs at distance <= r."""
@@ -74,9 +78,10 @@ class CoverageScore:
             return np.zeros((self.m, self.m), dtype=bool)
         r2 = r * r
         inside = self._upper <= r2 - self._c * r2
-        unsure = ~(inside | (self._lower > r2 + self._c * r2))
-        if unsure.any():
-            i, j = np.nonzero(unsure)
+        outside = self._lower > r2 + self._c * r2
+        # inside and outside are disjoint, so a shortfall in their counts is the undecided pairs
+        if np.count_nonzero(inside) + np.count_nonzero(outside) < inside.size:
+            i, j = np.nonzero(~(inside | outside))
             near = distances(self._points[np.maximum(i, j)], self._points[np.minimum(i, j)])
             inside[i, j] = near <= r
         return inside
@@ -85,10 +90,9 @@ class CoverageScore:
         """Average of the t largest capped counts min(B_r(x_i), t)."""
         if not 1 <= t <= self.m:
             raise ValueError(f"t must lie in [1, {self.m}], got {t}")
-        counts = self.within(r).sum(axis=1)
-        capped = np.minimum(counts, t)
-        top = np.partition(capped, self.m - t)[self.m - t:]
-        return float(top.sum()) / t
+        counts = np.add.reduce(self.within(r), axis=1)
+        counts.sort()
+        return float(np.minimum(counts[self.m - t:], t).sum()) / t
 
 
 def good_radius(
@@ -107,17 +111,28 @@ def good_radius(
     consumes the 2 * iterations Gaussians the accountant charges.  The first
     two branches coincide deliberately: both evaluations are part of the
     analyzed mechanism and both are charged, so they are not collapsed into one.
+
+    Only the exact scores are cached, by radius: while r_low is 0, the
+    midpoint after a passing iteration is that iteration's half radius.
+    Every evaluation still releases a fresh noisy value.
     """
     score = CoverageScore(points)
     if not sigma0 >= 0:
         raise ValueError("sigma0 must be nonnegative")
     if not 0.0 < theta <= SIMPLEX_RADIUS:
         raise ValueError(f"theta must lie in (0, sqrt(2)/2], got {theta}")
+    exact: dict[float, float] = {}
+
+    def noisy_score(r: float) -> float:
+        if r not in exact:
+            exact[r] = score.l_value(t, r)
+        return exact[r] + 2.0 * sigma0 * rng.standard_normal()
+
     r_low, r_high = 0.0, SIMPLEX_RADIUS
     for _ in range(binary_search_iterations(theta)):
         r_mid = (r_low + r_high) / 2.0
-        noisy_half = score.l_value(t, r_mid / 2.0) + 2.0 * sigma0 * rng.standard_normal()
-        noisy_mid = score.l_value(t, r_mid) + 2.0 * sigma0 * rng.standard_normal()
+        noisy_half = noisy_score(r_mid / 2.0)
+        noisy_mid = noisy_score(r_mid)
         if noisy_half >= t:
             r_high = r_mid
             branch = "half_pass"

@@ -1,22 +1,28 @@
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import helpers
+from dpfewshot.accountant import binary_search_iterations
 from dpfewshot.aggregate import (
     BREAK_COVERAGE_FAILED,
     BREAK_MAX_ITERS,
     BREAK_RADIUS_FLOOR,
     AggregationConfig,
+    AggregationTrace,
     adaptive_aggregate,
     baseline_aggregate,
     noisy_mean_raw,
     radius_coverage_check,
     select_token,
 )
+from dpfewshot.radius import RadiusSearchStep
 from dpfewshot.rng import NoiseStreams, substream
-from dpfewshot.simplex import SIMPLEX_RADIUS, project_to_simplex
+from dpfewshot.simplex import SIMPLEX_RADIUS, coverage_count, distances, project_to_ball, project_to_simplex
+from study.diagnostics import pairwise_distances
 
 
 def make_cfg(m, k, **overrides):
@@ -250,3 +256,201 @@ class TestConfigValidation:
     def test_coverage_target_uses_ceiling(self):
         assert make_cfg(10, 3).coverage_target == 8
         assert make_cfg(11, 3).coverage_target == 9  # ceil(8.8)
+
+
+def reference_good_radius(points, t, sigma0, theta, rng, trace):
+    """The radius search without the score cache: both L values evaluated
+    afresh every iteration, from the full exact distance matrix."""
+    dists = pairwise_distances(points)
+    m = dists.shape[0]
+
+    def l_value(r):
+        capped = np.minimum((dists <= r).sum(axis=1), t)
+        return float(np.partition(capped, m - t)[m - t:].sum()) / t
+
+    r_low, r_high = 0.0, SIMPLEX_RADIUS
+    for _ in range(binary_search_iterations(theta)):
+        r_mid = (r_low + r_high) / 2.0
+        noisy_half = l_value(r_mid / 2.0) + 2.0 * sigma0 * rng.standard_normal()
+        noisy_mid = l_value(r_mid) + 2.0 * sigma0 * rng.standard_normal()
+        if noisy_half >= t:
+            r_high = r_mid
+            branch = "half_pass"
+        elif noisy_mid >= t:
+            r_high = r_mid
+            branch = "mid_pass"
+        else:
+            r_low = r_mid
+            branch = "raise_low"
+        trace.append(RadiusSearchStep(r_mid, noisy_half, noisy_mid, branch))
+    return (r_low + r_high) / 2.0
+
+
+def reference_project_to_simplex(v):
+    clipped = np.maximum(np.asarray(v, dtype=float), 0.0)
+    mass = clipped.sum(axis=-1, keepdims=True)
+    degenerate = mass <= 0.0
+    with np.errstate(all="ignore"):
+        out = np.where(degenerate, 1.0 / clipped.shape[-1], clipped / mass)
+    return out, degenerate[..., 0]
+
+
+def reference_project_to_ball(points, center, radius):
+    dists = np.linalg.norm(points - center, axis=-1)[:, None]
+    with np.errstate(all="ignore"):
+        pulled = center + (points - center) / (dists / radius)
+    return np.where(dists > radius, pulled, points)
+
+
+def reference_adaptive_aggregate(points, cfg, streams):
+    """The aggregator without shared distances or cached scores: each check
+    and each projection measures its own distances, with np.linalg.norm,
+    and every row is pulled before the inside ones are put back.  The
+    oracle the package must equal byte for byte."""
+    search_steps = []
+    target_r = reference_good_radius(
+        points, cfg.coverage_target, cfg.sigma0, cfg.theta, streams.goodradius, search_steps
+    )
+    current_r = SIMPLEX_RADIUS
+    radius_sequence = [current_r]
+    center, degenerate = reference_project_to_simplex(noisy_mean_raw(points, current_r, cfg.sigma1, streams.mean))
+    degenerate_events = int(degenerate)
+    checks = []
+    break_reason = BREAK_MAX_ITERS
+    for _ in range(cfg.t_hat):
+        next_r = target_r + cfg.margin(current_r)
+        raw = int(np.count_nonzero(np.linalg.norm(points - center, axis=-1) <= next_r))
+        noisy = raw + cfg.sigma2 * streams.check.standard_normal()
+        checks.append((raw, noisy))
+        if not noisy >= cfg.mu * cfg.m:
+            break_reason = BREAK_COVERAGE_FAILED
+            break
+        if current_r < next_r:
+            break_reason = BREAK_RADIUS_FLOOR
+            break
+        current_r = next_r
+        radius_sequence.append(current_r)
+        projected = reference_project_to_ball(points, center, current_r)
+        center, degenerate = reference_project_to_simplex(
+            noisy_mean_raw(projected, current_r, cfg.sigma1, streams.mean)
+        )
+        degenerate_events += int(degenerate)
+    trace = AggregationTrace(
+        target_radius=target_r,
+        radius_sequence=radius_sequence,
+        coverage_checks=checks,
+        break_reason=break_reason,
+        degenerate_simplex_events=degenerate_events,
+        mean_estimates=len(radius_sequence),
+        goodradius_steps=search_steps,
+    )
+    return center, trace
+
+
+THETAS = (SIMPLEX_RADIUS, 0.3, 0.1, 0.05, 0.01, 0.002)
+
+
+def exactness_case(seed):
+    """(points, cfg, kind) for one seeded case: M in {1, 2, 10, 40}, K in
+    {1, 2, 100}, t_hat 1..4, theta down to 0.002, each noise multiplier zero
+    a third of the time, and rows that are Dirichlet draws with vertex
+    outliers, duplicates, or pairs placed symmetrically about one center.
+
+    The last kind runs noiseless with lam = 0, so the first center is exactly
+    the midpoint of the first two vertices.  Most pairs sit on that center,
+    so the search usually passes every one of its n steps; it then returns
+    sqrt(2)/2 / 2**(n + 1), the check radius, and the first pair lies
+    exactly on it."""
+    rng = np.random.default_rng(seed)
+    m, k = int(rng.choice([1, 2, 10, 40])), int(rng.choice([1, 2, 100]))
+    theta = float(rng.choice(THETAS))
+    kind = rng.choice(["dirichlet", "duplicates", "on_radius"] if k > 1 and m % 2 == 0 else ["dirichlet", "duplicates"])
+    noise = {name: 0.0 if rng.random() < 1 / 3 else float(rng.choice(scale) * rng.random())
+             for name, scale in (("sigma0", [1.0, 10.0]), ("sigma1", [0.1, 1.0]), ("sigma2", [1.0, 5.0]))}
+    lam = float(rng.choice([0.0, 0.05, 0.35, 1.0]))
+    if kind == "dirichlet":
+        points = rng.dirichlet(np.full(k, rng.choice([0.05, 1.0, 20.0])), size=m)
+        outliers = rng.random(m) < 0.2
+        points[outliers] = np.eye(k)[rng.integers(k, size=int(outliers.sum()))]
+    elif kind == "duplicates":
+        distinct = rng.dirichlet(np.full(k, 0.3), size=int(rng.integers(1, 4)))
+        points = distinct[rng.integers(len(distinct), size=m)]
+        points[rng.random(m) < 0.2] = np.eye(k)[0]
+    else:
+        noise, lam = dict(sigma0=0.0, sigma1=0.0, sigma2=0.0), 0.0
+        offset = 2.0 ** -(binary_search_iterations(theta) + 2)  # the pair's distance is sqrt(2) * offset
+        offsets = np.zeros(m // 2)
+        offsets[0] = offset
+        offsets[1 : max(1, m // 10)] = 2.0 ** -rng.integers(1, 11, size=max(1, m // 10) - 1)
+        rows = np.zeros((m, k))
+        rows[:, :2] = 0.5
+        rows[0::2, 0] += offsets
+        rows[0::2, 1] -= offsets
+        rows[1::2, 0] -= offsets
+        rows[1::2, 1] += offsets
+        points = rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a margin coefficient >= 1 is a valid, warned configuration
+        cfg = AggregationConfig(
+            m=m, k=k, lam=lam, t_hat=int(rng.integers(1, 5)), theta=theta,
+            mu=float(rng.uniform(0.3, 1.0)), rho=float(rng.uniform(0.3, 1.0)), **noise,
+        )
+    return points, cfg, kind
+
+
+class TestExactness:
+    def test_equals_the_reference_byte_for_byte(self):
+        kinds = Counter()
+        on_radius = 0
+        for seed in range(1200):
+            points, cfg, kind = exactness_case(seed)
+            kinds[kind] += 1
+            got = NoiseStreams.from_seed(seed, "exact")
+            want = NoiseStreams.from_seed(seed, "exact")
+            center, trace = adaptive_aggregate(points, cfg, got)
+            ref_center, ref_trace = reference_adaptive_aggregate(points, cfg, want)
+            assert center.tobytes() == ref_center.tobytes(), seed
+            assert trace == ref_trace, seed
+            for site in NoiseStreams.SITES:
+                assert getattr(got, site).standard_normal() == getattr(want, site).standard_normal(), (seed, site)
+            if kind == "on_radius" and trace.coverage_checks:
+                first_center = project_to_simplex(points.sum(axis=0) / cfg.m)[0]
+                on_radius += bool((distances(points, first_center) == trace.target_radius).any())
+        assert min(kinds.values()) >= 200, kinds
+        assert on_radius >= 100, on_radius
+
+
+class TestSharedDistanceSensitivity:
+    """Replacing one of the M vectors moves the raw coverage count by at most
+    1 and the projected sum by at most 2R, through the shared-distance path
+    the loop runs, at every radius adaptive_aggregate visits."""
+
+    @staticmethod
+    def neighbours(rng, points):
+        m, k = points.shape
+        i = int(rng.integers(m))
+        for replacement in (np.eye(k)[rng.integers(k)], points[(i + 1) % m], 100.0 * np.eye(k)[rng.integers(k)]):
+            neighbour = points.copy()
+            neighbour[i] = replacement
+            yield neighbour
+
+    def test_count_and_projected_sum(self):
+        visited = 0
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            m, k = int(rng.choice([2, 10, 40])), int(rng.choice([2, 20, 100]))
+            points, center = helpers.clustered_points(rng, m, k)
+            cfg = make_cfg(m, k, t_hat=4, sigma0=2.0, sigma1=0.5, sigma2=1.0, lam=0.1)
+            _, trace = adaptive_aggregate(points, cfg, NoiseStreams.from_seed(seed))
+            radii = {*trace.radius_sequence}
+            radii.update(trace.target_radius + cfg.margin(r) for r in trace.radius_sequence[: len(trace.coverage_checks)])
+            here = distances(points, center)
+            for neighbour in self.neighbours(rng, points):
+                there = distances(neighbour, center)
+                for r in radii:
+                    moved = coverage_count(points, center, r, here) - coverage_count(neighbour, center, r, there)
+                    assert abs(moved) <= 1, (seed, r)
+                    shift = project_to_ball(points, center, r, here).sum(axis=0) - project_to_ball(neighbour, center, r, there).sum(axis=0)
+                    assert np.linalg.norm(shift) <= 2.0 * r * (1 + 1e-12), (seed, r)
+                    visited += 1
+        assert visited >= 100 * 3 * 2  # three neighbours, the simplex radius and at least one check radius

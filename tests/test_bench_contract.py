@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpfewshot import aggregate, data, pipeline, providers, radius, rng
+from dpfewshot import aggregate, data, pipeline, providers, radius, rng, simplex
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 BENCH_SOURCES = sorted([*BENCH_DIR.glob("*.py"), *BENCH_DIR.glob("tests/*.py")])
@@ -72,9 +72,21 @@ def test_every_module_attribute_and_keyword_exists(source):
                 pytest.fail(f"{source.name}:{call.lineno}: {module}.{attr}: {err}")
 
 
-def test_patched_and_called_names():
+def test_patched_and_called_names(monkeypatch):
     assert pipeline.next_token_generation is providers.next_token_generation
     assert aggregate.good_radius is radius.good_radius
+    assert aggregate.coverage_count is simplex.coverage_count
+    assert aggregate.project_to_ball is simplex.project_to_ball
+    # the loop calls both through aggregate's names, the lookup the tracer patches
+    called = []
+    for name in ("coverage_count", "project_to_ball"):
+        real = getattr(simplex, name)
+        monkeypatch.setattr(aggregate, name, lambda *a, name=name, real=real: called.append(name) or real(*a))
+    spec = aggregate.AggregationConfig(m=4, k=3, lam=0.1, t_hat=1, sigma0=0.0, sigma1=0.0, sigma2=0.0)
+    _, trace = aggregate.adaptive_aggregate(np.tile([0.2, 0.3, 0.5], (4, 1)), spec, rng.NoiseStreams.from_seed(0))
+    assert trace.coverage_checks[0][0] == 4 and len(trace.radius_sequence) == 2  # the first check passed
+    assert called == ["coverage_count", "project_to_ball"]
+    monkeypatch.undo()
     pool = [data.Example(text=f"item {i}", label=label) for label in ("a", "b") for i in range(4)]
     batch = providers.next_token_generation(
         providers.SyntheticProvider(seed=1), pool, "b", 4, 1, 10, data.GENERIC_TEMPLATE, "",

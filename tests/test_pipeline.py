@@ -79,6 +79,23 @@ class TestGenerateDemo:
         assert all(t.trace_id == demo.trace_id for t in traces)
         assert [t.position for t in traces] == list(range(len(demo.tokens)))
 
+    @pytest.mark.parametrize("vocab_size", [30, 5])
+    def test_aggregates_at_the_support_size(self, monkeypatch, vocab_size):
+        # a full support reuses the resolved spec; a vocabulary smaller than
+        # k aggregates at k = the support size
+        provider = ProviderSpec(kind="synthetic", seed=5, vocab_size=vocab_size, spread=0.0)
+        run = resolve_run(noiseless_config(provider=provider, sigma1=0.4, t_max=3))
+        specs, aggregate = [], pipeline.adaptive_aggregate
+        monkeypatch.setattr(pipeline, "adaptive_aggregate", lambda p, spec, s: specs.append(spec) or aggregate(p, spec, s))
+        _, traces = generate_demo(run, "World", 0)
+        assert len(specs) == len(traces) == 3
+        assert {t.support_size for t in traces} == {min(vocab_size, run.aggregation.k)}
+        for spec in specs:
+            if vocab_size >= run.aggregation.k:
+                assert spec is run.aggregation
+            else:
+                assert spec == dataclasses.replace(run.aggregation, k=vocab_size)
+
 
 class TestGenerateShots:
     def test_exhausts_labels_without_replacement(self):

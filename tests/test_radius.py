@@ -232,6 +232,20 @@ class TestGoodRadius:
         r_fail = good_radius(points, t, 0.5, 0.3, rng, [])
         assert r_half < r_fail
 
+    def test_each_radius_is_scored_once_and_every_value_drawn(self, monkeypatch):
+        # identical rows: every step passes, so each midpoint after the first
+        # is the previous half radius, scored once; both noisy values are
+        # still drawn every step
+        scored = []
+        l_value = CoverageScore.l_value
+        monkeypatch.setattr(CoverageScore, "l_value", lambda self, t, r: scored.append(r) or l_value(self, t, r))
+        rng, steps = CountingRng(), []
+        good_radius(always_covering(), 5, 1.0, 0.002, rng, steps)
+        iterations = binary_search_iterations(0.002)
+        assert [s.branch for s in steps] == ["half_pass"] * iterations
+        assert rng.draws == 2 * iterations
+        assert sorted(scored, reverse=True) == [SIMPLEX_RADIUS / 2**i for i in range(1, iterations + 2)]
+
     def test_seeded_determinism(self):
         points, _ = helpers.clustered_points(np.random.default_rng(5), 12, 4)
         first = good_radius(points, 10, 2.0, 0.1, substream(99, "gr"), [])
