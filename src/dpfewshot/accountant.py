@@ -65,8 +65,8 @@ class MechanismProfile:
     theta: float = 0.1
 
     def __post_init__(self):
-        if not all(s >= 0 for s in (self.sigma0, self.sigma2, self.sigma1 or 0.0)):
-            raise ValueError("noise multipliers must be nonnegative")
+        if not all(0 <= s < math.inf for s in (self.sigma0, self.sigma2, self.sigma1 or 0.0)):
+            raise ValueError("noise multipliers must be nonnegative and finite")
         if self.t_hat < 1 or int(self.t_hat) != self.t_hat:
             raise ValueError(f"t_hat must be positive, got {self.t_hat}")
         if not 0.0 < self.theta <= SIMPLEX_RADIUS:

@@ -23,6 +23,7 @@ from dpfewshot.accountant import (
     rdp_to_dp,
     subsample_amplify,
 )
+from dpfewshot.aggregate import AggregationConfig
 
 PROFILE = MechanismProfile(sigma0=10.0, sigma1=1.0, sigma2=3.0, t_hat=1, theta=0.1)
 
@@ -356,6 +357,14 @@ class TestValidation:
             MechanismProfile(1.0, 1.0, 1.0, -1)
         with pytest.raises(ValueError):
             MechanismProfile(1.0, 1.0, 1.0, 1, theta=0.9)
+
+    @pytest.mark.parametrize("field", ["sigma0", "sigma1", "sigma2"])
+    def test_profile_rejects_infinite_multiplier(self, field):
+        values = dict(sigma0=1.0, sigma1=1.0, sigma2=1.0)
+        with pytest.raises(ValueError, match="^noise multipliers must be nonnegative"):
+            MechanismProfile(**{**values, field: math.inf}, t_hat=1)
+        with pytest.raises(ValueError, match="^noise multipliers must be nonnegative"):
+            AggregationConfig(**{**values, field: math.inf}, t_hat=1, m=4, k=3, lam=0.0)
 
     def test_context_rejects_oversized_draw(self):
         with pytest.raises(ValueError):

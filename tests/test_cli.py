@@ -279,6 +279,10 @@ class TestRefusals:
         ("generate --sigma1 nan", "noise multipliers must be nonnegative"),
         ("generate --sigma1 1 --sigma0 nan", "noise multipliers must be nonnegative"),
         ("generate --sigma1 1 --sigma2 nan", "noise multipliers must be nonnegative"),
+        ("generate --sigma1 inf", "noise multipliers must be nonnegative"),
+        ("generate --sigma1 1 --sigma0 inf", "noise multipliers must be nonnegative"),
+        ("generate --sigma1 1 --sigma2 inf", "noise multipliers must be nonnegative"),
+        ("report-privacy --dataset-size 1000 --sigma1 inf", "noise multipliers must be nonnegative"),
         ("generate --sigma1 1 --lambda nan", "lam must be nonnegative"),
         ("generate --sigma1 1e-200", "noise multipliers must be positive with a positive, finite square"),
         ("report-privacy --dataset-size 1000 --sigma1 nan", "noise multipliers must be nonnegative"),

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dpfewshot
-from dpfewshot.rng import substream, substreams
+from dpfewshot.rng import _mix_state, substream, substreams
 
 
 def list_entropy_stream(master_seed, *path):
@@ -84,3 +86,30 @@ def test_import_leaves_numpy_random_unloaded():
     code = "import sys, dpfewshot; print('numpy.random' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("n_words", [5, 6, 7, 8])  # a 1- to 4-word seed plus four digest words
+def test_mix_state_matches_seed_sequence(n_words):
+    entropy = np.random.default_rng(n_words).integers(0, 2**32, size=(n_words, 12), dtype=np.uint32)
+    entropy[:, 0], entropy[:, 1] = 0, 2**32 - 1
+    state = _mix_state(entropy)
+    assert state.shape == (12, 4) and state.dtype == np.uint64
+    for words, row in zip(entropy.T, state):
+        np.testing.assert_array_equal(row, np.random.SeedSequence(words).generate_state(4, np.uint64))
+
+
+SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1]))
+PATH_ELEMENTS = st.one_of(
+    st.integers(-(2**70), 2**70), st.text(max_size=12), st.sampled_from(["/", "Sci/Tech", "é", "a/é/日本"]),
+)
+
+
+@given(seed=SEEDS, paths=st.lists(st.lists(PATH_ELEMENTS, max_size=5).map(tuple), max_size=60))
+@example(seed=2**32 - 1, paths=[("a/b", "é", 3), ()])
+@example(seed=2**32, paths=[("center", "Sci/Tech é", 0)] * 60)
+@settings(max_examples=150, deadline=None)
+def test_batch_equals_substream_for_any_seed_and_paths(seed, paths):
+    batch = substreams(seed, paths)
+    assert len(batch) == len(paths)
+    for got, path in zip(batch, paths):
+        assert_same_stream(got, substream(seed, *path))
