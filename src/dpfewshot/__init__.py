@@ -16,7 +16,6 @@ from .accountant import (
     best_epsilon,
     binary_search_iterations,
     calibrate_sigma1,
-    gaussian_rdp,
     matched_baseline_sigma,
     rdp_to_dp,
     subsample_amplify,

@@ -1,12 +1,11 @@
 """Renyi-DP accounting for the full synthesis run.
 
-The per-token mechanism is a fixed composition of Gaussian mechanisms, and
-charged_events lists what each token is billed for.  Each event's noise is
-its noise multiplier times its sensitivity: a radius-search draw adds noise
-std 2*sigma0 to a count of sensitivity 2, a projected mean estimate adds
-2*R*sigma1 to a sum of sensitivity 2R (so the R cancels), and a coverage
-check adds sigma2 to a count of sensitivity 1.  Every primitive therefore
-has an exactly linear RDP curve tau(alpha) = alpha / (2 multiplier^2).
+The per-token mechanism is a fixed composition of Gaussian mechanisms.
+RELEASES lists each kind of release a token makes, with its count, its
+sensitivity and the noise multiplier that scales it; the draw sites, the
+audit and the report read it.  Each release's noise is its multiplier times
+its sensitivity, so every primitive has an exactly linear RDP curve
+tau(alpha) = alpha / (2 multiplier^2).
 
 Accounting pipeline, evaluated per integer order alpha and minimized over
 a grid:
@@ -27,6 +26,7 @@ data-dependent early stop can never reduce the charged budget.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from .simplex import SIMPLEX_RADIUS
@@ -55,7 +55,7 @@ class MechanismProfile:
 
     sigma1 may be left None for profiles that are inputs to calibration.  A
     zero multiplier runs noiselessly but cannot be charged: any cost
-    evaluation raises (see ChargedEvent), as it does while sigma1 is None.
+    evaluation raises (see Release), as it does while sigma1 is None.
     """
 
     sigma0: float
@@ -118,61 +118,57 @@ def binary_search_iterations(theta: float) -> int:
     return max(0, math.ceil(math.log2(math.sqrt(2.0) / (2.0 * theta))))
 
 
-def gaussian_rdp(sensitivity: float, noise_std: float, alpha: float) -> float:
-    """RDP cost of a Gaussian mechanism: alpha * sensitivity^2 / (2 noise_std^2)."""
-    if sensitivity <= 0 or noise_std <= 0:
-        raise ValueError("sensitivity and noise_std must be positive")
-    if alpha <= 1:
-        raise ValueError(f"RDP order must be > 1, got {alpha}")
-    return alpha * sensitivity**2 / (2.0 * noise_std**2)
-
-
 @dataclass(frozen=True)
-class ChargedEvent:
-    """count Gaussian releases per token, each at noise_multiplier times its
-    sensitivity.  count is listed at any multiplier; coefficient and total
-    refuse one that cannot be priced (None, zero, or no positive finite square)."""
+class Release:
+    """One kind of Gaussian release a token makes: count(profile) draws, each
+    of noise_std(multiplier) on a statistic of this sensitivity, with the
+    multiplier held in the profile's multiplier_field.  trace_name names its
+    counter in the audit.  count is listed at any multiplier; coefficient and
+    total refuse one that cannot be priced (None, zero, or no positive finite
+    square)."""
 
-    count: int
-    noise_multiplier: float | None
+    trace_name: str
+    multiplier_field: str
+    sensitivity: float
+    count: Callable[[MechanismProfile], int]
 
-    def _priced(self) -> float:
-        s = self.noise_multiplier
+    def noise_std(self, multiplier: float, radius: float = 1.0) -> float:
+        """Std of one release's noise: sensitivity * radius * multiplier, where
+        radius scales a sensitivity stated per unit radius."""
+        return self.sensitivity * radius * multiplier
+
+    def _priced(self, profile: MechanismProfile) -> float:
+        s = getattr(profile, self.multiplier_field)
         if s is None or not (s > 0 and 0 < s * s < math.inf):
             raise ValueError(f"noise multipliers must be positive with a positive, finite square, got {s}")
         return s
 
-    @property
-    def coefficient(self) -> float:
+    def coefficient(self, profile: MechanismProfile) -> float:
         """RDP coefficient of one release: tau(alpha) = coefficient * alpha."""
-        return 1.0 / (2.0 * self._priced()**2)
+        return 1.0 / (2.0 * self._priced(profile)**2)
 
-    @property
-    def total(self) -> float:
+    def total(self, profile: MechanismProfile) -> float:
         """RDP coefficient of all count releases."""
-        return self.count / (2.0 * self._priced()**2)
+        return self.count(profile) / (2.0 * self._priced(profile)**2)
 
 
-def charged_events(profile: MechanismProfile) -> dict[str, ChargedEvent]:
-    """The worst-case releases charged for one token, by trace counter name."""
-    return {
-        "goodradius_draws": ChargedEvent(2 * binary_search_iterations(profile.theta), profile.sigma0),
-        "mean_estimates": ChargedEvent(profile.t_hat + 1, profile.sigma1),
-        "coverage_checks": ChargedEvent(profile.t_hat, profile.sigma2),
-    }
+#: The releases charged for one token: two scores per bisection step, and
+#: the loop's full counts.  A mean estimate's sensitivity is per unit R.
+RADIUS_SEARCH = Release("goodradius_draws", "sigma0", 2.0, lambda p: 2 * binary_search_iterations(p.theta))
+MEAN_ESTIMATE = Release("mean_estimates", "sigma1", 2.0, lambda p: p.t_hat + 1)
+COVERAGE_CHECK = Release("coverage_checks", "sigma2", 1.0, lambda p: p.t_hat)
+RELEASES = (RADIUS_SEARCH, MEAN_ESTIMATE, COVERAGE_CHECK)
 
 
 def per_iteration_coefficient(profile: MechanismProfile) -> float:
     """Linear coefficient c of the per-token curve tau(alpha) = c * alpha."""
-    events = charged_events(profile)
-    means, checks = events["mean_estimates"], events["coverage_checks"]
     # The radius search enters as one total and the loop release by release:
     # the published epsilons were computed so, and the two forms can differ
     # in the last bit.
     return (
-        events["goodradius_draws"].total
-        + means.count * means.coefficient
-        + checks.count * checks.coefficient
+        RADIUS_SEARCH.total(profile)
+        + MEAN_ESTIMATE.count(profile) * MEAN_ESTIMATE.coefficient(profile)
+        + COVERAGE_CHECK.count(profile) * COVERAGE_CHECK.coefficient(profile)
     )
 
 
@@ -334,7 +330,7 @@ def calibrate_sigma1(
 def matched_baseline_sigma(profile: MechanismProfile) -> float:
     """Noise multiplier granting the baseline the same per-token curve.
 
-    The baseline is one mean_estimates release at R = sqrt(2)/2.  Both
+    The baseline is one MEAN_ESTIMATE release at R = sqrt(2)/2.  Both
     aggregators have linear curves, so matching the coefficient matches the
     entire curve: alpha / (2 sigma^2) = c * alpha  =>  sigma = sqrt(1/(2c)).
     """

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accountant import MechanismProfile
+from .accountant import COVERAGE_CHECK, MEAN_ESTIMATE, MechanismProfile
 from .radius import RadiusSearchStep, good_radius
 from .rng import NoiseStreams
 from .simplex import SIMPLEX_RADIUS, coverage_count, distances, project_to_ball, project_to_simplex
@@ -90,10 +90,10 @@ class AggregationTrace:
 def noisy_mean_raw(
     points: np.ndarray, radius: float, sigma1: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Gaussian-noised mean: (sum + N(0, (2*radius*sigma1)^2 I)) / M, no remap."""
+    """One MEAN_ESTIMATE release at this radius, divided by M: no remap."""
     points = np.asarray(points, dtype=float)
     m, k = points.shape
-    noise = 2.0 * radius * sigma1 * rng.standard_normal(k)
+    noise = MEAN_ESTIMATE.noise_std(sigma1, radius) * rng.standard_normal(k)
     return (points.sum(axis=0) + noise) / m
 
 
@@ -107,12 +107,12 @@ def radius_coverage_check(
 ) -> tuple[bool, int, float]:
     """Noisy test that enough original vectors sit near the current center.
 
-    Counts points within check_radius of the center, adds N(0, sigma2^2),
-    and compares against mu * M.  Consumes exactly one Gaussian draw.
+    Counts points within check_radius of the center, noises the count as
+    one COVERAGE_CHECK release (one draw) and compares it against mu * M.
     dists, if given, must be ``distances(points, center)``.
     """
     raw = coverage_count(points, center, check_radius, dists)
-    noisy = raw + cfg.sigma2 * rng.standard_normal()
+    noisy = raw + COVERAGE_CHECK.noise_std(cfg.sigma2) * rng.standard_normal()
     return noisy >= cfg.mu * cfg.m, raw, noisy
 
 
@@ -173,8 +173,7 @@ def adaptive_aggregate(
 
 
 def baseline_aggregate(points: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Fixed-noise mean: one mean_estimates release at R = sqrt(2)/2, so
-    (sum + N(0, 2 sigma^2 I)) / M.
+    """Fixed-noise mean: one MEAN_ESTIMATE release at R = sqrt(2)/2, over M.
 
     No simplex remap; token selection takes the argmax of this raw vector.
     """

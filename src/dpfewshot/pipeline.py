@@ -20,13 +20,13 @@ import numpy as np
 
 from .accountant import (
     DEFAULT_ALPHA_GRID,
+    RELEASES,
     DpBudget,
     MechanismProfile,
     SubsamplingContext,
     amplified_rdp,
     best_epsilon,
     calibrate_sigma1,
-    charged_events,
     per_iteration_coefficient,
 )
 from .aggregate import (
@@ -340,20 +340,21 @@ def audit_traces(traces, config: RunConfig) -> dict:
     Every token must stay within its charge, and its radius search must run
     all of its iterations.
     """
-    events = charged_events(config.mechanism(None))
+    profile = config.mechanism(None)
+    search, means, checks = RELEASES
     aggregations = [t.aggregation for t in traces]
-    used = {
-        "mean_estimates": [a.mean_estimates for a in aggregations],
-        "coverage_checks": [len(a.coverage_checks) for a in aggregations],
-        "goodradius_draws": [2 * len(a.goodradius_steps) for a in aggregations],
+    used = {  # the draws each trace records; the audit line lists the loop's first
+        means: [a.mean_estimates for a in aggregations],
+        checks: [len(a.coverage_checks) for a in aggregations],
+        search: [2 * len(a.goodradius_steps) for a in aggregations],
     }
-    search = events["goodradius_draws"].count
-    ok = all(n <= events[name].count for name, ns in used.items() for n in ns)
+    counts = {release: release.count(profile) for release in used}
+    ok = all(n <= counts[release] for release, ns in used.items() for n in ns)
     return {
         "tokens": len(traces),
-        "consumed": {name: sum(ns) for name, ns in used.items()},
-        "charged": {name: len(traces) * events[name].count for name in used},
-        "ok": ok and all(n == search for n in used["goodradius_draws"]),
+        "consumed": {release.trace_name: sum(ns) for release, ns in used.items()},
+        "charged": {release.trace_name: len(traces) * count for release, count in counts.items()},
+        "ok": ok and all(n == counts[search] for n in used[search]),
     }
 
 
@@ -379,11 +380,11 @@ def report_privacy(config: RunConfig, dataset_size: int, label_counts=None) -> d
     if config.sigma1 is None:
         report["calibration"] = {"target_epsilon": config.epsilon, "gamma_mode": config.gamma_mode}
 
-    events = charged_events(profile)
+    search, means, checks = RELEASES
     parts = {
-        "radius_search": events["goodradius_draws"].total,
-        "mean_estimates": events["mean_estimates"].total,
-        "coverage_checks": events["coverage_checks"].total,
+        "radius_search": search.total(profile),
+        "mean_estimates": means.total(profile),
+        "coverage_checks": checks.total(profile),
         "per_token_total": per_iteration_coefficient(profile),
     }
     report["per_token_rdp"] = {
@@ -391,7 +392,7 @@ def report_privacy(config: RunConfig, dataset_size: int, label_counts=None) -> d
         "radius_search_coeff": parts["radius_search"],
         "mean_estimate_coeff": parts["mean_estimates"],
         "coverage_check_coeff": parts["coverage_checks"],
-        "binary_search_iterations": events["goodradius_draws"].count // 2,
+        "binary_search_iterations": search.count(profile) // 2,
     }
 
     epsilons = {}

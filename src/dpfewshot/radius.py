@@ -1,12 +1,11 @@
 """Private radius estimation: count-based coverage score and DP binary search.
 
 The coverage score L(r) is the capped-count average over the t best
-data-point centers; its sensitivity to replacing one input point is 2,
-so each noisy evaluation adds Gaussian noise of std 2*sigma0.  The search
-brackets [0, sqrt(2)/2] and halves it binary_search_iterations(theta)
-times, the count the accountant charges, evaluating both L(mid/2) and
-L(mid) noisily every iteration in a fixed order so the number of draws
-never depends on the data.
+data-point centers; each noisy evaluation is one RADIUS_SEARCH release.
+The search brackets [0, sqrt(2)/2] and halves it
+binary_search_iterations(theta) times, evaluating both L(mid/2) and L(mid)
+noisily every iteration in a fixed order so the number of draws never
+depends on the data.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accountant import binary_search_iterations
+from .accountant import RADIUS_SEARCH, binary_search_iterations
 from .simplex import SIMPLEX_RADIUS, distances
 
 
@@ -108,7 +107,7 @@ def good_radius(
 
     Both noisy evaluations happen before the branch, drawing mid/2 first,
     for exactly binary_search_iterations(theta) iterations, so every run
-    consumes the 2 * iterations Gaussians the accountant charges.  The first
+    consumes the RADIUS_SEARCH draws the accountant charges.  The first
     two branches coincide deliberately: both evaluations are part of the
     analyzed mechanism and both are charged, so they are not collapsed into one.
 
@@ -122,11 +121,12 @@ def good_radius(
     if not 0.0 < theta <= SIMPLEX_RADIUS:
         raise ValueError(f"theta must lie in (0, sqrt(2)/2], got {theta}")
     exact: dict[float, float] = {}
+    std = RADIUS_SEARCH.noise_std(sigma0)
 
     def noisy_score(r: float) -> float:
         if r not in exact:
             exact[r] = score.l_value(t, r)
-        return exact[r] + 2.0 * sigma0 * rng.standard_normal()
+        return exact[r] + std * rng.standard_normal()
 
     r_low, r_high = 0.0, SIMPLEX_RADIUS
     for _ in range(binary_search_iterations(theta)):

@@ -1,4 +1,5 @@
-"""Shared generators for clustered probability-vector test instances."""
+"""Shared generators for clustered probability-vector test instances, and
+the Gaussian RDP formula the accountant's table is checked against."""
 
 from __future__ import annotations
 
@@ -57,3 +58,12 @@ def clustered_points(
         vertex[idx] = 1.0
         points.append(vertex)
     return np.stack(points), center
+
+
+def gaussian_rdp(sensitivity: float, noise_std: float, alpha: float) -> float:
+    """RDP cost of a Gaussian mechanism: alpha * sensitivity^2 / (2 noise_std^2)."""
+    if sensitivity <= 0 or noise_std <= 0:
+        raise ValueError("sensitivity and noise_std must be positive")
+    if alpha <= 1:
+        raise ValueError(f"RDP order must be > 1, got {alpha}")
+    return alpha * sensitivity**2 / (2.0 * noise_std**2)

@@ -25,7 +25,6 @@ from dpfewshot.accountant import (
     best_epsilon,
     binary_search_iterations,
     calibrate_sigma1,
-    gaussian_rdp,
     matched_baseline_sigma,
     per_iteration_coefficient,
     rdp_to_dp,
@@ -91,7 +90,7 @@ def test_accountant_closed_forms():
         sens = rng.uniform(0.05, 5)
         std = rng.uniform(0.05, 5)
         alpha = rng.uniform(1.001, 128)
-        assert gaussian_rdp(sens, std, alpha) == pytest.approx(
+        assert helpers.gaussian_rdp(sens, std, alpha) == pytest.approx(
             alpha * (sens / std) ** 2 / 2, rel=1e-12
         )
     for _ in range(1000):

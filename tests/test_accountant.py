@@ -6,7 +6,11 @@ import pytest
 
 from dpfewshot import accountant
 from dpfewshot.accountant import (
+    COVERAGE_CHECK,
     DEFAULT_ALPHA_GRID,
+    MEAN_ESTIMATE,
+    RADIUS_SEARCH,
+    RELEASES,
     AmplificationOverflowError,
     DpBudget,
     MechanismProfile,
@@ -16,14 +20,13 @@ from dpfewshot.accountant import (
     best_epsilon,
     binary_search_iterations,
     calibrate_sigma1,
-    charged_events,
-    gaussian_rdp,
     matched_baseline_sigma,
     per_iteration_coefficient,
     rdp_to_dp,
     subsample_amplify,
 )
 from dpfewshot.aggregate import AggregationConfig
+from helpers import gaussian_rdp
 
 PROFILE = MechanismProfile(sigma0=10.0, sigma1=1.0, sigma2=3.0, t_hat=1, theta=0.1)
 
@@ -80,43 +83,54 @@ class TestGaussianRdp:
             gaussian_rdp(1.0, 1.0, 1.0)
 
 
-class TestChargedEvents:
-    def test_each_event_is_its_gaussian_release(self):
+class TestReleases:
+    def test_each_release_is_its_gaussian_mechanism(self):
         # a radius-search draw adds 2*sigma0 to a count of sensitivity 2, a
         # mean estimate 2*R*sigma1 to a sum of sensitivity 2R (R = 0.3 here),
         # a coverage check sigma2 to a count of sensitivity 1
         profile = MechanismProfile(sigma0=10.0, sigma1=0.6, sigma2=3.0, t_hat=2, theta=0.1)
         alpha = 7
-        expected = {
-            "goodradius_draws": (6, gaussian_rdp(2.0, 20.0, alpha)),
-            "mean_estimates": (3, gaussian_rdp(0.6, 0.6 * 0.6, alpha)),
-            "coverage_checks": (2, gaussian_rdp(1.0, 3.0, alpha)),
+        expected = {  # count, radius, sensitivity at that radius, noise std
+            RADIUS_SEARCH: (6, 1.0, 2.0, 20.0),
+            MEAN_ESTIMATE: (3, 0.3, 0.6, 0.6 * 0.6),
+            COVERAGE_CHECK: (2, 1.0, 1.0, 3.0),
         }
-        events = charged_events(profile)
-        assert set(events) == set(expected)
-        for name, (count, one_release) in expected.items():
-            assert events[name].count == count
-            assert events[name].coefficient * alpha == pytest.approx(one_release, rel=1e-12)
-            assert events[name].total == pytest.approx(count * events[name].coefficient, rel=1e-12)
+        assert RELEASES == tuple(expected)
+        assert [r.trace_name for r in RELEASES] == ["goodradius_draws", "mean_estimates", "coverage_checks"]
+        for release, (count, r, sensitivity, std) in expected.items():
+            assert release.count(profile) == count
+            assert release.sensitivity * r == pytest.approx(sensitivity, rel=1e-15)
+            assert release.noise_std(getattr(profile, release.multiplier_field), r) == pytest.approx(std, rel=1e-15)
+            one_release = gaussian_rdp(sensitivity, std, alpha)
+            assert release.coefficient(profile) * alpha == pytest.approx(one_release, rel=1e-12)
+            assert release.total(profile) == pytest.approx(count * release.coefficient(profile), rel=1e-12)
 
-    def test_per_token_coefficient_sums_the_events(self):
-        events = charged_events(PROFILE)
-        total = sum(event.total for event in events.values())
+    def test_noise_std_forms_sensitivity_times_radius_first(self):
+        # the draw sites' bits: (2 R) sigma, exact for the unit radius and the sensitivity 1
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            sigma, r = rng.uniform(0.01, 20), rng.uniform(0.001, 1)
+            assert RADIUS_SEARCH.noise_std(sigma) == 2.0 * sigma
+            assert MEAN_ESTIMATE.noise_std(sigma, r) == 2.0 * r * sigma
+            assert COVERAGE_CHECK.noise_std(sigma) == sigma
+
+    def test_per_token_coefficient_sums_the_releases(self):
+        total = sum(release.total(PROFILE) for release in RELEASES)
         assert per_iteration_coefficient(PROFILE) == pytest.approx(total, rel=1e-12)
 
     def test_uncalibrated_sigma1_still_counts(self):
-        events = charged_events(MechanismProfile(sigma0=10.0, sigma1=None, sigma2=3.0, t_hat=1))
-        assert {name: e.count for name, e in events.items()} == {
+        profile = MechanismProfile(sigma0=10.0, sigma1=None, sigma2=3.0, t_hat=1)
+        assert {r.trace_name: r.count(profile) for r in RELEASES} == {
             "goodradius_draws": 6, "mean_estimates": 2, "coverage_checks": 1,
         }
 
     @pytest.mark.parametrize("sigma", [None, 0.0, 1e-200, 1e200])
     def test_unpriceable_multiplier_counts_but_is_refused_when_priced(self, sigma):
-        event = charged_events(MechanismProfile(sigma0=10.0, sigma1=sigma, sigma2=3.0, t_hat=2))["mean_estimates"]
-        assert event.count == 3
-        for price in ("coefficient", "total"):
+        profile = MechanismProfile(sigma0=10.0, sigma1=sigma, sigma2=3.0, t_hat=2)
+        assert MEAN_ESTIMATE.count(profile) == 3
+        for price in (MEAN_ESTIMATE.coefficient, MEAN_ESTIMATE.total):
             with pytest.raises(ValueError, match=re.escape(f"positive, finite square, got {sigma}")):
-                getattr(event, price)
+                price(profile)
 
 
 class TestPerIterationRdp:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from dpfewshot.accountant import binary_search_iterations
+from dpfewshot.accountant import COVERAGE_CHECK, MEAN_ESTIMATE, RADIUS_SEARCH, binary_search_iterations
 from dpfewshot.aggregate import (
     BREAK_COVERAGE_FAILED,
     BREAK_MAX_ITERS,
@@ -19,7 +19,7 @@ from dpfewshot.aggregate import (
     radius_coverage_check,
     select_token,
 )
-from dpfewshot.radius import RadiusSearchStep
+from dpfewshot.radius import CoverageScore, RadiusSearchStep, good_radius
 from dpfewshot.rng import NoiseStreams, substream
 from dpfewshot.simplex import SIMPLEX_RADIUS, coverage_count, distances, project_to_ball, project_to_simplex
 from study.diagnostics import pairwise_distances
@@ -93,6 +93,44 @@ class TestCoverageCheck:
         points = np.tile([0.5, 0.5], (3, 1))
         radius_coverage_check(points, np.array([0.5, 0.5]), 0.1, cfg, OneShot())
         assert OneShot.calls == 1
+
+
+class Ones:
+    """Stub generator whose every standard normal is 1."""
+
+    def standard_normal(self, size=None):
+        return 1.0 if size is None else np.ones(size)
+
+
+@pytest.mark.parametrize("sigma", [0.37, 1.0, 7.3])
+class TestDrawSitesAddTheTablesNoise:
+    """With every standard normal 1, each draw site adds exactly its
+    release's noise_std to the exact statistic."""
+
+    def test_radius_search_scores(self, sigma):
+        points, _ = helpers.clustered_points(np.random.default_rng(4), 12, 5)
+        steps = []
+        good_radius(points, 10, sigma, 0.05, Ones(), steps)
+        score, std = CoverageScore(points), RADIUS_SEARCH.noise_std(sigma)
+        assert len(steps) == binary_search_iterations(0.05)
+        for step in steps:
+            assert step.noisy_half == score.l_value(10, step.midpoint / 2.0) + std
+            assert step.noisy_mid == score.l_value(10, step.midpoint) + std
+
+    @pytest.mark.parametrize("radius", [0.3, SIMPLEX_RADIUS, 1e-3])
+    def test_mean_estimate(self, sigma, radius):
+        out = noisy_mean_raw(np.zeros((1, 6)), radius, sigma, Ones())
+        assert (out == MEAN_ESTIMATE.noise_std(sigma, radius)).all()
+
+    def test_baseline_is_a_mean_estimate_at_the_simplex_radius(self, sigma):
+        out = baseline_aggregate(np.zeros((1, 6)), sigma, Ones())
+        assert (out == MEAN_ESTIMATE.noise_std(sigma, SIMPLEX_RADIUS)).all()
+
+    def test_coverage_check(self, sigma):
+        points = np.tile([1.0, 0.0], (3, 1))
+        cfg = make_cfg(3, 2, sigma2=sigma)
+        _, raw, noisy = radius_coverage_check(points, np.array([0.0, 1.0]), 0.1, cfg, Ones())
+        assert raw == 0 and noisy == COVERAGE_CHECK.noise_std(sigma)
 
 
 class TestSelectToken:
@@ -449,8 +487,8 @@ class TestSharedDistanceSensitivity:
                 there = distances(neighbour, center)
                 for r in radii:
                     moved = coverage_count(points, center, r, here) - coverage_count(neighbour, center, r, there)
-                    assert abs(moved) <= 1, (seed, r)
+                    assert abs(moved) <= COVERAGE_CHECK.sensitivity, (seed, r)
                     shift = project_to_ball(points, center, r, here).sum(axis=0) - project_to_ball(neighbour, center, r, there).sum(axis=0)
-                    assert np.linalg.norm(shift) <= 2.0 * r * (1 + 1e-12), (seed, r)
+                    assert np.linalg.norm(shift) <= MEAN_ESTIMATE.sensitivity * r * (1 + 1e-12), (seed, r)
                     visited += 1
         assert visited >= 100 * 3 * 2  # three neighbours, the simplex radius and at least one check radius

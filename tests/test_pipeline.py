@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import warnings
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,8 +19,24 @@ from dpfewshot.pipeline import (
     resolve_run,
     write_outputs,
 )
-from dpfewshot.accountant import DpBudget, SubsamplingContext, binary_search_iterations, calibrate_sigma1
-from dpfewshot.aggregate import adaptive_aggregate, select_token
+from dpfewshot.accountant import (
+    COVERAGE_CHECK,
+    MEAN_ESTIMATE,
+    RADIUS_SEARCH,
+    RELEASES,
+    DpBudget,
+    SubsamplingContext,
+    binary_search_iterations,
+    calibrate_sigma1,
+)
+from dpfewshot.aggregate import (
+    BREAK_COVERAGE_FAILED,
+    BREAK_MAX_ITERS,
+    BREAK_RADIUS_FLOOR,
+    AggregationConfig,
+    adaptive_aggregate,
+    select_token,
+)
 from dpfewshot.data import PromptTemplate, load_dataset, partition_subsets
 from dpfewshot.providers import ProviderSpec, SyntheticProvider
 from dpfewshot.rng import NoiseStreams, substream
@@ -258,6 +276,45 @@ class TestOutputsAndAudit:
         audit = audit_traces(traces, config)
         assert audit["ok"]
         assert audit["charged"] == {name: len(traces) * count for name, count in per_token.items()}
+
+    @pytest.mark.parametrize("reason, points, overrides", [
+        (BREAK_MAX_ITERS, np.tile([0.1, 0.6, 0.3], (12, 1)), {}),
+        (BREAK_COVERAGE_FAILED, np.eye(4), {"mu": 1.0}),
+        (BREAK_RADIUS_FLOOR, np.tile([0.1, 0.6, 0.3], (12, 1)), {"sigma1": 0.1, "lam": 50.0}),
+    ])
+    def test_audit_of_a_forced_break_stays_within_the_charge(self, reason, points, overrides):
+        m, k = points.shape
+        params = {**dict(m=m, k=k, lam=0.2, t_hat=3, sigma0=0.0, sigma1=0.0, sigma2=0.0), **overrides}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the radius-floor margin is pathological on purpose
+            cfg = AggregationConfig(**params)
+        _, trace = adaptive_aggregate(points, cfg, NoiseStreams.from_seed(0))
+        assert trace.break_reason == reason
+        config = RunConfig(labels=("a",), t_hat=cfg.t_hat, theta=cfg.theta)
+        audit = audit_traces([SimpleNamespace(aggregation=trace)], config)
+        assert audit["ok"]
+        for release in RELEASES:
+            count = release.count(config.mechanism(None))
+            assert audit["charged"][release.trace_name] == count
+            assert audit["consumed"][release.trace_name] <= count
+        draws = RADIUS_SEARCH.trace_name
+        assert audit["consumed"][draws] == audit["charged"][draws]
+
+    def test_every_release_is_audited_and_reported(self):
+        config = noiseless_config(sigma1=0.6, sigma0=10.0, sigma2=3.0, t_max=2)
+        _, traces = generate_shots(resolve_run(config))
+        audit = audit_traces(traces, config)
+        names = {release.trace_name for release in RELEASES}
+        assert set(audit["consumed"]) == set(audit["charged"]) == names
+        part_of = {
+            RADIUS_SEARCH: "radius_search_coeff",
+            MEAN_ESTIMATE: "mean_estimate_coeff",
+            COVERAGE_CHECK: "coverage_check_coeff",
+        }
+        assert set(part_of) == set(RELEASES)
+        parts = report_privacy(config, dataset_size=120000)["per_token_rdp"]
+        for release, part in part_of.items():
+            assert parts[part] == release.total(config.mechanism(0.6))
 
     @pytest.mark.parametrize("field, value", [("lam", -1.0), ("mu", 0.0), ("rho", 1.5)])
     def test_bad_aggregator_field_is_refused_before_any_provider_call(self, field, value):

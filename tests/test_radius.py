@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from dpfewshot.accountant import binary_search_iterations
+from dpfewshot.accountant import RADIUS_SEARCH, binary_search_iterations
 from dpfewshot.radius import CoverageScore, good_radius
 from dpfewshot.rng import substream
 from dpfewshot.simplex import SIMPLEX_RADIUS, coverage_count, distances
@@ -120,7 +120,7 @@ class TestLFunction:
             t = int(rng.integers(1, m + 1))
             for r in grid:
                 delta = abs(CoverageScore(points).l_value(t, r) - CoverageScore(neighbor).l_value(t, r))
-                assert delta <= 2.0 + 1e-9
+                assert delta <= RADIUS_SEARCH.sensitivity + 1e-9
 
 
 class TestScreen:
