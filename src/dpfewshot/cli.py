@@ -18,12 +18,13 @@ import sys
 from pathlib import Path
 
 from .accountant import AmplificationOverflowError, UnachievableBudgetError, per_iteration_coefficient
-from .data import label_pools, load_dataset, pool_sizes
+from .data import pool_sizes
 from .pipeline import (
     ConfigurationError,
     RunConfig,
     audit_traces,
     generate_shots,
+    load_population,
     report_privacy,
     resolve_run,
     write_outputs,
@@ -133,42 +134,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, dest=key, type=convert if convert in (int, float) else None)
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    file_values = read_config_file(args.config) if args.config else {}
-    flag_values = {key: getattr(args, key, None) for key in _OPTIONS}
-    return build_run_config(file_values, flag_values)
-
-
-def _privacy_report(config: RunConfig, dataset_size: int | None) -> dict:
-    """report_privacy over the dataset file (rows and the label pool sizes
-    resolve_run reads) or over --dataset-size rows."""
-    if config.dataset_path is not None:
-        if dataset_size is not None:
-            raise ConfigurationError("give either --dataset or --dataset-size, not both")
-        dataset = load_dataset(config.dataset_path, config.dataset_format, config.labels or None)
-        return report_privacy(config, len(dataset), pool_sizes(label_pools(dataset)))
-    if dataset_size is None:
-        raise ConfigurationError("report needs a dataset file or --dataset-size")
-    return report_privacy(config, dataset_size)
-
-
-def _resolve(args):
-    """The object the command runs on: a ResolvedRun, or the privacy report
-    for report-privacy.
-
-    Refuses the run before the command releases anything unless the
-    aggregator accepts its mechanism and the accountant can price it.
-    """
-    config = _config_from_args(args)
-    if args.command == "report-privacy":
-        report = _privacy_report(config, args.dataset_size)  # prices the mechanism
-        config.aggregation(report["sigma1"], config.k)
-        return report
-    run = resolve_run(config)  # checks the aggregator's fields
-    per_iteration_coefficient(run.aggregation)
-    return run
-
-
 def _check_output_paths(config: RunConfig) -> None:
     """Refuse demos and traces paths that resolve to one file, create the
     output directories and refuse a path that cannot be written, before the
@@ -185,8 +150,9 @@ def _check_output_paths(config: RunConfig) -> None:
             raise ConfigurationError(f"cannot write {path}: it is a directory")
 
 
-def cmd_generate(run) -> int:
-    config = run.config
+def cmd_generate(config: RunConfig, args: argparse.Namespace) -> int:
+    run = resolve_run(config)  # checks the aggregator's fields
+    per_iteration_coefficient(run.aggregation)  # prices the mechanism
     _check_output_paths(config)
     demos, traces = generate_shots(run)
     write_outputs(demos, traces, config.demos_path, config.traces_path)
@@ -200,7 +166,16 @@ def cmd_generate(run) -> int:
     return EXIT_OK
 
 
-def cmd_report_privacy(report: dict) -> int:
+def cmd_report_privacy(config: RunConfig, args: argparse.Namespace) -> int:
+    """report_privacy over the dataset file's population or --dataset-size rows."""
+    if config.dataset_path is not None and args.dataset_size is not None:
+        raise ConfigurationError("give either --dataset or --dataset-size, not both")
+    population = load_population(config)
+    if population is None and args.dataset_size is None:
+        raise ConfigurationError("report needs a dataset file or --dataset-size")
+    size, pools = population or (args.dataset_size, None)
+    report = report_privacy(config, size, pool_sizes(pools or {}))  # prices the mechanism
+    config.aggregation(report["sigma1"], config.k)  # checks the aggregator's fields
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -228,7 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](_resolve(args))
+        file_values = read_config_file(args.config) if args.config else {}
+        config = build_run_config(file_values, {key: getattr(args, key) for key in _OPTIONS})
+        return _COMMANDS[args.command](config, args)
     except UnachievableBudgetError as err:
         print(f"calibration infeasible: {err}", file=sys.stderr)
         return EXIT_CALIBRATION

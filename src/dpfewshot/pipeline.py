@@ -37,7 +37,7 @@ from .aggregate import (
 )
 from .data import Example, GENERIC_TEMPLATE, PromptTemplate, label_pools, load_dataset, pool_sizes
 from .providers import NextTokenBatch, ProviderSpec, next_token_generation
-from .rng import NoiseStreams, substream, substreams
+from .rng import NoiseStreams, check_seed, substream, substreams
 
 
 class ConfigurationError(ValueError):
@@ -97,9 +97,8 @@ class RunConfig:
             raise ConfigurationError(f"epsilon must be a positive finite number, got {self.epsilon}")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ConfigurationError(f"delta must lie in (0, 1), got {self.delta}")
-        for name, seed in (("seed", self.seed), ("provider_seed", self.provider.seed)):
-            if not 0 <= seed < 2**64:  # rng reduces seeds mod 2**64, so another would alias one of these
-                raise ConfigurationError(f"{name} must lie in [0, 2**64), got {seed}")
+        check_seed(self.seed, "seed")
+        check_seed(self.provider.seed, "provider_seed")
         self.mechanism(self.sigma1)  # the spec checks the charged fields
 
     def mechanism(self, sigma1: float | None) -> MechanismProfile:
@@ -163,18 +162,22 @@ class ResolvedRun:
     aggregation: AggregationConfig
 
 
+def load_population(config: RunConfig) -> tuple[int, dict[str, tuple[Example, ...]]] | None:
+    """The population a run's subsets are drawn from: the row count and
+    label pools of the dataset file, or None without one."""
+    if config.dataset_path is None:
+        return None
+    dataset = load_dataset(config.dataset_path, config.dataset_format, config.labels or None)
+    return len(dataset), label_pools(dataset)
+
+
 def resolve_run(config: RunConfig, provider=None) -> ResolvedRun:
     """Load data and template, infer labels, settle sigma1 and build the
     aggregator spec, refusing bad lam, mu or rho before any provider call."""
-    if config.dataset_path is not None:
-        dataset = load_dataset(
-            config.dataset_path, config.dataset_format, config.labels or None
-        )
-        dataset_size, pools = len(dataset), label_pools(dataset)
-    elif not config.labels:
+    population = load_population(config)
+    if population is None and not config.labels:
         raise ConfigurationError("labels are required when no dataset file is given")
-    else:
-        dataset_size, pools = None, None  # no private records: every prompt is the public one
+    dataset_size, pools = population or (None, None)  # no pools: every prompt is the public one
     counts = pool_sizes(pools or {})
     labels = config.labels or tuple(sorted(counts))
     needed = config.m * config.n

@@ -231,6 +231,8 @@ class HttpProvider:
                     delay = _retry_after(resp)
                 else:
                     raise ProviderError(f"HTTP {resp.status_code} from {url}: {resp.text[:200]}")
+            except requests.JSONDecodeError as err:  # a RequestException too, but the reply came
+                raise ProviderError(f"malformed logprobs response: {err}") from err
             except requests.RequestException as err:
                 last_error = ProviderError(f"request to {url} failed: {err}")
             if attempt < self.max_retries:

@@ -25,9 +25,22 @@ from typing import ClassVar
 import numpy as np
 
 
+def check_seed(seed: int, name: str = "seed") -> int:
+    """seed as an int, refusing one outside [0, 2**128): its 1-4 words are
+    fed whole, so no two seeds share a stream."""
+    seed = int(seed)
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"{name} must lie in [0, 2**128), got {seed}")
+    return seed
+
+
 def _seed_words(master_seed: int) -> list[int]:
-    seed = int(master_seed) & 0xFFFFFFFFFFFFFFFF
-    return [seed & 0xFFFFFFFF, seed >> 32] if seed >> 32 else [seed]
+    """The seed's 1-4 little-endian 32-bit words, as SeedSequence splits an int."""
+    seed = check_seed(master_seed)
+    words = [seed & 0xFFFFFFFF]
+    while seed := seed >> 32:
+        words.append(seed & 0xFFFFFFFF)
+    return words
 
 
 def _path_digest(path) -> bytes:
@@ -39,8 +52,9 @@ def substream(master_seed: int, *path) -> np.random.Generator:
 
     The mapping (master_seed, path) -> stream is a pure function; calling
     twice yields independent Generator objects that produce identical draws.
-    SeedSequence gets the uint32 array it builds from the list [master_seed
-    mod 2**64, *the path's four big-endian SHA-256 words]: seed words low first.
+    SeedSequence gets the uint32 array it builds from the list [master_seed,
+    *the path's four big-endian SHA-256 words]: seed words low first.  A seed
+    outside [0, 2**128) is refused.
     """
     words = _seed_words(master_seed) + list(struct.unpack_from(">4I", _path_digest(path)))
     return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))

@@ -259,6 +259,7 @@ class TestRefusals:
         ("--t-hat", "t_hat must be positive"),
         ("--sigma0", "noise multipliers must be positive"),
         ("--mu", "mu and rho must lie in (0, 1]"),
+        ("--rho", "mu and rho must lie in (0, 1]"),
         ("--delta", "delta must lie in (0, 1), got 0"),
     ])
     def test_every_command_refuses_the_same_mechanism(self, tmp_path, capsys, command, flag, message):
@@ -355,12 +356,13 @@ class TestRefusals:
         *((f"generate --labels a,b --n-shots 1 --sigma1 1 --{flag} 0", {}, "m, n, k, t_max, n_shots must be positive")
           for flag in ("m", "n", "k", "t-max", "n-shots")),
         ("generate --labels a,b --n-shots 1 --sigma1 1 --gamma-mode pool", {}, "unknown gamma_mode 'pool'"),
-        # rng reduces a seed mod 2**64, so -1 would write the bytes of 2**64 - 1, and 2**64 + 5 those of 5.
         *((f"generate --labels a,b --n-shots 1 --sigma1 1 --{flag} {seed}", {},
-           f"{flag.replace('-', '_')} must lie in [0, 2**64), got {seed}")
-          for flag in ("seed", "provider-seed") for seed in (-1, 2**64, 2**64 + 5)),
+           f"{flag.replace('-', '_')} must lie in [0, 2**128), got {seed}")
+          for flag in ("seed", "provider-seed") for seed in (-1, 2**128, 2**128 + 5)),
         ("generate --config {dir}/run.cfg", {"run.cfg": "labels = a,b\nsigma1 = 1\nn_shots = 1\nseed = -1\n"},
-         "seed must lie in [0, 2**64), got -1"),
+         "seed must lie in [0, 2**128), got -1"),
+        *((f"{command} --dataset {{dir}}/d.jsonl --labels a,b --sigma1 1", {"d.jsonl": '{"text": "x", "label": "c"}\n'},
+           "d.jsonl:1: unknown label 'c'") for command in ("report-privacy", "generate")),
         ("generate --dataset {dir}/d.csv --sigma1 1", {"d.csv": "text,label\nok,a\n,a\n"},
          "d.csv:3: example text must be non-empty"),
         ("generate --dataset {dir}/d.jsonl --sigma1 1", {"d.jsonl": '{"text": "", "label": "a"}\n'},

@@ -460,7 +460,7 @@ class TestResolveRun:
             DpBudget(6.0, 1 / 155), config.mechanism(None), SubsamplingContext(4, drawn_from), 3
         )
 
-    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64, 2**128 - 1])
     def test_seeds_at_the_range_edges_run(self, seed):
         provider = ProviderSpec(kind="synthetic", seed=seed, vocab_size=30)
         _, traces = generate_shots(resolve_run(noiseless_config(seed=seed, provider=provider, t_max=2)))

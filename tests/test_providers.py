@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import requests
 
 import dpfewshot
 from dpfewshot import providers
@@ -331,7 +332,8 @@ class TestSyntheticCenter:
 class FakeSession:
     """Scripted transport for HttpProvider: pops one response per post.
 
-    A response is an exception to raise or (status, body[, headers]).
+    A response is an exception to raise or (status, body[, headers]); a
+    body that is an exception is what the response's json() raises.
     """
 
     def __init__(self, responses):
@@ -351,6 +353,8 @@ class FakeSession:
             headers = rest[0] if rest else {}
 
             def json(self):
+                if isinstance(body, Exception):
+                    raise body
                 return body
 
         return Response()
@@ -390,6 +394,8 @@ MALFORMED_REPLIES = {
     "non_integer_index": choices_reply(*TOPS, indices=[0, "1", 2]),
     "float_index": choices_reply(*TOPS, indices=[0, 1.0, 2]),
     "malformed_choice_among_good": choices_reply(TOPS[0], {" a": math.nan, " b": -1.0}, TOPS[2]),
+    # A 200 whose body is not JSON; requests' JSONDecodeError is also a RequestException.
+    "not_json": requests.JSONDecodeError("Expecting value", "<html>", 0),
 }
 
 
@@ -624,8 +630,6 @@ class TestNextTokenGeneration:
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_REPLIES))
 def test_malformed_reply_through_main_exits_3(tmp_path, capsys, monkeypatch, case):
-    import requests
-
     session = FakeSession([(200, MALFORMED_REPLIES[case])])
     monkeypatch.setattr(requests, "Session", lambda: session)
     demos = tmp_path / "d.jsonl"

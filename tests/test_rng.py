@@ -14,13 +14,13 @@ from dpfewshot.rng import _mix_state, substream, substreams
 
 
 def list_entropy_stream(master_seed, *path):
-    """The substream formula in its list-entropy form: [seed mod 2**64, four digest words]."""
+    """The substream formula in its list-entropy form: [seed, four digest words]."""
     digest = hashlib.sha256("/".join(str(p) for p in path).encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 4], "big") for i in range(0, 16, 4)]
-    return np.random.default_rng(np.random.SeedSequence([master_seed & (2**64 - 1)] + words))
+    return np.random.default_rng(np.random.SeedSequence([master_seed] + words))
 
 
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, -1]
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1, 2**96, 2**128 - 1]
 RANDOM_SEEDS = [int(s) for s in np.random.default_rng(20).integers(0, 2**64, size=24, dtype=np.uint64)]
 PATHS = [
     (),
@@ -40,7 +40,7 @@ def test_draws_match_the_list_entropy_formula(seed):
 
 
 def test_numpy_integer_seeds_match_python_ints():
-    for seed in (np.uint64(2**64 - 1), np.int64(-1), np.uint32(2**32 - 1)):
+    for seed in (np.uint64(2**64 - 1), np.int64(7), np.uint32(2**32 - 1)):
         assert substream(seed, "x").bit_generator.state == list_entropy_stream(int(seed), "x").bit_generator.state
 
 
@@ -58,7 +58,7 @@ def test_batch_matches_substream(seed):
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 41])
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, -1])  # 5- and 6-word entropy
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1])  # 5- to 8-word entropy
 def test_batch_sizes(seed, size):
     paths = [("private", "World", 2, i) if i % 3 else ("center", "x", i) for i in range(size)]
     batch = substreams(seed, paths)
@@ -68,9 +68,17 @@ def test_batch_sizes(seed, size):
 
 
 def test_batch_numpy_integer_seeds():
-    for seed in (np.uint64(2**64 - 1), np.int64(-1), np.uint32(2**32 - 1), np.int32(7)):
+    for seed in (np.uint64(2**64 - 1), np.int64(2**63 - 1), np.uint32(2**32 - 1), np.int32(7)):
         for got, path in zip(substreams(seed, PATHS), PATHS):
             assert_same_stream(got, substream(int(seed), *path))
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-1), 2**128, 2**128 + 5], ids=["-1", "int64(-1)", "2**128", "2**128+5"])
+def test_seed_outside_the_range_is_refused(seed):
+    """No seed aliases another: a negative seed, or one of 129 bits or more, derives no stream."""
+    for derive in (lambda: substream(seed, "x"), lambda: substreams(seed, [("x",)]), lambda: substreams(seed, [])):
+        with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*128\), got {int(seed)}"):
+            derive()
 
 
 def test_batch_streams_are_independent_objects():
@@ -81,11 +89,12 @@ def test_batch_streams_are_independent_objects():
 
 
 def test_import_leaves_numpy_random_unloaded():
-    """numpy loads numpy.random lazily; importing the package must not pull it in."""
+    """numpy loads numpy.random lazily, and HttpProvider imports requests on its first
+    request; importing the package must pull in neither."""
     env = dict(os.environ, PYTHONPATH=str(Path(dpfewshot.__file__).parents[1]))
-    code = "import sys, dpfewshot; print('numpy.random' in sys.modules)"
+    code = "import sys, dpfewshot; print([name in sys.modules for name in ('numpy.random', 'requests')])"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[False, False]"
 
 
 @pytest.mark.parametrize("n_words", [5, 6, 7, 8])  # a 1- to 4-word seed plus four digest words
@@ -98,7 +107,9 @@ def test_mix_state_matches_seed_sequence(n_words):
         np.testing.assert_array_equal(row, np.random.SeedSequence(words).generate_state(4, np.uint64))
 
 
-SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1]))
+SEEDS = st.one_of(
+    st.integers(0, 2**128 - 1), st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**128 - 1]),
+)
 PATH_ELEMENTS = st.one_of(
     st.integers(-(2**70), 2**70), st.text(max_size=12), st.sampled_from(["/", "Sci/Tech", "é", "a/é/日本"]),
 )
