@@ -16,7 +16,13 @@ a grid:
 
 The amplification bound is evaluated in log space because its j-th term
 carries a factor e^{(j-1) tau(j)} that overflows double precision for
-moderate tau.
+moderate tau.  Its terms at every order form one array: a head per order and
+j that depends on gamma alone (kept by the SubsamplingContext) plus a column
+per j that depends on the curve alone.  An order's floor, its largest term
+over alpha - 1, never exceeds its value: the terms hold 0.0, so their
+log-sum-exp is never below their peak, and composition and conversion round
+monotonically.  best_epsilon visits orders by their floors' epsilon and
+evaluates the exact log-sum-exp only where it can still win.
 
 Charging is worst-case over the data: the inner loop is always billed for
 its full count of mean estimates and checks even when it breaks early, so a
@@ -26,8 +32,11 @@ data-dependent early stop can never reduce the charged budget.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Iterator, Mapping
+from dataclasses import dataclass, replace
+from functools import cached_property
+
+import numpy as np
 
 from .simplex import SIMPLEX_RADIUS
 
@@ -35,6 +44,15 @@ from .simplex import SIMPLEX_RADIUS
 #: theorem is stated for integer orders only, and 64 covers every regime
 #: this package calibrates (extending the grid can only tighten epsilon).
 DEFAULT_ALPHA_GRID: tuple[int, ...] = tuple(range(2, 65))
+
+#: The order-only parts of the bound's terms: log k! for k = 0..64, log C(alpha, 2)
+#: per order, log (alpha - j)! per order (row) and j = 2..64 (column), and the
+#: cells of AmplifiedCurve's term array past their row's order.
+_ORDERS = np.array(DEFAULT_ALPHA_GRID)
+_LOG_FACTORIAL = np.array([math.lgamma(k + 1) for k in range(DEFAULT_ALPHA_GRID[-1] + 1)])
+_LOG_PAIRS = np.array([math.log(math.comb(alpha, 2)) for alpha in DEFAULT_ALPHA_GRID])
+_LOG_REST = _LOG_FACTORIAL[np.maximum(_ORDERS[:, None] - _ORDERS, 0)]
+_PAST_ORDER = np.hstack([np.zeros((len(_ORDERS), 1), bool), _ORDERS[:, None] < _ORDERS])
 
 CALIBRATION_BRACKET = (1e-3, 1e3)
 CALIBRATION_REL_TOL = 1e-4
@@ -79,7 +97,6 @@ class SubsamplingContext:
 
     m: int
     n: int
-    _heads: dict[int, list[float]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -91,12 +108,16 @@ class SubsamplingContext:
     def gamma(self) -> float:
         return self.m / self.n
 
-    def heads(self, alpha: int) -> list[float]:
-        """_log_binomial_prefixes(gamma, alpha), computed at most once per order
-        and kept on this instance only, so separate commands share no memo."""
-        if alpha not in self._heads:
-            self._heads[alpha] = _log_binomial_prefixes(self.gamma, alpha)
-        return self._heads[alpha]
+    @cached_property
+    def heads(self) -> np.ndarray:
+        """The coefficient-free heads of the bound's terms, one row per order and
+        one column per j = 2..64 (finite filler past the order): j log gamma plus
+        log C(alpha, j), summed in the order the full term adds them.  Built on
+        first use and kept on this instance only, so commands share no memo."""
+        log_gamma = math.log(self.gamma)
+        heads = _ORDERS * log_gamma + _LOG_FACTORIAL[_ORDERS, None] - _LOG_FACTORIAL[_ORDERS] - _LOG_REST
+        heads[:, 0] = 2.0 * log_gamma + _LOG_PAIRS
+        return heads
 
 
 @dataclass(frozen=True)
@@ -183,30 +204,48 @@ def _log_expm1(t: float) -> float:
     return math.log(math.expm1(t))
 
 
-def _logsumexp(terms: list[float]) -> float:
-    peak = max(terms)
-    if peak == -math.inf:
-        return -math.inf
-    return peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
+class AmplifiedCurve(Mapping[int, float]):
+    """subsample_amplify(coeff, ctx, alpha) at each order of DEFAULT_ALPHA_GRID
+    whose terms are all below inf, ascending, evaluated on first access;
+    floors maps each such order to its largest term over alpha - 1.
 
+    Row alpha - 2 of the term array holds 0.0, then the terms for
+    j = 2..alpha, each j >= 3 one added as head + (j - 1) * (coeff * j) + log 2.
+    """
 
-def _log_binomial_prefixes(gamma: float, alpha: int) -> list[float]:
-    """The coefficient-free head of each term of subsample_amplify's log-sum,
-    for j = 2..alpha: j log gamma plus log C(alpha, j), summed in the order
-    the full term adds them, so head + rest equals the unsplit sum bitwise."""
-    log_gamma = math.log(gamma)
-    prefixes = [2.0 * log_gamma + math.log(math.comb(alpha, 2))]
-    for j in range(3, alpha + 1):
-        prefixes.append(
-            j * log_gamma
-            + math.lgamma(alpha + 1) - math.lgamma(j + 1) - math.lgamma(alpha - j + 1)
-        )
-    return prefixes
+    def __init__(self, coeff: float, ctx: SubsamplingContext):
+        tau2 = coeff * 2
+        pair_term = min(math.log(4.0) + _log_expm1(tau2), math.log(2.0) + tau2)
+        self._terms = terms = np.zeros((len(_ORDERS), len(_ORDERS) + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms[:, 1] = ctx.heads[:, 0] + pair_term
+            terms[:, 2:] = ctx.heads[:, 1:] + (_ORDERS[1:] - 1) * (coeff * _ORDERS[1:]) + math.log(2.0)
+        representable = ((terms < math.inf) | _PAST_ORDER).all(axis=1).tolist()
+        np.copyto(terms, -math.inf, where=_PAST_ORDER)
+        peaks = terms.max(axis=1).tolist()
+        self.floors = {a: peak / (a - 1) for a, peak, ok in zip(DEFAULT_ALPHA_GRID, peaks, representable) if ok}
+        self._values: dict[int, float] = {}
+
+    def __getitem__(self, alpha: int) -> float:
+        if alpha not in self._values and alpha in self.floors:
+            terms = self._terms[alpha - DEFAULT_ALPHA_GRID[0], :alpha].tolist()
+            peak = max(terms)
+            self._values[alpha] = (peak + math.log(math.fsum(math.exp(t - peak) for t in terms))) / (alpha - 1)
+        return self._values[alpha]
+
+    def __contains__(self, alpha: object) -> bool:
+        return alpha in self.floors
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.floors)
+
+    def __len__(self) -> int:
+        return len(self.floors)
 
 
 def subsample_amplify(coeff: float, ctx: SubsamplingContext, alpha: int) -> float:
-    """Amplified RDP at integer order alpha >= 2 of a mechanism whose RDP
-    curve is tau(alpha) = coeff * alpha.
+    """Amplified RDP at an integer order alpha of DEFAULT_ALPHA_GRID of a
+    mechanism whose RDP curve is tau(alpha) = coeff * alpha.
 
     Implements the without-replacement bound
 
@@ -219,22 +258,12 @@ def subsample_amplify(coeff: float, ctx: SubsamplingContext, alpha: int) -> floa
     (tau(inf) = inf).  The sum is accumulated in log space, from the
     coefficient-free heads of its terms that ctx holds (ctx.heads).
     """
-    if int(alpha) != alpha:
-        raise ValueError(f"subsampling amplification needs an integer order, got {alpha}")
-    alpha = int(alpha)
-    if alpha < 2:
-        raise ValueError(f"order must be >= 2, got {alpha}")
-    prefixes = ctx.heads(alpha)
-    tau2 = coeff * 2
-    pair_term = min(math.log(4.0) + _log_expm1(tau2), math.log(2.0) + tau2)
-    terms = [0.0, prefixes[0] + pair_term]
-    for j, prefix in enumerate(prefixes[1:], 3):
-        terms.append(prefix + (j - 1) * (coeff * j) + math.log(2.0))
-    if not all(t < math.inf and not math.isnan(t) for t in terms):
-        raise AmplificationOverflowError(
-            f"amplification bound not representable at alpha={alpha}, gamma={ctx.gamma}"
-        )
-    return _logsumexp(terms) / (alpha - 1)
+    if alpha not in DEFAULT_ALPHA_GRID:
+        raise ValueError(f"subsampling amplification needs an integer order in 2..64, got {alpha}")
+    curve = AmplifiedCurve(coeff, ctx)
+    if int(alpha) not in curve:
+        raise AmplificationOverflowError(f"amplification bound not representable at alpha={alpha}, gamma={ctx.gamma}")
+    return curve[int(alpha)]
 
 
 def rdp_to_dp(alpha: float, tau: float, delta: float) -> float:
@@ -253,35 +282,34 @@ def rdp_to_dp(alpha: float, tau: float, delta: float) -> float:
     return tau + math.log((alpha - 1) / alpha) - (math.log(delta) + math.log(alpha)) / (alpha - 1)
 
 
-def amplified_rdp(profile: MechanismProfile, ctx: SubsamplingContext) -> dict[int, float]:
+def amplified_rdp(profile: MechanismProfile, ctx: SubsamplingContext) -> AmplifiedCurve:
     """Subsampled per-token RDP at each order of DEFAULT_ALPHA_GRID, ascending.
 
     Orders at which the amplification bound overflows are left out.
     """
-    coeff = per_iteration_coefficient(profile)
-    amplified = {}
-    for alpha in DEFAULT_ALPHA_GRID:
-        try:
-            amplified[alpha] = subsample_amplify(coeff, ctx, alpha)
-        except AmplificationOverflowError:
-            continue
-    return amplified
+    return AmplifiedCurve(per_iteration_coefficient(profile), ctx)
 
 
-def best_epsilon(amplified: dict[int, float], t_max: int, delta: float) -> tuple[float, int]:
+def best_epsilon(amplified: Mapping[int, float], t_max: int, delta: float) -> tuple[float, int]:
     """Compose t_max token positions at every order, convert to (epsilon, delta)
     and return (epsilon, order) of the smallest; ties go to the first order.
     A negative epsilon is reported as 0.
+
+    Orders are visited by the epsilon of their floor (an AmplifiedCurve's
+    floors; a plain mapping's floor is its value), up to the first floor
+    whose epsilon exceeds the best so far.
     """
     if t_max < 1:
         raise ValueError("t_max must be positive")
-    best_eps = math.inf
-    best_alpha = None
-    for alpha, tau in amplified.items():
-        eps = rdp_to_dp(alpha, t_max * tau, delta)
-        if eps < best_eps:
-            best_eps = eps
-            best_alpha = alpha
+    floors = getattr(amplified, "floors", amplified)
+    best = (math.inf, -1, None)  # (eps, rank, order); outranks every infinite eps
+    for bound, rank, alpha in sorted(
+        (rdp_to_dp(alpha, t_max * floor, delta), rank, alpha) for rank, (alpha, floor) in enumerate(floors.items())
+    ):
+        if bound > best[0]:
+            break
+        best = min(best, (rdp_to_dp(alpha, t_max * amplified[alpha], delta), rank, alpha))
+    best_eps, _, best_alpha = best
     if best_alpha is None:
         raise AmplificationOverflowError("no order of the grid gives a finite epsilon")
     return max(best_eps, 0.0), best_alpha

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import partition_subsets
-from .rng import substream, substreams
+from .rng import check_seed, substream, substreams
 from .simplex import project_to_simplex
 
 logger = logging.getLogger(__name__)
@@ -110,6 +110,7 @@ class SyntheticProvider:
     outlier_fraction: float = 0.0
 
     def __post_init__(self):
+        check_seed(self.seed, "seed")
         if self.vocab_size < 1:
             raise ValueError(f"vocab_size must be positive, got {self.vocab_size}")
 

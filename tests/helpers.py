@@ -1,7 +1,11 @@
-"""Shared generators for clustered probability-vector test instances, and
-the Gaussian RDP formula the accountant's table is checked against."""
+"""Shared generators for clustered probability-vector test instances, the
+Gaussian RDP formula the accountant's table is checked against, and a
+scalar transcription of the subsampling bound its term array must match
+bit for bit."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -67,3 +71,57 @@ def gaussian_rdp(sensitivity: float, noise_std: float, alpha: float) -> float:
     if alpha <= 1:
         raise ValueError(f"RDP order must be > 1, got {alpha}")
     return alpha * sensitivity**2 / (2.0 * noise_std**2)
+
+
+def oracle_heads(gamma: float, alpha: int) -> list[float]:
+    """The coefficient-free head of each term of the subsampling bound's
+    log-sum, for j = 2..alpha, computed one scalar at a time."""
+    log_gamma = math.log(gamma)
+    prefixes = [2.0 * log_gamma + math.log(math.comb(alpha, 2))]
+    for j in range(3, alpha + 1):
+        prefixes.append(
+            j * log_gamma
+            + math.lgamma(alpha + 1) - math.lgamma(j + 1) - math.lgamma(alpha - j + 1)
+        )
+    return prefixes
+
+
+def oracle_terms(coeff: float, gamma: float, alpha: int) -> list[float]:
+    """Every term of the bound's log-sum at order alpha: 0.0, the pair term,
+    then head + (j - 1) * (coeff * j) + log 2 for j = 3..alpha."""
+    prefixes = oracle_heads(gamma, alpha)
+    tau2 = coeff * 2
+    if tau2 == 0.0:
+        expm1_term = -math.inf
+    elif tau2 > 1e-8:
+        expm1_term = tau2 + math.log1p(-math.exp(-tau2))
+    else:
+        expm1_term = math.log(math.expm1(tau2))
+    pair_term = min(math.log(4.0) + expm1_term, math.log(2.0) + tau2)
+    terms = [0.0, prefixes[0] + pair_term]
+    for j, prefix in enumerate(prefixes[1:], 3):
+        terms.append(prefix + (j - 1) * (coeff * j) + math.log(2.0))
+    return terms
+
+
+def oracle_amplified(coeff: float, gamma: float, alphas) -> dict[int, float]:
+    """The bound at each order whose terms are all finite or -inf, as the
+    scalar log-sum-exp of its terms over alpha - 1."""
+    amplified = {}
+    for alpha in alphas:
+        terms = oracle_terms(coeff, gamma, alpha)
+        if all(t < math.inf for t in terms):
+            peak = max(terms)
+            amplified[alpha] = (peak + math.log(math.fsum(math.exp(t - peak) for t in terms))) / (alpha - 1)
+    return amplified
+
+
+def oracle_best_epsilon(amplified: dict, t_max: int, delta: float) -> tuple[float, int] | None:
+    """(epsilon, order) by an exhaustive scan in the mapping's order, the first
+    order winning ties; None when no order gives a finite epsilon."""
+    best_eps, best_alpha = math.inf, None
+    for alpha, tau in amplified.items():
+        eps = t_max * tau + math.log((alpha - 1) / alpha) - (math.log(delta) + math.log(alpha)) / (alpha - 1)
+        if eps < best_eps:
+            best_eps, best_alpha = eps, alpha
+    return None if best_alpha is None else (max(best_eps, 0.0), best_alpha)

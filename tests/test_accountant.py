@@ -1,5 +1,8 @@
 import math
 import re
+import struct
+from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from dpfewshot.accountant import (
     RADIUS_SEARCH,
     RELEASES,
     AmplificationOverflowError,
+    AmplifiedCurve,
     DpBudget,
     MechanismProfile,
     SubsamplingContext,
@@ -26,7 +30,8 @@ from dpfewshot.accountant import (
     subsample_amplify,
 )
 from dpfewshot.aggregate import AggregationConfig
-from helpers import gaussian_rdp
+from helpers import gaussian_rdp, oracle_amplified, oracle_best_epsilon, oracle_terms
+from test_acceptance import REFERENCE_ROWS
 
 PROFILE = MechanismProfile(sigma0=10.0, sigma1=1.0, sigma2=3.0, t_hat=1, theta=0.1)
 
@@ -244,6 +249,10 @@ class TestSubsampleAmplify:
         with pytest.raises(AmplificationOverflowError):
             subsample_amplify(5e307, SubsamplingContext(1, 100), 8)
 
+    def test_rejects_order_outside_the_grid(self):
+        with pytest.raises(ValueError, match="needs an integer order in 2..64, got 65"):
+            subsample_amplify(0.1, SubsamplingContext(1, 100), 65)
+
     def test_warm_heads_give_the_same_bits(self):
         # A context keeps the coefficient-free heads of the terms it has
         # computed; every later value must equal a fresh context's, so no
@@ -262,6 +271,126 @@ class TestSubsampleAmplify:
                         continue
                     assert subsample_amplify(c, warm, alpha) == want, (m, n, c, alpha)
             assert amplified_rdp(profile, warm) == amplified_rdp(profile, SubsamplingContext(m, n))
+
+
+def same_bits(a: float, b: float) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def seeded_contexts(count: int, seed: int):
+    """(m, n, coeff) over populations of 1..10^7, coefficients from 1e-8 to
+    1e3, every tenth one large enough to overflow some or all orders."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(10 ** rng.uniform(0, 7))
+        m = int(rng.integers(1, n + 1))
+        exponent = rng.uniform(300, 308.25) if i % 10 == 9 else rng.uniform(-8, 3)
+        yield m, n, float(np.power(10.0, exponent))
+
+
+class TestTermArrayOracle:
+    """The term array, the lazy curve and calibration against the scalar
+    transcription in helpers, bit for bit."""
+
+    def test_rows_match_the_scalar_terms_bitwise(self):
+        cases = [*seeded_contexts(1000, 2024), (1, 100, 5e307), (3, 7, 1e308), (1, 1, math.inf)]
+        overflowed = set()
+        for m, n, coeff in cases:
+            ctx = SubsamplingContext(m, n)
+            curve = AmplifiedCurve(coeff, ctx)
+            for alpha in DEFAULT_ALPHA_GRID:
+                want = oracle_terms(coeff, ctx.gamma, alpha)
+                got = curve._terms[alpha - 2, :alpha].tolist()
+                assert all(map(same_bits, got, want)), (m, n, coeff, alpha)
+            assert dict(curve.items()) == oracle_amplified(coeff, ctx.gamma, DEFAULT_ALPHA_GRID), (m, n, coeff)
+            overflowed.add(len(curve))
+        assert {0, 1} <= overflowed and len(DEFAULT_ALPHA_GRID) in overflowed
+
+    def test_all_overflow_leaves_no_order(self):
+        curve = AmplifiedCurve(1e308, SubsamplingContext(1, 100))
+        assert len(curve) == 0 and 2 not in curve
+        with pytest.raises(AmplificationOverflowError, match="no order of the grid"):
+            best_epsilon(curve, 1, 1e-5)
+
+    def test_floors_bound_values_and_membership_evaluates_nothing(self):
+        for m, n, coeff in seeded_contexts(200, 7):
+            curve = AmplifiedCurve(coeff, SubsamplingContext(m, n))
+            excluded = [a for a in DEFAULT_ALPHA_GRID if a not in curve]
+            assert curve._values == {}
+            assert excluded == [a for a in DEFAULT_ALPHA_GRID if a not in curve.floors]
+            for alpha in curve:
+                assert 0.0 <= curve.floors[alpha] <= curve[alpha]
+            with pytest.raises(KeyError):
+                curve[excluded[0] if excluded else 65]
+
+    def test_best_epsilon_matches_an_exhaustive_scan(self):
+        for i, (m, n, coeff) in enumerate(seeded_contexts(300, 99)):
+            ctx = SubsamplingContext(m, n)
+            curve = AmplifiedCurve(coeff, ctx)
+            scanned = oracle_amplified(coeff, ctx.gamma, DEFAULT_ALPHA_GRID)
+            delta = (1e-9, 1e-5, 1.0 / (n + 1), 0.5)[i % 4]
+            for t_max in (1, 2, 7, 20, 100, 400):
+                want = oracle_best_epsilon(scanned, t_max, delta)
+                if want is None:
+                    with pytest.raises(AmplificationOverflowError):
+                        best_epsilon(curve, t_max, delta)
+                    continue
+                assert best_epsilon(curve, t_max, delta) == want, (m, n, coeff, t_max, delta)
+                assert best_epsilon(scanned, t_max, delta) == want
+
+    def test_tied_orders_go_to_the_first(self):
+        # two orders whose epsilons are equal to the bit, in either order,
+        # beside a worse one
+        delta = 1e-5
+        eps = rdp_to_dp(3, 0.5, delta)
+        tau = eps - math.log(4 / 5) + (math.log(delta) + math.log(5)) / 4
+        for _ in range(64):
+            if rdp_to_dp(5, tau, delta) == eps:
+                break
+            tau = math.nextafter(tau, math.inf if rdp_to_dp(5, tau, delta) < eps else -math.inf)
+        assert rdp_to_dp(5, tau, delta) == eps
+        for amplified in ({3: 0.5, 5: tau, 9: 6.0}, {5: tau, 3: 0.5, 9: 6.0}, {9: 6.0, 5: tau, 3: 0.5}):
+            assert best_epsilon(amplified, 1, delta) == oracle_best_epsilon(amplified, 1, delta)
+            assert best_epsilon(amplified, 1, delta)[1] == next(a for a in amplified if a != 9)
+        # a tied order whose floor equals its value is still visited after a
+        # tied one with a lower floor, and wins as the first
+        floored = FlooredMapping({3: 0.5, 5: tau})
+        floored.floors = {3: 0.5, 5: 0.0}
+        assert best_epsilon(floored, 1, delta) == (eps, 3)
+
+    def test_calibration_matches_an_oracle_bisection(self):
+        for _, target, s0, s2, _, t_hat, m, n, t_max, train, _ in REFERENCE_ROWS:
+            budget = DpBudget(float(target), 1.0 / train)
+            profile = MechanismProfile(sigma0=s0, sigma1=None, sigma2=s2, t_hat=t_hat)
+            ctx = SubsamplingContext(m * n, train)
+            got = calibrate_sigma1(budget, profile, ctx, t_max)
+            assert got.hex() == oracle_calibration(budget, profile, ctx.gamma, t_max).hex()
+
+
+class FlooredMapping(dict):
+    """A plain mapping given floors below its values, as an AmplifiedCurve has."""
+
+
+def oracle_calibration(target: DpBudget, profile: MechanismProfile, gamma: float, t_max: int) -> float:
+    """calibrate_sigma1's bisection over the scalar oracle's exhaustive scan."""
+    lo, hi = accountant.CALIBRATION_BRACKET
+
+    def eps_at(s1):
+        coeff = per_iteration_coefficient(replace(profile, sigma1=s1))
+        return oracle_best_epsilon(oracle_amplified(coeff, gamma, DEFAULT_ALPHA_GRID), t_max, target.delta)[0]
+
+    assert eps_at(hi) < target.epsilon < eps_at(lo)
+    tol = accountant.CALIBRATION_REL_TOL * target.epsilon
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        eps_mid = eps_at(mid)
+        if abs(eps_mid - target.epsilon) <= tol:
+            return mid
+        if eps_mid > target.epsilon:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError("the oracle bisection did not converge")
 
 
 class TestComposeAndTotal:
@@ -327,20 +456,23 @@ class TestCalibration:
         assert sigmas == sorted(sigmas, reverse=True)
         assert all(a > b for a, b in zip(sigmas, sigmas[1:]))
 
-    def test_heads_are_computed_once_per_order_and_context(self, monkeypatch):
-        computed = []
-        original = accountant._log_binomial_prefixes
+    def test_head_array_is_built_once_per_context_and_never_shared(self, monkeypatch):
+        built = []
+        build = SubsamplingContext.heads.func
 
-        def counting(gamma, alpha):
-            computed.append(alpha)
-            return original(gamma, alpha)
+        def counting(ctx):
+            built.append(ctx)
+            return build(ctx)
 
-        monkeypatch.setattr(accountant, "_log_binomial_prefixes", counting)
+        heads = cached_property(counting)
+        heads.__set_name__(SubsamplingContext, "heads")
+        monkeypatch.setattr(SubsamplingContext, "heads", heads)
         base = MechanismProfile(sigma0=10.0, sigma1=None, sigma2=3.0, t_hat=1, theta=0.1)
-        for _ in range(2):  # an equal context is a new memo: nothing is shared
-            computed.clear()
-            calibrate_sigma1(DpBudget(4.0, 1e-5), base, SubsamplingContext(20, 120000), 100)
-            assert sorted(computed) == list(DEFAULT_ALPHA_GRID)
+        contexts = [SubsamplingContext(20, 120000) for _ in range(2)]
+        for ctx in contexts:  # an equal context is a new memo: nothing is shared
+            calibrate_sigma1(DpBudget(4.0, 1e-5), base, ctx, 100)
+        assert built == contexts and built[0] is not built[1]
+        assert contexts[0].heads is not contexts[1].heads
 
     def test_unachievable_budget_names_bracket(self):
         ctx = SubsamplingContext(20, 10000)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -648,6 +649,14 @@ class TestProviderSpec:
     def test_builds_synthetic(self):
         provider = ProviderSpec(kind="synthetic", seed=3, vocab_size=20).build()
         assert isinstance(provider, SyntheticProvider)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_the_range_is_refused_when_built(self, seed):
+        message = re.escape(f"seed must lie in [0, 2**128), got {seed}")
+        with pytest.raises(ValueError, match=message):
+            ProviderSpec(kind="synthetic", seed=seed).build()
+        with pytest.raises(ValueError, match=message):
+            SyntheticProvider(seed=seed)
 
     def test_http_requires_endpoint(self):
         with pytest.raises(ValueError):
