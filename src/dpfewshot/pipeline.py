@@ -5,7 +5,8 @@ sampling site draws from a named substream of that seed (label draw,
 per-token subsample, per-token noise bundle), so outputs and trace files
 are byte-stable for a fixed config.  step_streams derives a demo's per-token
 streams in one substreams batch; a stream an early stop never reads
-consumes no draw, so batching moves no byte.
+consumes no draw, so batching moves no byte.  Nor do threads: a provider
+that ``waits_on_network`` gets one per demo, gathered in demo order.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -277,8 +279,10 @@ def token_step(
     return batch, select_token(vector, batch.support), trace
 
 
-def generate_demo(run: ResolvedRun, label: str, demo_index: int) -> tuple[SyntheticDemo, list[TokenTrace]]:
-    """Generate one demonstration token by token, recording a trace per token."""
+def generate_demo(run: ResolvedRun, label: str, demo_index: int,
+                  stop: threading.Event | None = None) -> tuple[SyntheticDemo, list[TokenTrace]] | None:
+    """Generate one demonstration token by token, recording a trace per token
+    (None, before any further token, once stop is set)."""
     config = run.config
     trace_id = f"demo-{demo_index:04d}"
     prefix = ""
@@ -287,6 +291,8 @@ def generate_demo(run: ResolvedRun, label: str, demo_index: int) -> tuple[Synthe
     stop_rule = "t_max"
     streams = step_streams(run, [("demo", demo_index, "token", position) for position in range(config.t_max)])
     for position, (draw, noise) in enumerate(streams):
+        if stop is not None and stop.is_set():
+            return None
         batch, token, aggregation = token_step(run, label, prefix, position, draw, noise)
         tokens.append(token)
         prefix += token
@@ -312,17 +318,39 @@ def generate_demo(run: ResolvedRun, label: str, demo_index: int) -> tuple[Synthe
 
 
 def generate_shots(run: ResolvedRun) -> tuple[list[SyntheticDemo], list[TokenTrace]]:
-    """Draw n_shots labels without replacement and generate one demo each."""
+    """Draw n_shots labels without replacement and generate one demo each,
+    in one thread each (overlap_demos) if the provider ``waits_on_network``."""
     config = run.config
     label_rng = substream(config.seed, "labels")
     order = label_rng.choice(len(run.labels), size=config.n_shots, replace=False)
-    demos: list[SyntheticDemo] = []
-    traces: list[TokenTrace] = []
-    for demo_index, label_index in enumerate(order):
-        demo, demo_traces = generate_demo(run, run.labels[int(label_index)], demo_index)
-        demos.append(demo)
-        traces.extend(demo_traces)
-    return demos, traces
+    jobs = [(run.labels[int(label_index)], demo_index) for demo_index, label_index in enumerate(order)]
+    if len(jobs) > 1 and getattr(run.provider, "waits_on_network", False):
+        results = overlap_demos(run, jobs)
+    else:
+        results = [generate_demo(run, *job) for job in jobs]
+    return [demo for demo, _ in results], [trace for _, demo_traces in results for trace in demo_traces]
+
+
+def overlap_demos(run: ResolvedRun, jobs) -> list[tuple[SyntheticDemo, list[TokenTrace]]]:
+    """generate_demo for each (label, demo_index) job, in a thread of its own.
+    A failure in a demo, or in the waiting thread (Ctrl-C too), stops every
+    demo before its next token; the first failed demo's error is raised."""
+    from concurrent.futures import ThreadPoolExecutor  # costs ms cold: pool path only
+
+    stop = threading.Event()
+
+    def demo(job):
+        try:
+            return generate_demo(run, *job, stop)
+        except BaseException:
+            stop.set()
+            raise
+
+    with ThreadPoolExecutor(len(jobs)) as pool:
+        try:
+            return list(pool.map(demo, jobs))  # a stopped demo (None) implies a failed one, which raises
+        finally:
+            stop.set()
 
 
 def write_outputs(demos, traces, demos_path, traces_path) -> None:

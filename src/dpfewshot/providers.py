@@ -19,6 +19,7 @@ import functools
 import logging
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass, field, fields
 
@@ -160,10 +161,13 @@ class HttpProvider:
     and 5xx replies are retried after a numeric Retry-After, or else after
     an exponential backoff.  If the endpoint caps logprobs below the
     requested count the cap is requested instead and unreturned tokens get
-    probability zero (a warning is logged once per provider).
-    The bearer token is read from the environment variable named by
-    auth_env.
+    probability zero (a warning is logged once per provider, also across
+    threads).  The bearer token is read from the environment variable named
+    by auth_env.
     """
+
+    #: Each call waits on a network reply, so generate_shots overlaps its demos' calls.
+    waits_on_network = True
 
     base_url: str
     model: str
@@ -173,7 +177,7 @@ class HttpProvider:
     max_retries: int = 3
     backoff: float = 1.0
     session: object = field(default=None, repr=False)
-    _cap_warned: bool = field(default=False, init=False, repr=False)
+    _cap_warning: object = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.base_url or not self.model:
@@ -192,12 +196,10 @@ class HttpProvider:
     def next_token_distribution(
         self, prompts, *, label: str, position: int, top_n: int
     ) -> tuple[tuple[str, ...], np.ndarray]:
-        if top_n > self.max_logprobs and not self._cap_warned:
-            self._cap_warned = True
+        if top_n > self.max_logprobs and self._cap_warning.acquire(blocking=False):  # never released
             logger.warning(
                 "endpoint caps logprobs at %d (%d requested); unreturned tokens get zero mass",
-                self.max_logprobs,
-                top_n,
+                self.max_logprobs, top_n,
             )
         prompts = list(prompts)
         payload = {

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import threading
 import warnings
 from collections import Counter
 from types import SimpleNamespace
@@ -140,6 +141,19 @@ class TestGenerateShots:
         run = resolve_run(noiseless_config(n_shots=3, t_max=1))
         demos, _ = generate_shots(run)
         assert [d.trace_id for d in demos] == ["demo-0000", "demo-0001", "demo-0002"]
+
+    def test_synthetic_provider_runs_in_the_calling_thread(self, monkeypatch):
+        callers, started = [], []
+        call = SyntheticProvider.next_token_distribution
+        monkeypatch.setattr(SyntheticProvider, "next_token_distribution", lambda self, *args, **kw: (
+            callers.append(threading.current_thread()) or call(self, *args, **kw)
+        ))
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+        demos, _ = generate_shots(resolve_run(noiseless_config(n_shots=4, t_max=2)))
+        assert len(demos) == 4
+        assert callers == [threading.current_thread()] * 8
+        assert started == []
 
 
 class TestWithoutDataset:

@@ -1,12 +1,18 @@
+import _thread
 import dataclasses
+import hashlib
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import threading
 import time
+import urllib.request
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +22,7 @@ import dpfewshot
 from dpfewshot import providers
 from dpfewshot.cli import EXIT_PROVIDER, main
 from dpfewshot.data import Example, GENERIC_TEMPLATE
-from dpfewshot.pipeline import RunConfig, generate_shots, resolve_run
+from dpfewshot.pipeline import RunConfig, generate_shots, resolve_run, write_outputs
 from dpfewshot.providers import (
     HttpProvider,
     ProviderError,
@@ -629,6 +635,207 @@ class TestNextTokenGeneration:
         assert request["json"]["prompt"] == [GENERIC_TEMPLATE.render([], label, "")] * (m + 1)
 
 
+def query_label(prompt: str) -> str:
+    """The label of a GENERIC_TEMPLATE prompt's query block."""
+    return prompt.rsplit("\n\n", 1)[-1].split("\n", 1)[0].removeprefix("Label: ")
+
+
+def prompt_top(prompt: str, top_n: int) -> dict[str, float]:
+    """top_n logprobs over eight tokens, a pure function of the prompt."""
+    digest = hashlib.sha256(prompt.encode("utf-8")).digest()
+    logprobs = {f" t{i}": -digest[i] / 32 for i in range(8)}
+    return dict(sorted(logprobs.items(), key=lambda item: -item[1])[:top_n])
+
+
+class PromptSession:
+    """Thread-safe transport whose reply is a pure function of each prompt.
+
+    Every post is logged in arrival order by the label of its query, and so
+    is every refusal, as ("refused", label); the threads that post are kept.
+    Requests for a label in fail_labels are refused with HTTP 400.  Each
+    reply comes after a delay_s sleep outside the lock, so that the demos'
+    requests overlap.
+    """
+
+    def __init__(self, fail_labels=(), delay_s=0.001):
+        self.fail_labels, self.delay_s = set(fail_labels), delay_s
+        self.lock = threading.Lock()
+        self.log, self.threads = [], set()
+        self.inflight = self.inflight_max = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        label = query_label(json["prompt"][0])
+        with self.lock:
+            self.log.append(label)
+            self.threads.add(threading.current_thread())
+            self.inflight += 1
+            self.inflight_max = max(self.inflight_max, self.inflight)
+        try:
+            time.sleep(self.delay_s)
+            if label in self.fail_labels:
+                with self.lock:
+                    self.log.append(("refused", label))
+                return SimpleNamespace(status_code=400, text="bad request", headers={})
+            body = choices_reply(*self.tops(label, json["prompt"], json["logprobs"]))
+            return SimpleNamespace(status_code=200, text="", headers={}, json=lambda: body)
+        finally:
+            with self.lock:
+                self.inflight -= 1
+
+    def tops(self, label, prompts, top_n):
+        return [prompt_top(prompt, top_n) for prompt in prompts]
+
+
+SHOT_LABELS = ("World", "Sports", "Business", "Technology")
+
+
+def http_run(tmp_path, session, **overrides):
+    """A resolved 4-demo run over a small dataset through an HttpProvider on session."""
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text("".join(
+        json.dumps({"text": f"{label} text {i}", "label": label}) + "\n" for label in SHOT_LABELS for i in range(6)
+    ))
+    params = dict(
+        dataset_path=str(dataset), m=3, n=2, k=6, t_max=6, n_shots=4,
+        sigma0=2.0, sigma1=0.5, sigma2=1.0, seed=4, stop_tokens=(" t7",),
+    )
+    params.update(overrides)
+    provider = HttpProvider(base_url="http://api.test", model="m", backoff=0.0, session=session)
+    return resolve_run(RunConfig(**params), provider=provider)
+
+
+def output_bytes(run, directory) -> tuple[bytes, bytes]:
+    """The demo and trace file bytes of one generate_shots run."""
+    demos_path, traces_path = directory / "demos.jsonl", directory / "traces.jsonl"
+    write_outputs(*generate_shots(run), demos_path, traces_path)
+    return demos_path.read_bytes(), traces_path.read_bytes()
+
+
+class TestOverlappedDemos:
+    """generate_shots runs an HttpProvider's demos in one thread each."""
+
+    def test_writes_the_bytes_of_a_serial_run(self, tmp_path):
+        serial_run = http_run(tmp_path, PromptSession())
+        serial_run.provider.waits_on_network = False
+        serial = output_bytes(serial_run, tmp_path)
+        assert serial_run.provider.session.threads == {threading.current_thread()}
+        assert serial_run.provider.session.inflight_max == 1
+        inflight = []
+        for _ in range(5):
+            run = http_run(tmp_path, PromptSession())
+            assert output_bytes(run, tmp_path) == serial
+            assert threading.current_thread() not in run.provider.session.threads
+            inflight.append(run.provider.session.inflight_max)
+        assert max(inflight) >= 2, inflight
+
+    @pytest.mark.parametrize("failing", SHOT_LABELS)
+    def test_a_refused_request_stops_every_other_demo(self, tmp_path, failing):
+        session = PromptSession(fail_labels={failing}, delay_s=0.02)
+        run = http_run(tmp_path, session, t_max=20, stop_tokens=())
+        with pytest.raises(ProviderError, match="token position 0: HTTP 400"):
+            generate_shots(run)
+        assert session.log.count(failing) == 1
+        after = Counter(session.log[session.log.index(("refused", failing)) + 1:])
+        assert set(after) <= set(SHOT_LABELS) - {failing}
+        assert max(after.values(), default=0) <= 1, after
+
+    def test_ctrl_c_while_waiting_stops_every_demo(self, tmp_path):
+        class InterruptingSession(PromptSession):
+            """Ctrl-C at demo 0's first request, which ends demo 0 (the waiting
+            thread wakes, and raises, when demo 0 is done)."""
+
+            def tops(self, label, prompts, top_n):
+                if label != first:
+                    return super().tops(label, prompts, top_n)
+                _thread.interrupt_main()
+                return [{" end": 0.0}] * len(prompts)
+
+        session = InterruptingSession(delay_s=0.02)
+        run = http_run(tmp_path, session, t_max=20, stop_tokens=(" end",))
+        first = generate_shots(dataclasses.replace(run, provider=SyntheticProvider(seed=0)))[0][0].label
+        with pytest.raises(KeyboardInterrupt):
+            generate_shots(run)
+        counts = Counter(session.log)
+        assert counts[first] == 1
+        assert max(counts.values()) <= 3, counts  # each other demo would send 20 unless stopped
+
+    def test_cap_warning_is_logged_once(self, tmp_path, caplog):
+        session = PromptSession()
+        run = http_run(tmp_path, session, k=6)
+        run.provider.max_logprobs = 4
+        with caplog.at_level("WARNING"):
+            generate_shots(run)
+        assert threading.current_thread() not in session.threads
+        assert [r.getMessage() for r in caplog.records if "caps logprobs" in r.getMessage()] == [
+            "endpoint caps logprobs at 4 (6 requested); unreturned tokens get zero mass"
+        ]
+
+    def test_cap_warning_stress(self, caplog):
+        """Many fresh providers, each called by eight threads at once with a
+        1 µs switch interval: every provider warns exactly once."""
+        count, workers = 40, 8
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with caplog.at_level("WARNING"):
+                for _ in range(count):
+                    provider = HttpProvider(base_url="http://api.test", model="m", max_logprobs=2,
+                                            session=PromptSession(delay_s=0.0))
+                    barrier = threading.Barrier(workers)
+
+                    def call():
+                        barrier.wait(timeout=10)
+                        provider.next_token_distribution(["Label: x\nText:"], label="x", position=0, top_n=6)
+
+                    threads = [threading.Thread(target=call) for _ in range(workers)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=10)
+                    assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        assert sum("caps logprobs" in r.getMessage() for r in caplog.records) == count
+
+    def test_overlapped_failure_through_main_exits_3(self, tmp_path, capsys, monkeypatch):
+        session = PromptSession(fail_labels={"b"})
+        monkeypatch.setattr(requests, "Session", lambda: session)
+        demos = tmp_path / "d.jsonl"
+        code = main([
+            "generate", "--labels", "a,b,c", "--n-shots", "3", "--m", "2", "--t-max", "20", "--k", "2",
+            "--sigma1", "1", "--provider", "http", "--base-url", "http://api.test", "--model", "m",
+            "--demos-out", str(demos), "--traces-out", str(tmp_path / "t.jsonl"),
+        ])
+        assert code == EXIT_PROVIDER
+        assert "provider error: token position 0: HTTP 400" in capsys.readouterr().err
+        assert threading.current_thread() not in session.threads
+        assert not demos.exists()
+
+
+def test_demos_overlap_on_the_bench_endpoint(tmp_path):
+    """Four demos through the fake endpoint of bench/endpoint.py: at least two
+    requests in flight at once, and the bytes of a serial run."""
+    run = http_run(tmp_path, None, k=20)
+    endpoint = subprocess.Popen(
+        [sys.executable, str(Path(__file__).parents[1] / "bench" / "endpoint.py"), "--seed", "0"],
+        stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        url = f"http://127.0.0.1:{int(endpoint.stdout.readline().removeprefix('PORT '))}"
+        run.provider.base_url = url
+        overlapped = output_bytes(run, tmp_path)
+        with urllib.request.urlopen(url + "/stats", timeout=10) as reply:
+            stats = json.loads(reply.read())
+        run.provider.waits_on_network = False
+        assert output_bytes(run, tmp_path) == overlapped
+        assert stats["inflight_max"] >= 2, stats
+    finally:
+        run.provider.session.close()
+        endpoint.terminate()
+        endpoint.wait(timeout=10)
+        endpoint.stdout.close()
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_REPLIES))
 def test_malformed_reply_through_main_exits_3(tmp_path, capsys, monkeypatch, case):
     session = FakeSession([(200, MALFORMED_REPLIES[case])])
@@ -681,8 +888,14 @@ class TestProviderSpec:
 
 
 def test_package_import_leaves_requests_unloaded():
-    """requests is imported only when an HttpProvider is built or posts."""
+    """requests is imported only when an HttpProvider is built or posts, and
+    concurrent.futures only when generate_shots overlaps demos."""
     env = dict(os.environ, PYTHONPATH=str(Path(dpfewshot.__file__).parents[1]))
-    code = "import sys, dpfewshot; print('requests' in sys.modules)"
+    code = (
+        "import sys, dpfewshot; print(sorted({'requests', 'concurrent.futures'} & set(sys.modules)))\n"
+        "from dpfewshot.pipeline import RunConfig, generate_shots, resolve_run\n"
+        "generate_shots(resolve_run(RunConfig(labels=('a', 'b'), n_shots=2, t_max=2, sigma1=1.0)))\n"
+        "print('concurrent.futures' in sys.modules)"
+    )
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split("\n")[:2] == ["[]", "False"]
