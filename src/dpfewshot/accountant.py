@@ -2,8 +2,9 @@
 
 The per-token mechanism is a fixed composition of Gaussian mechanisms.
 RELEASES lists each kind of release a token makes, with its count, its
-sensitivity and the noise multiplier that scales it; the draw sites, the
-audit and the report read it.  Each release's noise is its multiplier times
+sensitivity, the noise multiplier that scales it and the reader that counts
+its draws in a token's trace; the draw sites, the audit and the report read
+it.  Each release's noise is its multiplier times
 its sensitivity, so every primitive has an exactly linear RDP curve
 tau(alpha) = alpha / (2 multiplier^2).
 
@@ -144,14 +145,16 @@ class Release:
     """One kind of Gaussian release a token makes: count(profile) draws, each
     of noise_std(multiplier) on a statistic of this sensitivity, with the
     multiplier held in the profile's multiplier_field.  trace_name names its
-    counter in the audit.  count is listed at any multiplier; coefficient and
-    total refuse one that cannot be priced (None, zero, or no positive finite
-    square)."""
+    counter in the audit, and drawn counts the draws one token's
+    AggregationTrace records.  count reads only t_hat and theta, so it is
+    listed at any multiplier; coefficient and total refuse one that cannot be
+    priced (None, zero, or no positive finite square)."""
 
     trace_name: str
     multiplier_field: str
     sensitivity: float
     count: Callable[[MechanismProfile], int]
+    drawn: Callable[[object], int]
 
     def noise_std(self, multiplier: float, radius: float = 1.0) -> float:
         """Std of one release's noise: sensitivity * radius * multiplier, where
@@ -173,12 +176,16 @@ class Release:
         return self.count(profile) / (2.0 * self._priced(profile)**2)
 
 
-#: The releases charged for one token: two scores per bisection step, and
-#: the loop's full counts.  A mean estimate's sensitivity is per unit R.
-RADIUS_SEARCH = Release("goodradius_draws", "sigma0", 2.0, lambda p: 2 * binary_search_iterations(p.theta))
-MEAN_ESTIMATE = Release("mean_estimates", "sigma1", 2.0, lambda p: p.t_hat + 1)
-COVERAGE_CHECK = Release("coverage_checks", "sigma2", 1.0, lambda p: p.t_hat)
-RELEASES = (RADIUS_SEARCH, MEAN_ESTIMATE, COVERAGE_CHECK)
+#: The releases charged for one token: the loop's full counts, and two scores
+#: per bisection step, in the order the audit lists them.  A mean estimate's
+#: sensitivity is per unit R.
+MEAN_ESTIMATE = Release("mean_estimates", "sigma1", 2.0, lambda p: p.t_hat + 1, lambda t: t.mean_estimates)
+COVERAGE_CHECK = Release("coverage_checks", "sigma2", 1.0, lambda p: p.t_hat, lambda t: len(t.coverage_checks))
+RADIUS_SEARCH = Release(
+    "goodradius_draws", "sigma0", 2.0,
+    lambda p: 2 * binary_search_iterations(p.theta), lambda t: 2 * len(t.goodradius_steps),
+)
+RELEASES = (MEAN_ESTIMATE, COVERAGE_CHECK, RADIUS_SEARCH)
 
 
 def per_iteration_coefficient(profile: MechanismProfile) -> float:

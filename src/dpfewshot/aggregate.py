@@ -98,20 +98,15 @@ def noisy_mean_raw(
 
 
 def radius_coverage_check(
-    points: np.ndarray,
-    center: np.ndarray,
-    check_radius: float,
-    cfg: AggregationConfig,
-    rng: np.random.Generator,
-    dists: np.ndarray | None = None,
+    dists: np.ndarray, check_radius: float, cfg: AggregationConfig, rng: np.random.Generator
 ) -> tuple[bool, int, float]:
-    """Noisy test that enough original vectors sit near the current center.
+    """Noisy test that enough original vectors sit near the current center,
+    given their ``distances`` to it.
 
-    Counts points within check_radius of the center, noises the count as
-    one COVERAGE_CHECK release (one draw) and compares it against mu * M.
-    dists, if given, must be ``distances(points, center)``.
+    Counts the vectors within check_radius, noises the count as one
+    COVERAGE_CHECK release (one draw) and compares it against mu * M.
     """
-    raw = coverage_count(points, center, check_radius, dists)
+    raw = coverage_count(dists, check_radius)
     noisy = raw + COVERAGE_CHECK.noise_std(cfg.sigma2) * rng.standard_normal()
     return noisy >= cfg.mu * cfg.m, raw, noisy
 
@@ -144,7 +139,7 @@ def adaptive_aggregate(
     for _ in range(cfg.t_hat):
         next_r = target_r + cfg.margin(current_r)
         dists = distances(points, center)  # shared by the check and the projection at this center
-        passed, raw, noisy = radius_coverage_check(points, center, next_r, cfg, streams.check, dists)
+        passed, raw, noisy = radius_coverage_check(dists, next_r, cfg, streams.check)
         checks.append((raw, noisy))
         if not passed:
             break_reason = BREAK_COVERAGE_FAILED

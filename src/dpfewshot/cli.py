@@ -154,6 +154,8 @@ def cmd_generate(config: RunConfig, args: argparse.Namespace) -> int:
     run = resolve_run(config)  # checks the aggregator's fields
     per_iteration_coefficient(run.aggregation)  # prices the mechanism
     _check_output_paths(config)
+    if config.seed is not None:
+        print("note: the DP guarantee assumes the seed is kept secret; omit seed to draw one", file=sys.stderr)
     demos, traces = generate_shots(run)
     write_outputs(demos, traces, config.demos_path, config.traces_path)
     audit = audit_traces(traces, config)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import secrets
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .accountant import (
+    COVERAGE_CHECK,
     DEFAULT_ALPHA_GRID,
+    MEAN_ESTIMATE,
+    RADIUS_SEARCH,
     RELEASES,
     DpBudget,
     MechanismProfile,
@@ -56,7 +60,7 @@ class RunConfig:
 
     Exactly one of sigma1 / epsilon must be set: a given sigma1 is used
     directly, a given epsilon target triggers calibration (see
-    settle_privacy).
+    settle_privacy).  With no seed, resolve_run draws a secret one.
     """
 
     task: str = "task"
@@ -81,7 +85,7 @@ class RunConfig:
     epsilon: float | None = None
     delta: float | None = None
     gamma_mode: str = GAMMA_DATASET
-    seed: int = 0
+    seed: int | None = None
     demos_path: str = "demos.jsonl"
     traces_path: str = "traces.jsonl"
     stop_tokens: tuple[str, ...] = ()
@@ -95,11 +99,14 @@ class RunConfig:
             raise ConfigurationError(f"unknown gamma_mode {self.gamma_mode!r}")
         if self.sigma1 is not None and self.epsilon is not None:
             raise ConfigurationError("set either sigma1 or a target epsilon, not both")
+        if self.sigma1 is None and self.epsilon is None:
+            raise ConfigurationError("one of sigma1 or a target epsilon is required")
         if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
             raise ConfigurationError(f"epsilon must be a positive finite number, got {self.epsilon}")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ConfigurationError(f"delta must lie in (0, 1), got {self.delta}")
-        check_seed(self.seed, "seed")
+        if self.seed is not None:
+            check_seed(self.seed, "seed")
         check_seed(self.provider.seed, "provider_seed")
         self.mechanism(self.sigma1)  # the spec checks the charged fields
 
@@ -175,7 +182,10 @@ def load_population(config: RunConfig) -> tuple[int, dict[str, tuple[Example, ..
 
 def resolve_run(config: RunConfig, provider=None) -> ResolvedRun:
     """Load data and template, infer labels, settle sigma1 and build the
-    aggregator spec, refusing bad lam, mu or rho before any provider call."""
+    aggregator spec, refusing bad lam, mu or rho before any provider call.
+    A config without a seed runs at 128 secret bits, which no output holds."""
+    if config.seed is None:
+        config = dataclasses.replace(config, seed=secrets.randbits(128))
     population = load_population(config)
     if population is None and not config.labels:
         raise ConfigurationError("labels are required when no dataset file is given")
@@ -218,8 +228,6 @@ def settle_privacy(
     (dataset_size None) only a given sigma1 is accepted; an epsilon target
     calibrates sigma1 for gamma_mode.
     """
-    if config.sigma1 is None and config.epsilon is None:
-        raise ConfigurationError("one of sigma1 or a target epsilon is required")
     if dataset_size is None:
         if config.sigma1 is None:
             raise ConfigurationError("an epsilon target needs a dataset file or a dataset size")
@@ -366,26 +374,20 @@ def write_outputs(demos, traces, demos_path, traces_path) -> None:
 
 
 def audit_traces(traces, config: RunConfig) -> dict:
-    """Compare noise events consumed in traces against the charged worst case.
+    """Compare the draws each token's trace records (Release.drawn) against
+    its charge at the config's t_hat and theta (Release.count).
 
     Every token must stay within its charge, and its radius search must run
     all of its iterations.
     """
-    profile = config.mechanism(None)
-    search, means, checks = RELEASES
-    aggregations = [t.aggregation for t in traces]
-    used = {  # the draws each trace records; the audit line lists the loop's first
-        means: [a.mean_estimates for a in aggregations],
-        checks: [len(a.coverage_checks) for a in aggregations],
-        search: [2 * len(a.goodradius_steps) for a in aggregations],
-    }
-    counts = {release: release.count(profile) for release in used}
+    used = {release: [release.drawn(t.aggregation) for t in traces] for release in RELEASES}
+    counts = {release: release.count(config) for release in RELEASES}
     ok = all(n <= counts[release] for release, ns in used.items() for n in ns)
     return {
         "tokens": len(traces),
         "consumed": {release.trace_name: sum(ns) for release, ns in used.items()},
         "charged": {release.trace_name: len(traces) * count for release, count in counts.items()},
-        "ok": ok and all(n == counts[search] for n in used[search]),
+        "ok": ok and all(n == counts[RADIUS_SEARCH] for n in used[RADIUS_SEARCH]),
     }
 
 
@@ -411,11 +413,10 @@ def report_privacy(config: RunConfig, dataset_size: int, label_counts=None) -> d
     if config.sigma1 is None:
         report["calibration"] = {"target_epsilon": config.epsilon, "gamma_mode": config.gamma_mode}
 
-    search, means, checks = RELEASES
     parts = {
-        "radius_search": search.total(profile),
-        "mean_estimates": means.total(profile),
-        "coverage_checks": checks.total(profile),
+        "radius_search": RADIUS_SEARCH.total(profile),
+        "mean_estimates": MEAN_ESTIMATE.total(profile),
+        "coverage_checks": COVERAGE_CHECK.total(profile),
         "per_token_total": per_iteration_coefficient(profile),
     }
     report["per_token_rdp"] = {
@@ -423,7 +424,7 @@ def report_privacy(config: RunConfig, dataset_size: int, label_counts=None) -> d
         "radius_search_coeff": parts["radius_search"],
         "mean_estimate_coeff": parts["mean_estimates"],
         "coverage_check_coeff": parts["coverage_checks"],
-        "binary_search_iterations": search.count(profile) // 2,
+        "binary_search_iterations": RADIUS_SEARCH.count(profile) // 2,
     }
 
     epsilons = {}

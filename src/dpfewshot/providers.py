@@ -158,12 +158,12 @@ class HttpProvider:
     its ``index``; anything else raises ProviderError, so a subset is never
     dropped.  Each choice is renormalized on its own, then read over the
     public choice's tokens (absent ones read 0.0, others are dropped).  429
-    and 5xx replies are retried after a numeric Retry-After, or else after
-    an exponential backoff.  If the endpoint caps logprobs below the
-    requested count the cap is requested instead and unreturned tokens get
-    probability zero (a warning is logged once per provider, also across
-    threads).  The bearer token is read from the environment variable named
-    by auth_env.
+    and 5xx replies are retried after a numeric Retry-After, at most timeout
+    seconds, or else after an exponential backoff.  If the endpoint caps
+    logprobs below the requested count the cap is requested instead and
+    unreturned tokens get probability zero (a warning is logged once per
+    provider, also across threads).  The bearer token is read from the
+    environment variable named by auth_env.
     """
 
     #: Each call waits on a network reply, so generate_shots overlaps its demos' calls.
@@ -239,7 +239,7 @@ class HttpProvider:
             except requests.RequestException as err:
                 last_error = ProviderError(f"request to {url} failed: {err}")
             if attempt < self.max_retries:
-                time.sleep(delay if delay is not None else self.backoff * 2**attempt)
+                time.sleep(min(delay, self.timeout) if delay is not None else self.backoff * 2**attempt)
         raise last_error
 
 
@@ -329,6 +329,7 @@ def next_token_generation(
     is drawn and all M+1 prompts are the public one.  All randomness (the
     subset draw) happens before the provider call, which answers the public
     prompt and the M private prompts in one block whose public row 0 alone fixes the support.
+    A provider error, or a NaN or infinite value in a private row, raises ProviderError.
     """
     public_prompt = template.render([], label, prefix)
     if data is None:
@@ -338,6 +339,8 @@ def next_token_generation(
         prompts = [public_prompt, *(template.render(subset, label, prefix) for subset in subsets)]
     try:
         vocab, block = provider.next_token_distribution(prompts, label=label, position=position, top_n=k)
+        if not np.isfinite(block[1:]).all():
+            raise ProviderError("a private row holds a NaN or infinite value")
     except ProviderError as err:
         raise ProviderError(f"token position {position}: {err}") from err
     return restrict_topk(vocab, block, k)

@@ -45,18 +45,14 @@ def project_to_simplex(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, degenerate[..., 0]
 
 
-def project_to_ball(
-    points: np.ndarray, center: np.ndarray, radius: float, dists: np.ndarray | None = None
-) -> np.ndarray:
-    """Pull each row of points radially toward center into the ball.
+def project_to_ball(points: np.ndarray, center: np.ndarray, radius: float, dists: np.ndarray) -> np.ndarray:
+    """Pull each row of points radially toward center into the ball, given
+    dists = ``distances(points, center)``.
 
     Rows already inside pass through unchanged (bitwise), matching the
     scale factor max(1, d/R).  A zero radius maps every row to the center.
-    dists, if given, must be ``distances(points, center)``.
     """
     points = np.asarray(points, dtype=float)
-    if dists is None:
-        dists = distances(points, center)
     out = points.copy()
     outside = np.flatnonzero(dists > radius)
     with np.errstate(all="ignore"):  # d / R overflows at a subnormal R; such a row maps to the center
@@ -64,13 +60,7 @@ def project_to_ball(
     return out
 
 
-def coverage_count(
-    points: np.ndarray, center: np.ndarray, radius: float, dists: np.ndarray | None = None
-) -> int:
-    """Number of rows of ``points`` within radius of center (boundary counts as in).
-
-    dists, if given, must be ``distances(points, center)``.
-    """
-    if dists is None:
-        dists = distances(np.asarray(points, dtype=float), center)
+def coverage_count(dists: np.ndarray, radius: float) -> int:
+    """Number of rows within radius of a center, given their ``distances`` to
+    it (boundary counts as in)."""
     return int(np.count_nonzero(dists <= radius))

@@ -47,7 +47,7 @@ from dpfewshot.pipeline import (
 from dpfewshot.providers import ProviderSpec
 from dpfewshot.radius import CoverageScore, good_radius
 from dpfewshot.rng import NoiseStreams, substream
-from dpfewshot.simplex import SIMPLEX_RADIUS
+from dpfewshot.simplex import SIMPLEX_RADIUS, distances
 from study.diagnostics import measure_cluster_radius, pairwise_distances
 
 
@@ -436,11 +436,11 @@ def test_noise_law_statistics():
     assert base_std == pytest.approx(math.sqrt(2) * sigma, rel=0.02)
 
     cfg = AggregationConfig(m=5, k=4, lam=0.2, t_hat=1, sigma0=0.0, sigma1=0.0, sigma2=2.5)
-    center = points[0]
+    dists = distances(points, points[0])
     rng = substream(63, "check-noise")
     noise = []
     for _ in range(reps):
-        _, raw, noisy = radius_coverage_check(points, center, 0.1 + cfg.margin(0.2), cfg, rng)
+        _, raw, noisy = radius_coverage_check(dists, 0.1 + cfg.margin(0.2), cfg, rng)
         noise.append(noisy - raw)
     check_std = np.array(noise).std()
     assert check_std == pytest.approx(2.5, rel=0.02)

@@ -29,7 +29,8 @@ from dpfewshot.accountant import (
     rdp_to_dp,
     subsample_amplify,
 )
-from dpfewshot.aggregate import AggregationConfig
+from dpfewshot.aggregate import BREAK_MAX_ITERS, AggregationConfig, adaptive_aggregate
+from dpfewshot.rng import NoiseStreams
 from helpers import gaussian_rdp, oracle_amplified, oracle_best_epsilon, oracle_terms
 from test_acceptance import REFERENCE_ROWS
 
@@ -95,13 +96,13 @@ class TestReleases:
         # a coverage check sigma2 to a count of sensitivity 1
         profile = MechanismProfile(sigma0=10.0, sigma1=0.6, sigma2=3.0, t_hat=2, theta=0.1)
         alpha = 7
-        expected = {  # count, radius, sensitivity at that radius, noise std
-            RADIUS_SEARCH: (6, 1.0, 2.0, 20.0),
+        expected = {  # count, radius, sensitivity at that radius, noise std; in the audit line's order
             MEAN_ESTIMATE: (3, 0.3, 0.6, 0.6 * 0.6),
             COVERAGE_CHECK: (2, 1.0, 1.0, 3.0),
+            RADIUS_SEARCH: (6, 1.0, 2.0, 20.0),
         }
         assert RELEASES == tuple(expected)
-        assert [r.trace_name for r in RELEASES] == ["goodradius_draws", "mean_estimates", "coverage_checks"]
+        assert [r.trace_name for r in RELEASES] == ["mean_estimates", "coverage_checks", "goodradius_draws"]
         for release, (count, r, sensitivity, std) in expected.items():
             assert release.count(profile) == count
             assert release.sensitivity * r == pytest.approx(sensitivity, rel=1e-15)
@@ -122,6 +123,15 @@ class TestReleases:
     def test_per_token_coefficient_sums_the_releases(self):
         total = sum(release.total(PROFILE) for release in RELEASES)
         assert per_iteration_coefficient(PROFILE) == pytest.approx(total, rel=1e-12)
+
+    def test_each_release_reads_its_draws_from_a_trace(self):
+        # a noiseless run that keeps every check passing draws each release's full count
+        cfg = AggregationConfig(m=6, k=3, lam=0.2, t_hat=2, theta=0.1, sigma0=0.0, sigma1=0.0, sigma2=0.0)
+        _, trace = adaptive_aggregate(np.tile([0.2, 0.3, 0.5], (6, 1)), cfg, NoiseStreams.from_seed(0))
+        assert trace.break_reason == BREAK_MAX_ITERS
+        drawn = {r.trace_name: r.drawn(trace) for r in RELEASES}
+        assert drawn == {"mean_estimates": 3, "coverage_checks": 2, "goodradius_draws": 6}
+        assert drawn == {r.trace_name: r.count(cfg) for r in RELEASES}
 
     def test_uncalibrated_sigma1_still_counts(self):
         profile = MechanismProfile(sigma0=10.0, sigma1=None, sigma2=3.0, t_hat=1)

@@ -58,14 +58,14 @@ class TestCoverageCheck:
         center = np.full(4, 0.25)
         points = np.tile(center, (10, 1))
         cfg = make_cfg(10, 4)
-        passed, raw, noisy = radius_coverage_check(points, center, 0.0, cfg, substream(0, "c"))
+        passed, raw, noisy = radius_coverage_check(distances(points, center), 0.0, cfg, substream(0, "c"))
         assert passed and raw == 10 and noisy == 10.0
 
     def test_empty_ball_fails(self):
         points = np.tile([1.0, 0.0], (6, 1))
         center = np.array([0.0, 1.0])
         cfg = make_cfg(6, 2)
-        passed, raw, _ = radius_coverage_check(points, center, 0.1, cfg, substream(0, "c"))
+        passed, raw, _ = radius_coverage_check(distances(points, center), 0.1, cfg, substream(0, "c"))
         assert not passed and raw == 0
 
     def test_threshold_arithmetic(self):
@@ -75,10 +75,10 @@ class TestCoverageCheck:
         near = np.tile(center, (6, 1))
         far = np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))
         points = np.vstack([near, far])
-        passed, raw, _ = radius_coverage_check(points, center, 0.01, cfg, substream(0, "c"))
+        passed, raw, _ = radius_coverage_check(distances(points, center), 0.01, cfg, substream(0, "c"))
         assert passed and raw == 6
         points = np.vstack([near[:5], far, far[:1]])
-        passed, raw, _ = radius_coverage_check(points, center, 0.01, cfg, substream(0, "c"))
+        passed, raw, _ = radius_coverage_check(distances(points, center), 0.01, cfg, substream(0, "c"))
         assert not passed and raw == 5
 
     def test_consumes_one_draw(self):
@@ -91,7 +91,7 @@ class TestCoverageCheck:
 
         cfg = make_cfg(3, 2, sigma2=1.0)
         points = np.tile([0.5, 0.5], (3, 1))
-        radius_coverage_check(points, np.array([0.5, 0.5]), 0.1, cfg, OneShot())
+        radius_coverage_check(distances(points, np.array([0.5, 0.5])), 0.1, cfg, OneShot())
         assert OneShot.calls == 1
 
 
@@ -129,7 +129,7 @@ class TestDrawSitesAddTheTablesNoise:
     def test_coverage_check(self, sigma):
         points = np.tile([1.0, 0.0], (3, 1))
         cfg = make_cfg(3, 2, sigma2=sigma)
-        _, raw, noisy = radius_coverage_check(points, np.array([0.0, 1.0]), 0.1, cfg, Ones())
+        _, raw, noisy = radius_coverage_check(distances(points, np.array([0.0, 1.0])), 0.1, cfg, Ones())
         assert raw == 0 and noisy == COVERAGE_CHECK.noise_std(sigma)
 
 
@@ -486,7 +486,7 @@ class TestSharedDistanceSensitivity:
             for neighbour in self.neighbours(rng, points):
                 there = distances(neighbour, center)
                 for r in radii:
-                    moved = coverage_count(points, center, r, here) - coverage_count(neighbour, center, r, there)
+                    moved = coverage_count(here, r) - coverage_count(there, r)
                     assert abs(moved) <= COVERAGE_CHECK.sensitivity, (seed, r)
                     shift = project_to_ball(points, center, r, here).sum(axis=0) - project_to_ball(neighbour, center, r, there).sum(axis=0)
                     assert np.linalg.norm(shift) <= MEAN_ESTIMATE.sensitivity * r * (1 + 1e-12), (seed, r)

@@ -1,4 +1,5 @@
 import json
+import secrets
 
 import pytest
 
@@ -492,6 +493,15 @@ class TestRefusals:
         assert captured.out == ""
         assert not (tmp_path / "d.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["generate", "report-privacy"])
+    def test_neither_noise_source_exits_2_before_any_file_is_read(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.jsonl"
+        code = run_cli(command, "--dataset", str(missing), "--labels", "a")
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "configuration error: one of sigma1 or a target epsilon is required\n"
+        assert captured.out == ""
+
     def test_negative_max_retries_exits_2(self, config_file, capsys):
         code = run_cli(
             "generate", "--config", str(config_file),
@@ -508,6 +518,53 @@ class TestRefusals:
         )
         assert code == EXIT_CONFIG
         assert "vocab_size must be positive, got 0" in capsys.readouterr().err
+
+
+#: BASE_CONFIG without its seed line.
+UNSEEDED_CONFIG = BASE_CONFIG.replace("seed = 123\n", "")
+
+
+class TestSecretSeed:
+    """A config without a seed runs at 128 secret bits; a set seed is named on stderr."""
+
+    def generate(self, tmp_path, name, *flags):
+        config = tmp_path / "run.cfg"
+        config.write_text(UNSEEDED_CONFIG)
+        out = tmp_path / name
+        code = run_cli(
+            "generate", "--config", str(config), *flags,
+            "--demos-out", str(out / "demos.jsonl"), "--traces-out", str(out / "traces.jsonl"),
+        )
+        assert code == EXIT_OK
+        return (out / "demos.jsonl").read_bytes(), (out / "traces.jsonl").read_bytes()
+
+    def test_two_default_runs_write_different_traces(self, tmp_path, capsys):
+        assert "\nseed" not in UNSEEDED_CONFIG
+        first, second = self.generate(tmp_path, "a"), self.generate(tmp_path, "b")
+        assert first[1] != second[1]
+        assert capsys.readouterr().err == ""
+
+    def test_the_drawn_seed_appears_in_no_output(self, tmp_path, capsys, monkeypatch):
+        secret = 0x9E3779B97F4A7C15F39CC0605CEDC834
+        drawn = []
+        monkeypatch.setattr(secrets, "randbits", lambda bits: drawn.append(bits) or secret)
+        files = self.generate(tmp_path, "default")
+        assert drawn == [128]
+        stdout = capsys.readouterr().out
+        for form in (str(secret), f"{secret:x}", f"{secret:X}"):
+            assert all(form.encode() not in data for data in files)
+            assert form not in stdout
+        # the run did use the drawn seed: an explicit --seed of it writes the same bytes
+        assert self.generate(tmp_path, "explicit", "--seed", str(secret)) == files
+
+    def test_a_set_seed_prints_one_notice_on_stderr(self, tmp_path, capsys):
+        self.generate(tmp_path, "a", "--seed", "5")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed is kept secret" in err
+
+    def test_report_privacy_prints_no_notice(self, tmp_path, capsys):
+        assert run_cli("report-privacy", "--sigma1", "1", "--dataset-size", "100", "--seed", "5") == EXIT_OK
+        assert capsys.readouterr().err == ""
 
 
 class TestStopTokens:

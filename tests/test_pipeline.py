@@ -304,7 +304,7 @@ class TestOutputsAndAudit:
             cfg = AggregationConfig(**params)
         _, trace = adaptive_aggregate(points, cfg, NoiseStreams.from_seed(0))
         assert trace.break_reason == reason
-        config = RunConfig(labels=("a",), t_hat=cfg.t_hat, theta=cfg.theta)
+        config = RunConfig(labels=("a",), t_hat=cfg.t_hat, theta=cfg.theta, sigma1=cfg.sigma1)
         audit = audit_traces([SimpleNamespace(aggregation=trace)], config)
         assert audit["ok"]
         for release in RELEASES:
@@ -363,6 +363,41 @@ class TestOutputsAndAudit:
             assert demo.to_record() == want
 
 
+#: Every key of a written trace record; an element of coverage_checks is
+#: [raw, noisy], so its two entries are keyed by their index.
+TRACE_KEYS = {
+    # public: fixed by the config, the label draw and the public row 0
+    "public": {"trace_id", "position", "label", "support_size"},
+    # a release's noisy value, or post-processing of released values and public ones
+    "released": {
+        "chosen_token", "target_radius", "radius_sequence", "coverage_checks[1]", "break_reason",
+        "degenerate_simplex_events", "mean_estimates", "goodradius_steps.midpoint",
+        "goodradius_steps.noisy_half", "goodradius_steps.noisy_mid", "goodradius_steps.branch",
+    },
+    # computed from the private vectors without noise
+    "unnoised": {"coverage_checks[0]", "fallback_count"},
+}
+
+
+def test_every_trace_field_is_classified(tmp_path):
+    config = noiseless_config(sigma1=0.4, sigma0=10.0, sigma2=1.0, t_hat=2)
+    traces_path = tmp_path / "traces.jsonl"
+    write_outputs(*generate_shots(resolve_run(config)), tmp_path / "demos.jsonl", traces_path)
+    keys = set()
+    for line in traces_path.read_text().splitlines():
+        for key, value in json.loads(line).items():
+            if key == "coverage_checks":
+                keys.update(f"{key}[{i}]" for check in value for i in range(len(check)))
+            elif key == "goodradius_steps":
+                keys.update(f"{key}.{name}" for step in value for name in step)
+            else:
+                keys.add(key)
+    public, released, unnoised = TRACE_KEYS.values()
+    assert not (public & released or public & unnoised or released & unnoised)
+    assert keys == public | released | unnoised
+    assert unnoised == {"coverage_checks[0]", "fallback_count"}
+
+
 class TestReportPrivacy:
     def test_sigma1_passthrough(self):
         config = noiseless_config(sigma1=0.6, sigma0=10.0, sigma2=3.0, t_max=20)
@@ -387,9 +422,8 @@ class TestReportPrivacy:
             noiseless_config(sigma1=0.5, epsilon=1.0)
 
     def test_neither_noise_source_rejected(self):
-        config = noiseless_config(sigma1=None)
-        with pytest.raises(ConfigurationError, match="required"):
-            report_privacy(config, dataset_size=1000)
+        with pytest.raises(ConfigurationError, match="^one of sigma1 or a target epsilon is required$"):
+            noiseless_config(sigma1=None)
 
     def test_overflowed_orders_are_listed(self):
         # (j - 1) * j / (2 sigma1^2) * (t_hat + 1) passes the double range
@@ -473,6 +507,13 @@ class TestResolveRun:
         assert run.aggregation.sigma1 == report["sigma1"] == calibrate_sigma1(
             DpBudget(6.0, 1 / 155), config.mechanism(None), SubsamplingContext(4, drawn_from), 3
         )
+
+    def test_a_config_without_a_seed_runs_at_a_secret_one(self, monkeypatch):
+        config = noiseless_config(seed=None)
+        monkeypatch.setattr(pipeline.secrets, "randbits", lambda bits: 2**bits - 1)
+        run = resolve_run(config)
+        assert config.seed is None and run.config == dataclasses.replace(config, seed=2**128 - 1)
+        assert generate_shots(run) == generate_shots(resolve_run(run.config))
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64, 2**128 - 1])
     def test_seeds_at_the_range_edges_run(self, seed):

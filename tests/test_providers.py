@@ -22,7 +22,7 @@ import dpfewshot
 from dpfewshot import providers
 from dpfewshot.cli import EXIT_PROVIDER, main
 from dpfewshot.data import Example, GENERIC_TEMPLATE
-from dpfewshot.pipeline import RunConfig, generate_shots, resolve_run, write_outputs
+from dpfewshot.pipeline import RunConfig, generate_shots, resolve_run, step_streams, token_step, write_outputs
 from dpfewshot.providers import (
     HttpProvider,
     ProviderError,
@@ -548,6 +548,13 @@ class TestHttpProvider:
         assert len(dist) == 3
         assert delays == [2.0, 0.25, 0.5 * 2**2, 0.5 * 2**3, 0.5 * 2**4]
 
+    def test_retry_after_waits_at_most_the_timeout(self, monkeypatch):
+        delays = []
+        monkeypatch.setattr(time, "sleep", delays.append)
+        provider = self.make([(429, {}, {"Retry-After": "86400"}), (200, LOGPROBS_FIXTURE)], timeout=7.5)
+        provider.next_token_distribution(["p"], label="y", position=0, top_n=3)
+        assert delays == [7.5]
+
     def test_retry_after_keeps_the_attempt_count(self, monkeypatch):
         delays = []
         monkeypatch.setattr(time, "sleep", delays.append)
@@ -592,6 +599,25 @@ class TestNextTokenGeneration:
             next_token_generation(
                 Boom(), data, "y", 2, 1, 5, GENERIC_TEMPLATE, "", np.random.default_rng(0), position=7
             )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_private_row_is_a_provider_error(self, value):
+        class Broken:
+            def next_token_distribution(self, prompts, **kw):
+                return ("a", "b"), np.array([[0.5, 0.5], [1.0, 0.0], [0.5, value]])
+
+        with pytest.raises(ProviderError, match="^token position 7: a private row holds a NaN or infinite value$"):
+            next_token_generation(
+                Broken(), label_pool("y", 4), "y", 2, 1, 1, GENERIC_TEMPLATE, "", np.random.default_rng(0), position=7
+            )
+
+    def test_nan_public_row_keeps_its_value_error(self):
+        class NanPublic:
+            def next_token_distribution(self, prompts, **kw):
+                return ("a", "b"), np.array([[math.nan, 0.5], [1.0, 0.0]])
+
+        with pytest.raises(ValueError, match="sums to nan"):
+            next_token_generation(NanPublic(), None, "y", 1, 1, 1, GENERIC_TEMPLATE, "", None)
 
     def test_equal_seeds_give_bitwise_identical_batches(self):
         data = label_pool("y", 8)
@@ -702,6 +728,56 @@ def http_run(tmp_path, session, **overrides):
     params.update(overrides)
     provider = HttpProvider(base_url="http://api.test", model="m", backoff=0.0, session=session)
     return resolve_run(RunConfig(**params), provider=provider)
+
+
+class RecordingProvider:
+    """A provider that records each call's public prompt and (vocab, block)."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+
+    def next_token_distribution(self, prompts, *, label, position, top_n):
+        vocab, block = self.inner.next_token_distribution(prompts, label=label, position=position, top_n=top_n)
+        self.calls.append((prompts[0], vocab, block))
+        return vocab, block
+
+
+def test_public_side_of_a_neighbour_coupled_run(tmp_path):
+    """D and D' differ in one record's text within one label, and both are
+    resolved with one seed.  Replaying each of D's steps (label, prefix,
+    position) on D' gives the same public prompt, row 0 and top-K support."""
+    records = [{"text": f"{label} text {i}", "label": label} for label in SHOT_LABELS for i in range(6)]
+    neighbour_records = [dict(r, text="replaced") if r["text"] == "Sports text 3" else r for r in records]
+    runs = []
+    for name, rows in (("d", records), ("d_prime", neighbour_records)):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        config = RunConfig(
+            dataset_path=str(path), m=3, n=2, k=6, t_max=12, n_shots=4,
+            sigma0=2.0, sigma1=0.5, sigma2=1.0, seed=4,
+        )
+        http = HttpProvider(base_url="http://api.test", model="m", session=PromptSession(delay_s=0.0))
+        runs.append(resolve_run(config, provider=RecordingProvider(http)))
+    run, neighbour = runs
+    demos, _ = generate_shots(run)
+    steps = [
+        (index, demo.label, "".join(demo.tokens[:position]), position)
+        for index, demo in enumerate(demos) for position in range(len(demo.tokens))
+    ]
+    assert {label for _, label, _, _ in steps} == set(SHOT_LABELS)
+    private_rows_differ = 0
+    for index, label, prefix, position in steps:
+        batches = []
+        for each in runs:
+            [(draw, noise)] = step_streams(each, [("demo", index, "token", position)])
+            batches.append(token_step(each, label, prefix, position, draw, noise)[0])
+        (prompt, vocab, block), (n_prompt, n_vocab, n_block) = run.provider.calls[-1], neighbour.provider.calls[-1]
+        assert n_prompt == prompt
+        assert n_vocab == vocab
+        assert n_block[0].tobytes() == block[0].tobytes()
+        assert batches[1].support == batches[0].support
+        private_rows_differ += n_block[1:].tobytes() != block[1:].tobytes()
+    assert private_rows_differ > 0  # the replaced record reaches the private rows
 
 
 def output_bytes(run, directory) -> tuple[bytes, bytes]:
@@ -849,6 +925,28 @@ def test_malformed_reply_through_main_exits_3(tmp_path, capsys, monkeypatch, cas
     assert code == EXIT_PROVIDER
     assert "provider error: token position 0: malformed logprobs response" in capsys.readouterr().err
     assert len(session.requests) == 1
+    assert not demos.exists()
+
+
+def test_nan_private_row_through_main_exits_3(tmp_path, capsys, monkeypatch):
+    original = SyntheticProvider.next_token_distribution
+
+    def broken(self, prompts, *, label, position, top_n):
+        vocab, block = original(self, prompts, label=label, position=position, top_n=top_n)
+        if position == 1:
+            block[len(prompts) - 1, np.argmin(block[0])] = math.nan  # the last private row, outside the top K
+        return vocab, block
+
+    monkeypatch.setattr(SyntheticProvider, "next_token_distribution", broken)
+    demos = tmp_path / "d.jsonl"
+    code = main([
+        "generate", "--labels", "a,b", "--n-shots", "1", "--m", "3", "--t-max", "3", "--k", "5",
+        "--sigma1", "1", "--demos-out", str(demos), "--traces-out", str(tmp_path / "t.jsonl"),
+    ])
+    assert code == EXIT_PROVIDER
+    assert capsys.readouterr().err == (
+        "provider error: token position 1: a private row holds a NaN or infinite value\n"
+    )
     assert not demos.exists()
 
 

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from dpfewshot.simplex import (
     SIMPLEX_RADIUS,
     coverage_count,
+    distances,
     project_to_ball,
     project_to_simplex,
 )
@@ -68,48 +69,50 @@ class TestProjectToSimplex:
 class TestProjectToBall:
     def test_center_passes_through(self):
         center = np.array([0.3, 0.7])
-        np.testing.assert_array_equal(project_to_ball(center[None], center, 0.5), [center])
+        np.testing.assert_array_equal(project_to_ball(center[None], center, 0.5, distances(center[None], center)), [center])
 
     def test_double_radius_halves_displacement(self):
         center = np.array([0.0, 0.0])
         p = np.array([0.0, 2.0])
-        out = project_to_ball(p[None], center, 1.0)
+        out = project_to_ball(p[None], center, 1.0, distances(p[None], center))
         np.testing.assert_allclose(out, [[0.0, 1.0]], rtol=1e-12)
 
     def test_three_four_five(self):
-        out = project_to_ball(np.array([[3.0, 4.0]]), np.array([0.0, 0.0]), 1.0)
+        out = project_to_ball(np.array([[3.0, 4.0]]), np.array([0.0, 0.0]), 1.0, np.array([5.0]))
         np.testing.assert_allclose(out, [[0.6, 0.8]], rtol=1e-12)
 
     def test_inside_is_bitwise_identity(self):
         points = np.array([[0.1000000001, 0.2, 0.7], [1.0, 0.0, 0.0]])
-        out = project_to_ball(points, np.array([0.1, 0.2, 0.7]), 0.5)
+        center = np.array([0.1, 0.2, 0.7])
+        out = project_to_ball(points, center, 0.5, distances(points, center))
         np.testing.assert_array_equal(out[0], points[0])
 
     def test_zero_radius_maps_to_center(self):
-        out = project_to_ball(np.array([[1.0, 0.0], [0.5, 0.5]]), np.array([0.5, 0.5]), 0.0)
+        points, center = np.array([[1.0, 0.0], [0.5, 0.5]]), np.array([0.5, 0.5])
+        out = project_to_ball(points, center, 0.0, distances(points, center))
         np.testing.assert_array_equal(out, [[0.5, 0.5], [0.5, 0.5]])
 
     @given(finite_vectors, st.floats(0, 2, allow_nan=False), st.integers(0, 2**32 - 1))
     @settings(max_examples=300)
     def test_output_within_radius(self, center, radius, seed):
         p = center + np.random.default_rng(seed).standard_normal(center.shape[0])
-        out = project_to_ball(p[None], center, radius)
+        out = project_to_ball(p[None], center, radius, distances(p[None], center))
         assert np.linalg.norm(out[0] - center) <= radius * (1 + 1e-12) + 1e-15
 
 
 class TestCoverageCount:
     def test_all_at_center(self):
         points = np.tile([0.5, 0.5], (7, 1))
-        assert coverage_count(points, np.array([0.5, 0.5]), 0.0) == 7
+        assert coverage_count(distances(points, np.array([0.5, 0.5])), 0.0) == 7
 
     def test_zero_radius_distinct_points(self):
         points = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert coverage_count(points, np.array([0.5, 0.5]), 0.0) == 0
+        assert coverage_count(distances(points, np.array([0.5, 0.5])), 0.0) == 0
 
     def test_boundary_counts_as_inside(self):
         points = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        assert coverage_count(points, np.array([0.5, 0.5]), 0.5) == 1
-        assert coverage_count(points, np.array([0.5, 0.5]), math.sqrt(2) / 2) == 3
+        assert coverage_count(distances(points, np.array([0.5, 0.5])), 0.5) == 1
+        assert coverage_count(distances(points, np.array([0.5, 0.5])), math.sqrt(2) / 2) == 3
 
     def test_matches_naive_reimplementation(self):
         # second, independently written counting loop on random instances
@@ -123,7 +126,7 @@ class TestCoverageCount:
             for row in points:
                 if math.sqrt(sum((a - b) ** 2 for a, b in zip(row, center))) <= radius:
                     naive += 1
-            assert coverage_count(points, center, radius) == naive
+            assert coverage_count(distances(points, center), radius) == naive
 
 
 def test_simplex_radius_constant():
