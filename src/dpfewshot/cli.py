@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 from .accountant import AmplificationOverflowError, UnachievableBudgetError, per_iteration_coefficient
-from .data import pool_sizes
 from .pipeline import (
     ConfigurationError,
     RunConfig,
@@ -172,12 +171,10 @@ def cmd_report_privacy(config: RunConfig, args: argparse.Namespace) -> int:
     """report_privacy over the dataset file's population or --dataset-size rows."""
     if config.dataset_path is not None and args.dataset_size is not None:
         raise ConfigurationError("give either --dataset or --dataset-size, not both")
-    population = load_population(config)
-    if population is None and args.dataset_size is None:
+    if config.dataset_path is None and args.dataset_size is None:
         raise ConfigurationError("report needs a dataset file or --dataset-size")
-    size, pools = population or (args.dataset_size, None)
-    report = report_privacy(config, size, pool_sizes(pools or {}))  # prices the mechanism
-    config.aggregation(report["sigma1"], config.k)  # checks the aggregator's fields
+    size, _, counts = load_population(config)
+    report = report_privacy(config, args.dataset_size if size is None else size, counts)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 

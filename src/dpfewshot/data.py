@@ -197,11 +197,6 @@ def label_pools(examples) -> dict[str, tuple[Example, ...]]:
     return {label: tuple(pool) for label, pool in grouped.items()}
 
 
-def pool_sizes(pools) -> dict[str, int]:
-    """Examples per label of label_pools' grouping: the counts the accountant reads."""
-    return {label: len(pool) for label, pool in pools.items()}
-
-
 def partition_subsets(
     data, label: str, m: int, n: int, rng: np.random.Generator
 ) -> list[list[Example]]:

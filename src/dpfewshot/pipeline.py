@@ -41,7 +41,7 @@ from .aggregate import (
     adaptive_aggregate,
     select_token,
 )
-from .data import Example, GENERIC_TEMPLATE, PromptTemplate, label_pools, load_dataset, pool_sizes
+from .data import Example, GENERIC_TEMPLATE, PromptTemplate, label_pools, load_dataset
 from .providers import NextTokenBatch, ProviderSpec, next_token_generation
 from .rng import NoiseStreams, check_seed, substream, substreams
 
@@ -85,7 +85,7 @@ class RunConfig:
     epsilon: float | None = None
     delta: float | None = None
     gamma_mode: str = GAMMA_DATASET
-    seed: int | None = None
+    seed: int | None = field(default=None, repr=False)
     demos_path: str = "demos.jsonl"
     traces_path: str = "traces.jsonl"
     stop_tokens: tuple[str, ...] = ()
@@ -171,13 +171,14 @@ class ResolvedRun:
     aggregation: AggregationConfig
 
 
-def load_population(config: RunConfig) -> tuple[int, dict[str, tuple[Example, ...]]] | None:
-    """The population a run's subsets are drawn from: the row count and
-    label pools of the dataset file, or None without one."""
+def load_population(config: RunConfig) -> tuple[int | None, dict[str, tuple[Example, ...]] | None, dict[str, int]]:
+    """The population a run's subsets are drawn from: the dataset file's row count (the sum
+    of its pool sizes), label pools and examples per label, or (None, None, {}) without one."""
     if config.dataset_path is None:
-        return None
-    dataset = load_dataset(config.dataset_path, config.dataset_format, config.labels or None)
-    return len(dataset), label_pools(dataset)
+        return None, None, {}
+    pools = label_pools(load_dataset(config.dataset_path, config.dataset_format, config.labels or None))
+    counts = {label: len(pool) for label, pool in pools.items()}
+    return sum(counts.values()), pools, counts
 
 
 def resolve_run(config: RunConfig, provider=None) -> ResolvedRun:
@@ -186,11 +187,9 @@ def resolve_run(config: RunConfig, provider=None) -> ResolvedRun:
     A config without a seed runs at 128 secret bits, which no output holds."""
     if config.seed is None:
         config = dataclasses.replace(config, seed=secrets.randbits(128))
-    population = load_population(config)
-    if population is None and not config.labels:
+    dataset_size, pools, counts = load_population(config)  # no pools: every prompt is the public one
+    if dataset_size is None and not config.labels:
         raise ConfigurationError("labels are required when no dataset file is given")
-    dataset_size, pools = population or (None, None)  # no pools: every prompt is the public one
-    counts = pool_sizes(pools or {})
     labels = config.labels or tuple(sorted(counts))
     needed = config.m * config.n
     short = [f"label {label!r} has {counts.get(label, 0)} examples, need {needed} "
@@ -210,44 +209,43 @@ def resolve_run(config: RunConfig, provider=None) -> ResolvedRun:
     )
     if provider is None:
         provider = config.provider.build()
-    sigma1, _, _ = settle_privacy(config, dataset_size, counts)
     return ResolvedRun(
         config=config, pools=pools, labels=labels, template=template,
-        provider=provider, aggregation=config.aggregation(sigma1, config.k),
+        provider=provider, aggregation=settle_privacy(config, dataset_size, counts)[0],
     )
 
 
 def settle_privacy(
     config: RunConfig, dataset_size: int | None, label_counts=None
-) -> tuple[float, float | None, dict[str, SubsamplingContext]]:
-    """(sigma1, delta, subsampling context of each gamma mode) of a run.
+) -> tuple[AggregationConfig, float | None, dict[str, SubsamplingContext]]:
+    """(checked aggregator spec, delta, subsampling context of each gamma mode) of a run.
 
     Each token draws m*n records: from the whole dataset (gamma_mode
     "dataset") or, given label counts, from the smallest label's pool
     ("label").  delta defaults to 1/dataset_size.  Without a dataset
     (dataset_size None) only a given sigma1 is accepted; an epsilon target
-    calibrates sigma1 for gamma_mode.
+    calibrates sigma1 for gamma_mode.  The spec at the settled sigma1 checks lam, mu and rho.
     """
-    if dataset_size is None:
-        if config.sigma1 is None:
-            raise ConfigurationError("an epsilon target needs a dataset file or a dataset size")
-        return config.sigma1, config.delta, {}
-    if dataset_size < 1:
-        raise ConfigurationError(f"cannot account for a dataset of {dataset_size} rows")
-    delta = config.delta if config.delta is not None else 1.0 / dataset_size
-    drawn = config.m * config.n
-    subsampling = {GAMMA_DATASET: SubsamplingContext(drawn, dataset_size)}
-    if label_counts:
-        subsampling[GAMMA_LABEL] = SubsamplingContext(drawn, min(label_counts.values()))
-    if config.gamma_mode not in subsampling:
-        raise ConfigurationError("per-label gamma requested but no label counts available")
+    delta, subsampling = config.delta, {}
+    if dataset_size is not None:
+        if dataset_size < 1:
+            raise ConfigurationError(f"cannot account for a dataset of {dataset_size} rows")
+        delta = config.delta if config.delta is not None else 1.0 / dataset_size
+        drawn = config.m * config.n
+        subsampling[GAMMA_DATASET] = SubsamplingContext(drawn, dataset_size)
+        if label_counts:
+            subsampling[GAMMA_LABEL] = SubsamplingContext(drawn, min(label_counts.values()))
+        if config.gamma_mode not in subsampling:
+            raise ConfigurationError("per-label gamma requested but no label counts available")
+    elif config.sigma1 is None:
+        raise ConfigurationError("an epsilon target needs a dataset file or a dataset size")
     sigma1 = config.sigma1
     if sigma1 is None:
         sigma1 = calibrate_sigma1(
             DpBudget(config.epsilon, delta), config.mechanism(None),
             subsampling[config.gamma_mode], config.t_max,
         )
-    return sigma1, delta, subsampling
+    return config.aggregation(sigma1, config.k), delta, subsampling
 
 
 def step_streams(run: ResolvedRun, prefixes):
@@ -398,8 +396,8 @@ def report_privacy(config: RunConfig, dataset_size: int, label_counts=None) -> d
     the per-label number uses the smallest label count (largest gamma).  An
     informational full-run epsilon composes n_shots * t_max positions.
     """
-    sigma1, delta, subsampling = settle_privacy(config, dataset_size, label_counts)
-    profile = config.mechanism(sigma1)
+    aggregation, delta, subsampling = settle_privacy(config, dataset_size, label_counts)
+    profile = config.mechanism(aggregation.sigma1)
     report: dict = {
         "task": config.task,
         "delta": delta,

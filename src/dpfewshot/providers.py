@@ -158,8 +158,8 @@ class HttpProvider:
     its ``index``; anything else raises ProviderError, so a subset is never
     dropped.  Each choice is renormalized on its own, then read over the
     public choice's tokens (absent ones read 0.0, others are dropped).  429
-    and 5xx replies are retried after a numeric Retry-After, at most timeout
-    seconds, or else after an exponential backoff.  If the endpoint caps
+    and 5xx replies are retried after a numeric Retry-After, or else after
+    an exponential backoff, each wait at most timeout seconds.  If the endpoint caps
     logprobs below the requested count the cap is requested instead and
     unreturned tokens get probability zero (a warning is logged once per
     provider, also across threads).  The bearer token is read from the
@@ -239,7 +239,7 @@ class HttpProvider:
             except requests.RequestException as err:
                 last_error = ProviderError(f"request to {url} failed: {err}")
             if attempt < self.max_retries:
-                time.sleep(min(delay, self.timeout) if delay is not None else self.backoff * 2**attempt)
+                time.sleep(min(self.timeout, delay if delay is not None else self.backoff * 2**attempt))
         raise last_error
 
 

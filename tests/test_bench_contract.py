@@ -9,13 +9,15 @@ running it.
 import ast
 import importlib
 import inspect
+import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dpfewshot import aggregate, data, pipeline, providers, radius, rng, simplex
+from dpfewshot import accountant, aggregate, data, pipeline, providers, radius, rng, simplex
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 BENCH_SOURCES = sorted([*BENCH_DIR.glob("*.py"), *BENCH_DIR.glob("tests/*.py")])
@@ -97,3 +99,22 @@ def test_patched_and_called_names(monkeypatch):
     config = pipeline.RunConfig(task="t", m=1, n=1, t_max=10, t_hat=1, sigma0=10.0, sigma1=1.0, sigma2=3.0, delta=1e-5)
     report = pipeline.report_privacy(config, 1000, {"c0": 500, "c1": 500})
     assert report["epsilon"]["dataset"]["epsilon"] > 0
+
+
+def test_calibrate_grid_reports_raise_no_aggregator_warning(bench):
+    """report_privacy checks the aggregator spec; at either end of each row's
+    target spread, calibrate-grid's report must neither warn nor fail."""
+    inputs = bench[1].inputs
+    for task, eps, s0, s2, _, t_hat, m, n, t_max, train, classes in inputs.REFERENCE_ROWS:
+        for target in (eps * math.exp(-inputs.TARGET_SPREAD), eps * math.exp(inputs.TARGET_SPREAD)):
+            profile = accountant.MechanismProfile(sigma0=s0, sigma1=None, sigma2=s2, t_hat=t_hat)
+            sigma1 = accountant.calibrate_sigma1(
+                accountant.DpBudget(target, 1.0 / train), profile, accountant.SubsamplingContext(m * n, train), t_max
+            )
+            config = pipeline.RunConfig(
+                task=task, m=m, n=n, t_max=t_max, t_hat=t_hat, sigma0=s0, sigma1=sigma1, sigma2=s2, delta=1.0 / train,
+            )
+            counts = {f"class{c}": round(train / classes) for c in range(classes)} if classes else None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pipeline.report_privacy(config, train, counts)

@@ -266,16 +266,30 @@ class TestRefusals:
     def test_every_command_refuses_the_same_mechanism(self, tmp_path, capsys, command, flag, message):
         path = tmp_path / "run.cfg"
         path.write_text(BASE_CONFIG)
-        extra = {
-            "generate": ("--demos-out", str(tmp_path / "d.jsonl"), "--traces-out", str(tmp_path / "t.jsonl")),
-            "report-privacy": ("--dataset-size", "1000"),
-        }.get(command, ())
-        code = run_cli(*command.split(), "--config", str(path), flag, "0", *extra)
+        code = run_cli(command, "--config", str(path), flag, "0", *self.command_flags(tmp_path)[command])
         assert code == EXIT_CONFIG
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
         assert not (tmp_path / "d.jsonl").exists()
+
+    @staticmethod
+    def command_flags(tmp_path):
+        return {
+            "generate": ("--demos-out", str(tmp_path / "d.jsonl"), "--traces-out", str(tmp_path / "t.jsonl")),
+            "report-privacy": ("--dataset-size", "1000"),
+        }
+
+    @pytest.mark.parametrize("command", ["generate", "report-privacy"])
+    def test_every_command_checks_the_aggregator_before_pricing(self, tmp_path, capsys, command):
+        path = tmp_path / "run.cfg"
+        path.write_text(BASE_CONFIG)
+        flags = ("--mu", "0", "--sigma0", "0")  # each refused alone: a bad mu and an unpriceable sigma0
+        code = run_cli(command, "--config", str(path), *flags, *self.command_flags(tmp_path)[command])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[0] == "configuration error: mu and rho must lie in (0, 1]"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("argv, message", [
         ("generate --sigma1 nan", "noise multipliers must be nonnegative"),

@@ -16,8 +16,8 @@ from dpfewshot.data import (
     label_pools,
     load_dataset,
     partition_subsets,
-    pool_sizes,
 )
+from dpfewshot.pipeline import RunConfig, load_population
 
 NEWS_TEMPLATE = PromptTemplate(
     instruction="Given a label of news type, generate the chosen type of news accordingly.",
@@ -464,4 +464,28 @@ class TestPartitionSubsets:
         data = [Example("1", "b"), Example("2", "a"), Example("3", "b"), Example("4", "b")]
         pools = label_pools(data)
         assert pools == {"b": (data[0], data[2], data[3]), "a": (data[1],)}
-        assert pool_sizes(pools) == {"b": 3, "a": 1}
+
+
+class TestLoadPopulation:
+    ROWS = [("stocks rallied", "Business"), ("team won the cup", "Sports"), ("rates were cut", "Business"),
+            ("polls closed", "World"), ("a late goal", "Sports"), ("bonds fell", "Business")]
+
+    def write(self, tmp_path, fmt):
+        path = tmp_path / f"data.{fmt}"
+        if fmt == "jsonl":
+            path.write_text("".join(json.dumps({"text": t, "label": l}) + "\n" for t, l in self.ROWS))
+        else:
+            path.write_text("text,label\n" + "".join(f"{t},{l}\n" for t, l in self.ROWS))
+        return path
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("labels", [(), ("World", "Sports", "Business", "Weather")])
+    def test_rows_are_read_once_and_counted_once(self, tmp_path, fmt, labels):
+        config = RunConfig(dataset_path=str(self.write(tmp_path, fmt)), labels=labels, sigma1=1.0)
+        rows, pools, counts = load_population(config)
+        assert rows == len(self.ROWS) == sum(counts.values())
+        assert counts == {label: len(pool) for label, pool in pools.items()}
+        assert counts == {"Business": 3, "Sports": 2, "World": 1}
+
+    def test_no_dataset_file(self):
+        assert load_population(RunConfig(labels=("a",), sigma1=1.0)) == (None, None, {})

@@ -399,6 +399,11 @@ def test_every_trace_field_is_classified(tmp_path):
 
 
 class TestReportPrivacy:
+    def test_refuses_a_bad_aggregator_field(self):
+        config = RunConfig(sigma1=1.0, mu=0.0)
+        with pytest.raises(ValueError, match=r"^mu and rho must lie in \(0, 1\]$"):
+            report_privacy(config, 1000)
+
     def test_sigma1_passthrough(self):
         config = noiseless_config(sigma1=0.6, sigma0=10.0, sigma2=3.0, t_max=20)
         report = report_privacy(config, dataset_size=50000, label_counts={l: 12500 for l in LABELS})
@@ -514,6 +519,16 @@ class TestResolveRun:
         run = resolve_run(config)
         assert config.seed is None and run.config == dataclasses.replace(config, seed=2**128 - 1)
         assert generate_shots(run) == generate_shots(resolve_run(run.config))
+
+    def test_the_secret_seed_stays_out_of_reprs(self, monkeypatch):
+        secret = 0x9E3779B97F4A7C15F39CC0605CEDC834
+        monkeypatch.setattr(pipeline.secrets, "randbits", lambda bits: secret)
+        config = noiseless_config(seed=None)
+        run = resolve_run(config)
+        assert run.config.seed == secret
+        for text in (repr(config), repr(run)):
+            for form in (str(secret), f"{secret:x}", f"{secret:X}"):
+                assert form not in text
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64, 2**128 - 1])
     def test_seeds_at_the_range_edges_run(self, seed):

@@ -555,6 +555,17 @@ class TestHttpProvider:
         provider.next_token_distribution(["p"], label="y", position=0, top_n=3)
         assert delays == [7.5]
 
+    def test_backoff_waits_at_most_the_timeout(self, monkeypatch):
+        delays = []
+        monkeypatch.setattr(time, "sleep", delays.append)
+        provider = HttpProvider(
+            base_url="http://api.test", model="m", max_retries=12, session=FakeSession([(503, {})] * 13),
+        )
+        with pytest.raises(ProviderError, match="503"):
+            provider.next_token_distribution(["p"], label="y", position=0, top_n=3)
+        assert delays == [1.0, 2.0, 4.0, 8.0, 16.0] + [provider.timeout] * 7
+        assert sum(delays) <= 12 * provider.timeout
+
     def test_retry_after_keeps_the_attempt_count(self, monkeypatch):
         delays = []
         monkeypatch.setattr(time, "sleep", delays.append)
