@@ -12,7 +12,6 @@ from .accountant import (
     MechanismProfile,
     SubsamplingContext,
     UnachievableBudgetError,
-    amplified_rdp,
     best_epsilon,
     binary_search_iterations,
     calibrate_sigma1,

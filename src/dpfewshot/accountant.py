@@ -145,12 +145,13 @@ class Release:
     """One kind of Gaussian release a token makes: count(profile) draws, each
     of noise_std(multiplier) on a statistic of this sensitivity, with the
     multiplier held in the profile's multiplier_field.  trace_name names its
-    counter in the audit, and drawn counts the draws one token's
-    AggregationTrace records.  count reads only t_hat and theta, so it is
-    listed at any multiplier; coefficient and total refuse one that cannot be
-    priced (None, zero, or no positive finite square)."""
+    counter in the audit, part its charge in the privacy report, and drawn
+    counts the draws one token's AggregationTrace records.  count reads only
+    t_hat and theta, so it is listed at any multiplier; coefficient and total
+    refuse one that cannot be priced (None, zero, or no positive finite square)."""
 
     trace_name: str
+    part: str
     multiplier_field: str
     sensitivity: float
     count: Callable[[MechanismProfile], int]
@@ -179,12 +180,12 @@ class Release:
 #: The releases charged for one token: the loop's full counts, and two scores
 #: per bisection step, in the order the audit lists them.  A mean estimate's
 #: sensitivity is per unit R.
-MEAN_ESTIMATE = Release("mean_estimates", "sigma1", 2.0, lambda p: p.t_hat + 1, lambda t: t.mean_estimates)
-COVERAGE_CHECK = Release("coverage_checks", "sigma2", 1.0, lambda p: p.t_hat, lambda t: len(t.coverage_checks))
-RADIUS_SEARCH = Release(
-    "goodradius_draws", "sigma0", 2.0,
-    lambda p: 2 * binary_search_iterations(p.theta), lambda t: 2 * len(t.goodradius_steps),
-)
+MEAN_ESTIMATE = Release("mean_estimates", "mean_estimates", "sigma1", 2.0,
+                        lambda p: p.t_hat + 1, lambda t: t.mean_estimates)
+COVERAGE_CHECK = Release("coverage_checks", "coverage_checks", "sigma2", 1.0,
+                         lambda p: p.t_hat, lambda t: len(t.coverage_checks))
+RADIUS_SEARCH = Release("goodradius_draws", "radius_search", "sigma0", 2.0,
+                        lambda p: 2 * binary_search_iterations(p.theta), lambda t: 2 * len(t.goodradius_steps))
 RELEASES = (MEAN_ESTIMATE, COVERAGE_CHECK, RADIUS_SEARCH)
 
 
@@ -289,14 +290,6 @@ def rdp_to_dp(alpha: float, tau: float, delta: float) -> float:
     return tau + math.log((alpha - 1) / alpha) - (math.log(delta) + math.log(alpha)) / (alpha - 1)
 
 
-def amplified_rdp(profile: MechanismProfile, ctx: SubsamplingContext) -> AmplifiedCurve:
-    """Subsampled per-token RDP at each order of DEFAULT_ALPHA_GRID, ascending.
-
-    Orders at which the amplification bound overflows are left out.
-    """
-    return AmplifiedCurve(per_iteration_coefficient(profile), ctx)
-
-
 def best_epsilon(amplified: Mapping[int, float], t_max: int, delta: float) -> tuple[float, int]:
     """Compose t_max token positions at every order, convert to (epsilon, delta)
     and return (epsilon, order) of the smallest; ties go to the first order.
@@ -337,7 +330,7 @@ def calibrate_sigma1(
     lo, hi = CALIBRATION_BRACKET
 
     def eps_at(s1: float) -> float:
-        amplified = amplified_rdp(replace(profile, sigma1=s1), ctx)
+        amplified = AmplifiedCurve(per_iteration_coefficient(replace(profile, sigma1=s1)), ctx)
         return best_epsilon(amplified, t_max, target.delta)[0]
 
     eps_hi = eps_at(lo)   # small sigma1 -> large epsilon

@@ -59,9 +59,9 @@ class AggregationConfig(MechanismProfile):
             raise ValueError("sigma1 is required: the aggregator runs at a settled sigma1")
         if self.margin(1.0) >= 1.0:
             warnings.warn(
-                f"margin coefficient 2*lam*sigma1*sqrt(k)/m = {self.margin(1.0):.3f} >= 1; "
+                f"margin coefficient 2*lam*sigma1*sqrt(k)/m = {self.margin(1.0):.3g} >= 1; "
                 "the radius update cannot shrink and the loop will stop at the floor check",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
 
     def margin(self, current_radius: float) -> float:

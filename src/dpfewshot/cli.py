@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from .accountant import AmplificationOverflowError, UnachievableBudgetError, per_iteration_coefficient
@@ -201,19 +202,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        file_values = read_config_file(args.config) if args.config else {}
-        config = build_run_config(file_values, {key: getattr(args, key) for key in _OPTIONS})
-        return _COMMANDS[args.command](config, args)
-    except UnachievableBudgetError as err:
-        print(f"calibration infeasible: {err}", file=sys.stderr)
-        return EXIT_CALIBRATION
-    except ProviderError as err:
-        print(f"provider error: {err}", file=sys.stderr)
-        return EXIT_PROVIDER
-    except (ValueError, AmplificationOverflowError, OSError) as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    with warnings.catch_warnings():  # restores the caller's filters and showwarning
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            file_values = read_config_file(args.config) if args.config else {}
+            config = build_run_config(file_values, {key: getattr(args, key) for key in _OPTIONS})
+            return _COMMANDS[args.command](config, args)
+        except UnachievableBudgetError as err:
+            print(f"calibration infeasible: {err}", file=sys.stderr)
+            return EXIT_CALIBRATION
+        except ProviderError as err:
+            print(f"provider error: {err}", file=sys.stderr)
+            return EXIT_PROVIDER
+        except (ValueError, AmplificationOverflowError, OSError) as err:
+            print(f"configuration error: {err}", file=sys.stderr)
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -22,15 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from .accountant import (
-    COVERAGE_CHECK,
     DEFAULT_ALPHA_GRID,
-    MEAN_ESTIMATE,
     RADIUS_SEARCH,
     RELEASES,
+    AmplifiedCurve,
     DpBudget,
     MechanismProfile,
     SubsamplingContext,
-    amplified_rdp,
     best_epsilon,
     calibrate_sigma1,
     per_iteration_coefficient,
@@ -113,10 +111,6 @@ class RunConfig:
     def mechanism(self, sigma1: float | None) -> MechanismProfile:
         """The per-token mechanism the accountant charges (sigma1 None before calibration)."""
         return self._spec(MechanismProfile, sigma1=sigma1)
-
-    def aggregation(self, sigma1: float, k: int) -> AggregationConfig:
-        """The charged mechanism plus the aggregator's run-time fields at support size k."""
-        return self._spec(AggregationConfig, sigma1=sigma1, k=k)
 
     def _spec(self, spec_type, **overrides):
         values = {f.name: getattr(self, f.name) for f in dataclasses.fields(spec_type)}
@@ -245,7 +239,7 @@ def settle_privacy(
             DpBudget(config.epsilon, delta), config.mechanism(None),
             subsampling[config.gamma_mode], config.t_max,
         )
-    return config.aggregation(sigma1, config.k), delta, subsampling
+    return config._spec(AggregationConfig, sigma1=sigma1), delta, subsampling
 
 
 def step_streams(run: ResolvedRun, prefixes):
@@ -390,44 +384,39 @@ def audit_traces(traces, config: RunConfig) -> dict:
 
 
 def report_privacy(config: RunConfig, dataset_size: int, label_counts=None) -> dict:
-    """Privacy report: epsilon (or calibrated sigma1) with all tau components.
+    """Privacy report: epsilon (or calibrated sigma1) of the spec settle_privacy
+    returns, with the tau of each release of RELEASES under its Release.part.
 
     Both gamma interpretations are reported when label counts are available;
     the per-label number uses the smallest label count (largest gamma).  An
     informational full-run epsilon composes n_shots * t_max positions.
     """
-    aggregation, delta, subsampling = settle_privacy(config, dataset_size, label_counts)
-    profile = config.mechanism(aggregation.sigma1)
+    spec, delta, subsampling = settle_privacy(config, dataset_size, label_counts)
     report: dict = {
         "task": config.task,
         "delta": delta,
         "gamma_mode": config.gamma_mode,
         "t_max": config.t_max,
         "n_shots": config.n_shots,
-        **dataclasses.asdict(profile),
+        **{f.name: getattr(spec, f.name) for f in dataclasses.fields(MechanismProfile)},
         "alpha_grid": [DEFAULT_ALPHA_GRID[0], DEFAULT_ALPHA_GRID[-1]],
         "gamma": {mode: ctx.gamma for mode, ctx in subsampling.items()},
     }
     if config.sigma1 is None:
         report["calibration"] = {"target_epsilon": config.epsilon, "gamma_mode": config.gamma_mode}
 
-    parts = {
-        "radius_search": RADIUS_SEARCH.total(profile),
-        "mean_estimates": MEAN_ESTIMATE.total(profile),
-        "coverage_checks": COVERAGE_CHECK.total(profile),
-        "per_token_total": per_iteration_coefficient(profile),
-    }
+    coefficient = per_iteration_coefficient(spec)
+    parts = {release.part: release.total(spec) for release in RELEASES}
     report["per_token_rdp"] = {
-        "coefficient": parts["per_token_total"],
-        "radius_search_coeff": parts["radius_search"],
-        "mean_estimate_coeff": parts["mean_estimates"],
-        "coverage_check_coeff": parts["coverage_checks"],
-        "binary_search_iterations": RADIUS_SEARCH.count(profile) // 2,
+        "coefficient": coefficient,
+        **{part.removesuffix("s") + "_coeff": c for part, c in parts.items()},
+        "binary_search_iterations": RADIUS_SEARCH.count(spec) // 2,
     }
+    parts["per_token_total"] = coefficient
 
     epsilons = {}
     for mode, ctx in subsampling.items():
-        amplified = amplified_rdp(profile, ctx)
+        amplified = AmplifiedCurve(coefficient, ctx)
         eps, alpha = best_epsilon(amplified, config.t_max, delta)
         eps_run, alpha_run = best_epsilon(amplified, config.t_max * config.n_shots, delta)
         entry = {

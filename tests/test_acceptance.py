@@ -18,10 +18,10 @@ import pytest
 
 import helpers
 from dpfewshot.accountant import (
+    AmplifiedCurve,
     DpBudget,
     MechanismProfile,
     SubsamplingContext,
-    amplified_rdp,
     best_epsilon,
     binary_search_iterations,
     calibrate_sigma1,
@@ -220,7 +220,7 @@ def test_reference_calibration_rows():
         profile = MechanismProfile(sigma0=s0, sigma1=s1, sigma2=s2, t_hat=t_hat, theta=0.1)
         contexts = _row_contexts(m * n, train, classes)
         eps_by_mode = {
-            mode: best_epsilon(amplified_rdp(profile, ctx), t_max, delta)[0]
+            mode: best_epsilon(AmplifiedCurve(per_iteration_coefficient(profile), ctx), t_max, delta)[0]
             for mode, ctx in contexts.items()
         }
         best_mode = min(eps_by_mode, key=lambda mode: abs(eps_by_mode[mode] - eps_t))
@@ -257,7 +257,7 @@ def test_reference_rows_reproduce_at_four_demo_span():
             continue
         profile = MechanismProfile(sigma0=s0, sigma1=s1, sigma2=s2, t_hat=t_hat, theta=0.1)
         ctx = SubsamplingContext(m * n, train)
-        eps, _ = best_epsilon(amplified_rdp(profile, ctx), 4 * t_max, 1.0 / train)
+        eps, _ = best_epsilon(AmplifiedCurve(per_iteration_coefficient(profile), ctx), 4 * t_max, 1.0 / train)
         assert eps == pytest.approx(eps_t, rel=0.02), (task, eps_t, eps)
     print("PASS: open-label reference rows reproduce at the four-demo span (2%)")
 

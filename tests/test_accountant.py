@@ -20,7 +20,6 @@ from dpfewshot.accountant import (
     MechanismProfile,
     SubsamplingContext,
     UnachievableBudgetError,
-    amplified_rdp,
     best_epsilon,
     binary_search_iterations,
     calibrate_sigma1,
@@ -103,6 +102,7 @@ class TestReleases:
         }
         assert RELEASES == tuple(expected)
         assert [r.trace_name for r in RELEASES] == ["mean_estimates", "coverage_checks", "goodradius_draws"]
+        assert [r.part for r in RELEASES] == ["mean_estimates", "coverage_checks", "radius_search"]
         for release, (count, r, sensitivity, std) in expected.items():
             assert release.count(profile) == count
             assert release.sensitivity * r == pytest.approx(sensitivity, rel=1e-15)
@@ -270,7 +270,7 @@ class TestSubsampleAmplify:
         profile = MechanismProfile(sigma0=10.0, sigma1=0.9, sigma2=3.0, t_hat=2)
         for m, n in ((1, 7), (4, 120_000), (40, 5_452), (160, 1_000)):
             warm = SubsamplingContext(m, n)
-            amplified_rdp(profile, warm)
+            AmplifiedCurve(per_iteration_coefficient(profile), warm)
             for c in (1e-4, 0.031, 0.17, 3.1, 40.0):
                 for alpha in DEFAULT_ALPHA_GRID:
                     try:
@@ -280,7 +280,8 @@ class TestSubsampleAmplify:
                             subsample_amplify(c, warm, alpha)
                         continue
                     assert subsample_amplify(c, warm, alpha) == want, (m, n, c, alpha)
-            assert amplified_rdp(profile, warm) == amplified_rdp(profile, SubsamplingContext(m, n))
+            coeff = per_iteration_coefficient(profile)
+            assert AmplifiedCurve(coeff, warm) == AmplifiedCurve(coeff, SubsamplingContext(m, n))
 
 
 def same_bits(a: float, b: float) -> bool:
@@ -425,7 +426,7 @@ class TestComposeAndTotal:
 
     def test_returned_alpha_achieves_minimum(self):
         ctx = SubsamplingContext(40, 3000)
-        eps, best = best_epsilon(amplified_rdp(PROFILE, ctx), 20, 1e-4)
+        eps, best = best_epsilon(AmplifiedCurve(per_iteration_coefficient(PROFILE), ctx), 20, 1e-4)
         for alpha in DEFAULT_ALPHA_GRID:
             coeff = per_iteration_coefficient(PROFILE)
             other = rdp_to_dp(alpha, 20 * subsample_amplify(coeff, ctx, alpha), 1e-4)
@@ -438,7 +439,8 @@ class TestComposeAndTotal:
 
         def eps(sigma1=0.6, t_max=100, t_hat=1, n=100000):
             profile = MechanismProfile(10.0, sigma1, 3.0, t_hat, 0.1)
-            return best_epsilon(amplified_rdp(profile, SubsamplingContext(20, n)), t_max, 1e-5)[0]
+            amplified = AmplifiedCurve(per_iteration_coefficient(profile), SubsamplingContext(20, n))
+            return best_epsilon(amplified, t_max, 1e-5)[0]
 
         assert eps(sigma1=0.4) > eps(sigma1=0.6) > eps(sigma1=1.0) > eps(sigma1=2.0)
         assert eps(t_max=25) < eps(t_max=100) < eps(t_max=400)
@@ -454,7 +456,7 @@ class TestCalibration:
             budget = DpBudget(target, 1 / 120000)
             sigma1 = calibrate_sigma1(budget, base, ctx, 100)
             profile = MechanismProfile(10.0, sigma1, 3.0, 1, 0.1)
-            eps, _ = best_epsilon(amplified_rdp(profile, ctx), 100, budget.delta)
+            eps, _ = best_epsilon(AmplifiedCurve(per_iteration_coefficient(profile), ctx), 100, budget.delta)
             assert eps == pytest.approx(target, rel=1e-4)
 
     def test_larger_target_needs_less_noise(self):

@@ -276,10 +276,11 @@ class TestAdaptiveAggregate:
 
 class TestConfigValidation:
     def test_pathological_margin_warns(self):
-        with pytest.warns(UserWarning, match="margin coefficient"):
+        with pytest.warns(UserWarning, match="margin coefficient") as record:
             AggregationConfig(
                 m=2, k=100, lam=0.5, t_hat=1, sigma0=1.0, sigma1=1.0, sigma2=1.0
             )
+        assert [warning.filename for warning in record] == [__file__]  # the line that built the spec
 
     def test_missing_sigma1_is_named(self):
         with pytest.raises(ValueError, match="sigma1 is required"):

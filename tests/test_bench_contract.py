@@ -97,7 +97,8 @@ def test_patched_and_called_names(monkeypatch):
     assert batch.private_vectors.shape == (4, 10)
     assert isinstance(rng.NoiseStreams.from_seed(1, 2), rng.NoiseStreams)
     config = pipeline.RunConfig(task="t", m=1, n=1, t_max=10, t_hat=1, sigma0=10.0, sigma1=1.0, sigma2=3.0, delta=1e-5)
-    report = pipeline.report_privacy(config, 1000, {"c0": 500, "c1": 500})
+    with pytest.warns(UserWarning, match="margin coefficient"):  # m=1 gives 4
+        report = pipeline.report_privacy(config, 1000, {"c0": 500, "c1": 500})
     assert report["epsilon"]["dataset"]["epsilon"] > 0
 
 

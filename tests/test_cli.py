@@ -1,5 +1,6 @@
 import json
 import secrets
+import warnings
 
 import pytest
 
@@ -321,6 +322,15 @@ class TestRefusals:
         assert f"configuration error: {message}" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "d.jsonl").exists()
+
+    def test_margin_warning_is_one_line_before_the_refusal(self, capsys):
+        filters, showwarning = warnings.filters[:], warnings.showwarning
+        code = run_cli("report-privacy", "--labels", "a,b", "--dataset-size", "1000", "--sigma1", "1e200", "--k", "10")
+        assert code == EXIT_CONFIG
+        warning, error = capsys.readouterr().err.splitlines()
+        assert warning.startswith("warning: margin coefficient 2*lam*sigma1*sqrt(k)/m = 1.26e+199 >= 1; ")
+        assert error.startswith("configuration error: noise multipliers must be positive")
+        assert warnings.filters == filters and warnings.showwarning is showwarning  # the caller's, restored
 
     def test_short_label_pool_exits_2_before_any_provider_call(self, tmp_path, capsys, monkeypatch):
         dataset = tmp_path / "small.jsonl"

@@ -21,11 +21,10 @@ from dpfewshot.pipeline import (
     write_outputs,
 )
 from dpfewshot.accountant import (
-    COVERAGE_CHECK,
-    MEAN_ESTIMATE,
     RADIUS_SEARCH,
     RELEASES,
     DpBudget,
+    Release,
     SubsamplingContext,
     binary_search_iterations,
     calibrate_sigma1,
@@ -62,6 +61,21 @@ def golden_argmax_path(provider: SyntheticProvider, label: str, t_max: int) -> l
         provider.vocab[int(np.argmax(provider.center_logits(label, position)))]
         for position in range(t_max)
     ]
+
+
+def assert_reports_each_release(report, releases, profile):
+    """Each release's total charge sits under its part in per_token_rdp and,
+    times the best order, in every gamma mode's tau_at_best_alpha."""
+    parts = {release.part: release.total(profile) for release in releases}
+    assert {key for key in report["per_token_rdp"] if key.endswith("_coeff")} == {
+        part.removesuffix("s") + "_coeff" for part in parts
+    }
+    for part, total in parts.items():
+        assert report["per_token_rdp"][part.removesuffix("s") + "_coeff"] == total
+        for entry in report["epsilon"].values():
+            assert entry["tau_at_best_alpha"][part] == total * entry["best_alpha"]
+    for entry in report["epsilon"].values():
+        assert set(entry["tau_at_best_alpha"]) == {*parts, "per_token_total"}
 
 
 class TestGenerateDemo:
@@ -320,15 +334,17 @@ class TestOutputsAndAudit:
         audit = audit_traces(traces, config)
         names = {release.trace_name for release in RELEASES}
         assert set(audit["consumed"]) == set(audit["charged"]) == names
-        part_of = {
-            RADIUS_SEARCH: "radius_search_coeff",
-            MEAN_ESTIMATE: "mean_estimate_coeff",
-            COVERAGE_CHECK: "coverage_check_coeff",
-        }
-        assert set(part_of) == set(RELEASES)
-        parts = report_privacy(config, dataset_size=120000)["per_token_rdp"]
-        for release, part in part_of.items():
-            assert parts[part] == release.total(config.mechanism(0.6))
+        report = report_privacy(config, dataset_size=120000)
+        assert_reports_each_release(report, RELEASES, config.mechanism(0.6))
+
+    def test_a_release_added_to_the_table_is_reported(self, monkeypatch):
+        extra = Release("extra_draws", "extra_releases", "sigma2", 1.0, lambda p: 5, lambda t: 0)
+        monkeypatch.setattr(pipeline, "RELEASES", (*RELEASES, extra))
+        config = noiseless_config(sigma1=0.6, sigma0=10.0, sigma2=3.0)
+        report = report_privacy(config, 120000, {label: 30000 for label in LABELS})
+        assert set(report["epsilon"]) == {"dataset", "label"}
+        assert_reports_each_release(report, (*RELEASES, extra), config.mechanism(0.6))
+        assert report["per_token_rdp"]["extra_release_coeff"] == 5 / (2 * 3.0**2)
 
     @pytest.mark.parametrize("field, value", [("lam", -1.0), ("mu", 0.0), ("rho", 1.5)])
     def test_bad_aggregator_field_is_refused_before_any_provider_call(self, field, value):

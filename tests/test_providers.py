@@ -742,21 +742,22 @@ def http_run(tmp_path, session, **overrides):
 
 
 class RecordingProvider:
-    """A provider that records each call's public prompt and (vocab, block)."""
+    """A provider that records each call's prompts and (vocab, block)."""
 
     def __init__(self, inner):
         self.inner, self.calls = inner, []
 
     def next_token_distribution(self, prompts, *, label, position, top_n):
         vocab, block = self.inner.next_token_distribution(prompts, label=label, position=position, top_n=top_n)
-        self.calls.append((prompts[0], vocab, block))
+        self.calls.append((list(prompts), vocab, block))
         return vocab, block
 
 
 def test_public_side_of_a_neighbour_coupled_run(tmp_path):
     """D and D' differ in one record's text within one label, and both are
     resolved with one seed.  Replaying each of D's steps (label, prefix,
-    position) on D' gives the same public prompt, row 0 and top-K support."""
+    position) on D' gives the same public prompt, row 0 and top-K support,
+    and the changed record reaches at most one of the M private prompts."""
     records = [{"text": f"{label} text {i}", "label": label} for label in SHOT_LABELS for i in range(6)]
     neighbour_records = [dict(r, text="replaced") if r["text"] == "Sports text 3" else r for r in records]
     runs = []
@@ -782,8 +783,10 @@ def test_public_side_of_a_neighbour_coupled_run(tmp_path):
         for each in runs:
             [(draw, noise)] = step_streams(each, [("demo", index, "token", position)])
             batches.append(token_step(each, label, prefix, position, draw, noise)[0])
-        (prompt, vocab, block), (n_prompt, n_vocab, n_block) = run.provider.calls[-1], neighbour.provider.calls[-1]
-        assert n_prompt == prompt
+        (prompts, vocab, block), (n_prompts, n_vocab, n_block) = run.provider.calls[-1], neighbour.provider.calls[-1]
+        assert n_prompts[0] == prompts[0]
+        # every record of a label is drawn (m * n = 6), so the replaced one sits in exactly one Sports subset
+        assert sum(a != b for a, b in zip(prompts[1:], n_prompts[1:], strict=True)) == (label == "Sports")
         assert n_vocab == vocab
         assert n_block[0].tobytes() == block[0].tobytes()
         assert batches[1].support == batches[0].support
