@@ -17,13 +17,13 @@ a grid:
 
 The amplification bound is evaluated in log space because its j-th term
 carries a factor e^{(j-1) tau(j)} that overflows double precision for
-moderate tau.  Its terms at every order form one array: a head per order and
-j that depends on gamma alone (kept by the SubsamplingContext) plus a column
+moderate tau.  Its terms at every order form one array: a head per j and
+order that depends on gamma alone (kept by the SubsamplingContext) plus a row
 per j that depends on the curve alone.  An order's floor, its largest term
 over alpha - 1, never exceeds its value: the terms hold 0.0, so their
 log-sum-exp is never below their peak, and composition and conversion round
-monotonically.  best_epsilon visits orders by their floors' epsilon and
-evaluates the exact log-sum-exp only where it can still win.
+monotonically.  best_epsilon converts every floor at once, visits orders by
+that epsilon and evaluates the exact log-sum-exp only where it can still win.
 
 Charging is worst-case over the data: the inner loop is always billed for
 its full count of mean estimates and checks even when it breaks early, so a
@@ -46,14 +46,17 @@ from .simplex import SIMPLEX_RADIUS
 #: this package calibrates (extending the grid can only tighten epsilon).
 DEFAULT_ALPHA_GRID: tuple[int, ...] = tuple(range(2, 65))
 
-#: The order-only parts of the bound's terms: log k! for k = 0..64, log C(alpha, 2)
-#: per order, log (alpha - j)! per order (row) and j = 2..64 (column), and the
-#: cells of AmplifiedCurve's term array past their row's order.
+#: The order-only parts of the bound's terms, one column per order: log k! for
+#: k = 0..64, log C(alpha, 2), log (alpha - j)! per j = 2..64 (row), the cells of
+#: AmplifiedCurve's term array within their order, and the (epsilon, delta)
+#: conversion's log((alpha - 1) / alpha), log alpha and alpha - 1, taken with
+#: math.log so that _to_dp rounds as rdp_to_dp does.
 _ORDERS = np.array(DEFAULT_ALPHA_GRID)
 _LOG_FACTORIAL = np.array([math.lgamma(k + 1) for k in range(DEFAULT_ALPHA_GRID[-1] + 1)])
 _LOG_PAIRS = np.array([math.log(math.comb(alpha, 2)) for alpha in DEFAULT_ALPHA_GRID])
-_LOG_REST = _LOG_FACTORIAL[np.maximum(_ORDERS[:, None] - _ORDERS, 0)]
-_PAST_ORDER = np.hstack([np.zeros((len(_ORDERS), 1), bool), _ORDERS[:, None] < _ORDERS])
+_LOG_REST = _LOG_FACTORIAL[np.maximum(_ORDERS - _ORDERS[:, None], 0)]
+_WITHIN_ORDER = np.arange(len(_ORDERS) + 1)[:, None] < _ORDERS
+_CONVERSION = np.array([(math.log((a - 1) / a), math.log(a), a - 1) for a in DEFAULT_ALPHA_GRID]).T
 
 CALIBRATION_BRACKET = (1e-3, 1e3)
 CALIBRATION_REL_TOL = 1e-4
@@ -111,13 +114,13 @@ class SubsamplingContext:
 
     @cached_property
     def heads(self) -> np.ndarray:
-        """The coefficient-free heads of the bound's terms, one row per order and
-        one column per j = 2..64 (finite filler past the order): j log gamma plus
+        """The coefficient-free heads of the bound's terms, one row per j = 2..64
+        and one column per order (finite filler past the order): j log gamma plus
         log C(alpha, j), summed in the order the full term adds them.  Built on
         first use and kept on this instance only, so commands share no memo."""
         log_gamma = math.log(self.gamma)
-        heads = _ORDERS * log_gamma + _LOG_FACTORIAL[_ORDERS, None] - _LOG_FACTORIAL[_ORDERS] - _LOG_REST
-        heads[:, 0] = 2.0 * log_gamma + _LOG_PAIRS
+        heads = _ORDERS[:, None] * log_gamma + _LOG_FACTORIAL[_ORDERS] - _LOG_FACTORIAL[_ORDERS, None] - _LOG_REST
+        heads[0] = 2.0 * log_gamma + _LOG_PAIRS
         return heads
 
 
@@ -214,41 +217,50 @@ def _log_expm1(t: float) -> float:
 
 class AmplifiedCurve(Mapping[int, float]):
     """subsample_amplify(coeff, ctx, alpha) at each order of DEFAULT_ALPHA_GRID
-    whose terms are all below inf, ascending, evaluated on first access;
-    floors maps each such order to its largest term over alpha - 1.
+    whose terms are all below inf, ascending, evaluated on first access; the
+    array floors holds each grid order's largest term over alpha - 1 (inf if any is).
 
-    Row alpha - 2 of the term array holds 0.0, then the terms for
-    j = 2..alpha, each j >= 3 one added as head + (j - 1) * (coeff * j) + log 2.
+    Row j - 1 of the term array holds term j at every order (row 0 holds 0.0;
+    each j >= 3 term is added as head + (j - 1) * (coeff * j) + log 2), so the
+    floors are one reduction down its columns; _terms is its transpose.
     """
 
     def __init__(self, coeff: float, ctx: SubsamplingContext):
         tau2 = coeff * 2
         pair_term = min(math.log(4.0) + _log_expm1(tau2), math.log(2.0) + tau2)
-        self._terms = terms = np.zeros((len(_ORDERS), len(_ORDERS) + 1))
+        terms = np.zeros((len(_ORDERS) + 1, len(_ORDERS)))
         with np.errstate(over="ignore", invalid="ignore"):
-            terms[:, 1] = ctx.heads[:, 0] + pair_term
-            terms[:, 2:] = ctx.heads[:, 1:] + (_ORDERS[1:] - 1) * (coeff * _ORDERS[1:]) + math.log(2.0)
-        representable = ((terms < math.inf) | _PAST_ORDER).all(axis=1).tolist()
-        np.copyto(terms, -math.inf, where=_PAST_ORDER)
-        peaks = terms.max(axis=1).tolist()
-        self.floors = {a: peak / (a - 1) for a, peak, ok in zip(DEFAULT_ALPHA_GRID, peaks, representable) if ok}
+            np.add(ctx.heads[0], pair_term, out=terms[1])
+            np.add(ctx.heads[1:], ((_ORDERS[1:] - 1) * (coeff * _ORDERS[1:]))[:, None], out=terms[2:])
+            terms[2:] += math.log(2.0)
+            peaks = terms.max(axis=0, where=_WITHIN_ORDER, initial=-math.inf)
+        self.floors = peaks / _CONVERSION[2]
+        self._terms = terms.T
+        self._orders = dict.fromkeys(_ORDERS[self.floors < math.inf].tolist())
         self._values: dict[int, float] = {}
 
     def __getitem__(self, alpha: int) -> float:
-        if alpha not in self._values and alpha in self.floors:
+        if alpha not in self._values and alpha in self:
             terms = self._terms[alpha - DEFAULT_ALPHA_GRID[0], :alpha].tolist()
             peak = max(terms)
             self._values[alpha] = (peak + math.log(math.fsum(math.exp(t - peak) for t in terms))) / (alpha - 1)
         return self._values[alpha]
 
     def __contains__(self, alpha: object) -> bool:
-        return alpha in self.floors
+        return alpha in self._orders
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.floors)
+        return iter(self._orders)
 
     def __len__(self) -> int:
-        return len(self.floors)
+        return len(self._orders)
+
+
+def _grid_row(alpha: object) -> int:
+    """alpha's index in DEFAULT_ALPHA_GRID; an order outside it is refused."""
+    if alpha not in DEFAULT_ALPHA_GRID:
+        raise ValueError(f"subsampling amplification needs an integer order in 2..64, got {alpha}")
+    return int(alpha) - DEFAULT_ALPHA_GRID[0]
 
 
 def subsample_amplify(coeff: float, ctx: SubsamplingContext, alpha: int) -> float:
@@ -266,10 +278,8 @@ def subsample_amplify(coeff: float, ctx: SubsamplingContext, alpha: int) -> floa
     (tau(inf) = inf).  The sum is accumulated in log space, from the
     coefficient-free heads of its terms that ctx holds (ctx.heads).
     """
-    if alpha not in DEFAULT_ALPHA_GRID:
-        raise ValueError(f"subsampling amplification needs an integer order in 2..64, got {alpha}")
     curve = AmplifiedCurve(coeff, ctx)
-    if int(alpha) not in curve:
+    if curve.floors[_grid_row(alpha)] == math.inf:
         raise AmplificationOverflowError(f"amplification bound not representable at alpha={alpha}, gamma={ctx.gamma}")
     return curve[int(alpha)]
 
@@ -290,24 +300,39 @@ def rdp_to_dp(alpha: float, tau: float, delta: float) -> float:
     return tau + math.log((alpha - 1) / alpha) - (math.log(delta) + math.log(alpha)) / (alpha - 1)
 
 
+@np.errstate(over="ignore")
+def _to_dp(taus: np.ndarray, t_max: int, delta: float, rows: object) -> np.ndarray:
+    """rdp_to_dp(alpha, t_max * tau, delta) at the grid orders rows, to the bit."""
+    log_ratio, log_alpha, less_one = _CONVERSION[:, rows]
+    return t_max * taus + log_ratio - (math.log(delta) + log_alpha) / less_one
+
+
 def best_epsilon(amplified: Mapping[int, float], t_max: int, delta: float) -> tuple[float, int]:
     """Compose t_max token positions at every order, convert to (epsilon, delta)
     and return (epsilon, order) of the smallest; ties go to the first order.
     A negative epsilon is reported as 0.
 
-    Orders are visited by the epsilon of their floor (an AmplifiedCurve's
-    floors; a plain mapping's floor is its value), up to the first floor
-    whose epsilon exceeds the best so far.
+    Every floor (an AmplifiedCurve's floors; a plain mapping's floor is its
+    value, at orders of DEFAULT_ALPHA_GRID) is converted in one array pass,
+    and orders are visited by that epsilon, ties by rank, up to the first
+    whose epsilon exceeds the best so far or is infinite.
     """
     if t_max < 1:
         raise ValueError("t_max must be positive")
-    floors = getattr(amplified, "floors", amplified)
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    floors, orders, rows = getattr(amplified, "floors", amplified), DEFAULT_ALPHA_GRID, slice(None)
+    if isinstance(floors, Mapping):
+        orders, rows = list(floors), [_grid_row(alpha) for alpha in floors]
+        floors = np.array(list(floors.values()), dtype=float)
+        if not (floors >= 0).all():
+            raise ValueError("RDP value must be nonnegative")
+    bounds = _to_dp(floors, t_max, delta, rows)
     best = (math.inf, -1, None)  # (eps, rank, order); outranks every infinite eps
-    for bound, rank, alpha in sorted(
-        (rdp_to_dp(alpha, t_max * floor, delta), rank, alpha) for rank, (alpha, floor) in enumerate(floors.items())
-    ):
-        if bound > best[0]:
+    for rank in np.argsort(bounds, kind="stable").tolist():
+        if bounds[rank] > best[0] or bounds[rank] == math.inf:
             break
+        alpha = orders[rank]
         best = min(best, (rdp_to_dp(alpha, t_max * amplified[alpha], delta), rank, alpha))
     best_eps, _, best_alpha = best
     if best_alpha is None:

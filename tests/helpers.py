@@ -1,7 +1,8 @@
 """Shared generators for clustered probability-vector test instances, the
-Gaussian RDP formula the accountant's table is checked against, and a
-scalar transcription of the subsampling bound its term array must match
-bit for bit."""
+Gaussian RDP formula the accountant's table is checked against, a scalar
+transcription of the subsampling bound its term array must match bit for
+bit, and the scalar ranking whose visits best_epsilon's array pass must
+repeat."""
 
 from __future__ import annotations
 
@@ -116,12 +117,33 @@ def oracle_amplified(coeff: float, gamma: float, alphas) -> dict[int, float]:
     return amplified
 
 
+def oracle_to_dp(alpha: int, tau: float, delta: float) -> float:
+    """The (epsilon, delta) conversion of an (alpha, tau)-RDP guarantee."""
+    return tau + math.log((alpha - 1) / alpha) - (math.log(delta) + math.log(alpha)) / (alpha - 1)
+
+
 def oracle_best_epsilon(amplified: dict, t_max: int, delta: float) -> tuple[float, int] | None:
     """(epsilon, order) by an exhaustive scan in the mapping's order, the first
     order winning ties; None when no order gives a finite epsilon."""
     best_eps, best_alpha = math.inf, None
     for alpha, tau in amplified.items():
-        eps = t_max * tau + math.log((alpha - 1) / alpha) - (math.log(delta) + math.log(alpha)) / (alpha - 1)
+        eps = oracle_to_dp(alpha, t_max * tau, delta)
         if eps < best_eps:
             best_eps, best_alpha = eps, alpha
     return None if best_alpha is None else (max(best_eps, 0.0), best_alpha)
+
+
+def oracle_visited_orders(floors: dict, amplified: dict, t_max: int, delta: float) -> set[int]:
+    """The orders whose exact value a scalar ranking evaluates: sorted by the
+    epsilon of their floor, then by their place in the mapping, and visited up
+    to the first whose floor's epsilon is infinite or exceeds the best exact
+    epsilon so far."""
+    ranked = sorted((oracle_to_dp(alpha, t_max * floor, delta), rank, alpha)
+                    for rank, (alpha, floor) in enumerate(floors.items()))
+    best, visited = math.inf, set()
+    for bound, _, alpha in ranked:
+        if bound == math.inf or bound > best:
+            break
+        visited.add(alpha)
+        best = min(best, oracle_to_dp(alpha, t_max * amplified[alpha], delta))
+    return visited

@@ -30,7 +30,7 @@ from dpfewshot.accountant import (
 )
 from dpfewshot.aggregate import BREAK_MAX_ITERS, AggregationConfig, adaptive_aggregate
 from dpfewshot.rng import NoiseStreams
-from helpers import gaussian_rdp, oracle_amplified, oracle_best_epsilon, oracle_terms
+from helpers import gaussian_rdp, oracle_amplified, oracle_best_epsilon, oracle_terms, oracle_visited_orders
 from test_acceptance import REFERENCE_ROWS
 
 PROFILE = MechanismProfile(sigma0=10.0, sigma1=1.0, sigma2=3.0, t_hat=1, theta=0.1)
@@ -120,9 +120,17 @@ class TestReleases:
             assert MEAN_ESTIMATE.noise_std(sigma, r) == 2.0 * r * sigma
             assert COVERAGE_CHECK.noise_std(sigma) == sigma
 
-    def test_per_token_coefficient_sums_the_releases(self):
-        total = sum(release.total(PROFILE) for release in RELEASES)
-        assert per_iteration_coefficient(PROFILE) == pytest.approx(total, rel=1e-12)
+    def test_every_release_is_charged(self):
+        # the coefficient's sum is hand-ordered, so the published epsilons keep
+        # their last bit; it must still charge every release of the table
+        rng = np.random.default_rng(34)
+        profiles = [PROFILE] + [
+            MechanismProfile(*10.0 ** rng.uniform(-2, 2, size=3), int(rng.integers(1, 9)), rng.uniform(0.01, 0.7))
+            for _ in range(200)
+        ]
+        for profile in profiles:
+            total = math.fsum(release.total(profile) for release in accountant.RELEASES)
+            assert per_iteration_coefficient(profile) == pytest.approx(total, rel=1e-15), profile
 
     def test_each_release_reads_its_draws_from_a_trace(self):
         # a noiseless run that keeps every check passing draws each release's full count
@@ -328,9 +336,9 @@ class TestTermArrayOracle:
             curve = AmplifiedCurve(coeff, SubsamplingContext(m, n))
             excluded = [a for a in DEFAULT_ALPHA_GRID if a not in curve]
             assert curve._values == {}
-            assert excluded == [a for a in DEFAULT_ALPHA_GRID if a not in curve.floors]
+            assert excluded == [a for a, floor in zip(DEFAULT_ALPHA_GRID, curve.floors) if floor == math.inf]
             for alpha in curve:
-                assert 0.0 <= curve.floors[alpha] <= curve[alpha]
+                assert 0.0 <= curve.floors[alpha - 2] <= curve[alpha]
             with pytest.raises(KeyError):
                 curve[excluded[0] if excluded else 65]
 
@@ -348,6 +356,36 @@ class TestTermArrayOracle:
                     continue
                 assert best_epsilon(curve, t_max, delta) == want, (m, n, coeff, t_max, delta)
                 assert best_epsilon(scanned, t_max, delta) == want
+
+    def test_exact_values_are_evaluated_where_a_scalar_ranking_visits(self):
+        # pins the pruning (visiting more orders is a silent slowdown) and
+        # the ties of the array pass against the scalar ranking it replaced
+        for m, n, coeff in seeded_contexts(300, 99):
+            ctx = SubsamplingContext(m, n)
+            amplified = oracle_amplified(coeff, ctx.gamma, DEFAULT_ALPHA_GRID)
+            floors = {alpha: max(oracle_terms(coeff, ctx.gamma, alpha)) / (alpha - 1) for alpha in amplified}
+            for delta in (1e-9, 1e-5, 1.0 / (n + 1), 0.5):
+                for t_max in (1, 2, 7, 20, 100, 400):
+                    curve = AmplifiedCurve(coeff, ctx)
+                    try:
+                        best_epsilon(curve, t_max, delta)
+                    except AmplificationOverflowError:
+                        pass
+                    visited = oracle_visited_orders(floors, amplified, t_max, delta)
+                    assert set(curve._values) == visited, (m, n, coeff, t_max, delta)
+
+    def test_array_conversion_is_rdp_to_dp_to_the_bit(self):
+        # on the whole grid, and on rows gathered as a plain mapping's are
+        reversed_rows = list(range(len(DEFAULT_ALPHA_GRID)))[::-1]
+        for delta in (1e-12, 1e-9, 1e-5, 1.0 / 5_453, 0.5, 0.999):
+            for tau in (0.0, 5e-324, 1.0, 1e300):
+                taus = np.full(len(DEFAULT_ALPHA_GRID), tau)
+                for t_max in (1, 7, 400):
+                    want = [rdp_to_dp(alpha, t_max * tau, delta) for alpha in DEFAULT_ALPHA_GRID]
+                    got = accountant._to_dp(taus, t_max, delta, slice(None)).tolist()
+                    assert all(map(same_bits, got, want)), (delta, tau, t_max)
+                    got = accountant._to_dp(taus, t_max, delta, reversed_rows).tolist()
+                    assert all(map(same_bits, got, want[::-1])), (delta, tau, t_max)
 
     def test_tied_orders_go_to_the_first(self):
         # two orders whose epsilons are equal to the bit, in either order,
@@ -370,12 +408,15 @@ class TestTermArrayOracle:
         assert best_epsilon(floored, 1, delta) == (eps, 3)
 
     def test_calibration_matches_an_oracle_bisection(self):
+        # each published row at its target and at the ends of the spread
+        # e^{+-0.3} the calibrate-grid benchmark draws its targets from
         for _, target, s0, s2, _, t_hat, m, n, t_max, train, _ in REFERENCE_ROWS:
-            budget = DpBudget(float(target), 1.0 / train)
-            profile = MechanismProfile(sigma0=s0, sigma1=None, sigma2=s2, t_hat=t_hat)
-            ctx = SubsamplingContext(m * n, train)
-            got = calibrate_sigma1(budget, profile, ctx, t_max)
-            assert got.hex() == oracle_calibration(budget, profile, ctx.gamma, t_max).hex()
+            for spread in (0.0, -0.3, 0.3):
+                budget = DpBudget(target * math.exp(spread), 1.0 / train)
+                profile = MechanismProfile(sigma0=s0, sigma1=None, sigma2=s2, t_hat=t_hat)
+                ctx = SubsamplingContext(m * n, train)
+                got = calibrate_sigma1(budget, profile, ctx, t_max)
+                assert got.hex() == oracle_calibration(budget, profile, ctx.gamma, t_max).hex(), (budget, t_max)
 
 
 class FlooredMapping(dict):
@@ -405,6 +446,18 @@ def oracle_calibration(target: DpBudget, profile: MechanismProfile, gamma: float
 
 
 class TestComposeAndTotal:
+    def test_refusals_do_not_depend_on_the_curve(self):
+        curves = (AmplifiedCurve(1e308, SubsamplingContext(1, 100)), AmplifiedCurve(0.1, SubsamplingContext(1, 100)))
+        for amplified in (*curves, {3: 0.2}):
+            for delta in (0.0, 1.0, -1e-5, math.nan):
+                with pytest.raises(ValueError, match=re.escape(f"delta must lie in (0, 1), got {delta}")):
+                    best_epsilon(amplified, 1, delta)
+        with pytest.raises(ValueError, match="RDP value must be nonnegative"):
+            best_epsilon({2: 0.1, 64: -1e-9}, 1, 1e-5)
+        for order in (100, 1, 65, 3.5):
+            with pytest.raises(ValueError, match=re.escape(f"needs an integer order in 2..64, got {order}")):
+                best_epsilon({order: 0.1, 3: 0.2}, 1, 1e-5)
+
     def test_single_iteration_is_identity(self):
         assert best_epsilon({8: 0.37}, 1, 1e-5) == (rdp_to_dp(8, 0.37, 1e-5), 8)
 
