@@ -33,7 +33,7 @@ data-dependent early stop can never reduce the charged budget.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -215,10 +215,11 @@ def _log_expm1(t: float) -> float:
     return math.log(math.expm1(t))
 
 
-class AmplifiedCurve(Mapping[int, float]):
-    """subsample_amplify(coeff, ctx, alpha) at each order of DEFAULT_ALPHA_GRID
-    whose terms are all below inf, ascending, evaluated on first access; the
-    array floors holds each grid order's largest term over alpha - 1 (inf if any is).
+class AmplifiedCurve:
+    """subsample_amplify(coeff, ctx, alpha) at each order of DEFAULT_ALPHA_GRID,
+    evaluated on first access; the array floors holds each grid order's largest
+    term over alpha - 1, inf if any is, and an order is on the curve exactly
+    when its floor is finite.
 
     Row j - 1 of the term array holds term j at every order (row 0 holds 0.0;
     each j >= 3 term is added as head + (j - 1) * (coeff * j) + log 2), so the
@@ -235,32 +236,22 @@ class AmplifiedCurve(Mapping[int, float]):
             terms[2:] += math.log(2.0)
             peaks = terms.max(axis=0, where=_WITHIN_ORDER, initial=-math.inf)
         self.floors = peaks / _CONVERSION[2]
+        self._gamma = ctx.gamma
         self._terms = terms.T
-        self._orders = dict.fromkeys(_ORDERS[self.floors < math.inf].tolist())
         self._values: dict[int, float] = {}
 
     def __getitem__(self, alpha: int) -> float:
-        if alpha not in self._values and alpha in self:
+        if alpha not in DEFAULT_ALPHA_GRID:
+            raise ValueError(f"subsampling amplification needs an integer order in 2..64, got {alpha}")
+        alpha = int(alpha)
+        if alpha not in self._values:
+            if self.floors[alpha - DEFAULT_ALPHA_GRID[0]] == math.inf:
+                raise AmplificationOverflowError(
+                    f"amplification bound not representable at alpha={alpha}, gamma={self._gamma}")
             terms = self._terms[alpha - DEFAULT_ALPHA_GRID[0], :alpha].tolist()
             peak = max(terms)
             self._values[alpha] = (peak + math.log(math.fsum(math.exp(t - peak) for t in terms))) / (alpha - 1)
         return self._values[alpha]
-
-    def __contains__(self, alpha: object) -> bool:
-        return alpha in self._orders
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._orders)
-
-    def __len__(self) -> int:
-        return len(self._orders)
-
-
-def _grid_row(alpha: object) -> int:
-    """alpha's index in DEFAULT_ALPHA_GRID; an order outside it is refused."""
-    if alpha not in DEFAULT_ALPHA_GRID:
-        raise ValueError(f"subsampling amplification needs an integer order in 2..64, got {alpha}")
-    return int(alpha) - DEFAULT_ALPHA_GRID[0]
 
 
 def subsample_amplify(coeff: float, ctx: SubsamplingContext, alpha: int) -> float:
@@ -278,10 +269,7 @@ def subsample_amplify(coeff: float, ctx: SubsamplingContext, alpha: int) -> floa
     (tau(inf) = inf).  The sum is accumulated in log space, from the
     coefficient-free heads of its terms that ctx holds (ctx.heads).
     """
-    curve = AmplifiedCurve(coeff, ctx)
-    if curve.floors[_grid_row(alpha)] == math.inf:
-        raise AmplificationOverflowError(f"amplification bound not representable at alpha={alpha}, gamma={ctx.gamma}")
-    return curve[int(alpha)]
+    return AmplifiedCurve(coeff, ctx)[alpha]
 
 
 def rdp_to_dp(alpha: float, tau: float, delta: float) -> float:
@@ -301,41 +289,34 @@ def rdp_to_dp(alpha: float, tau: float, delta: float) -> float:
 
 
 @np.errstate(over="ignore")
-def _to_dp(taus: np.ndarray, t_max: int, delta: float, rows: object) -> np.ndarray:
-    """rdp_to_dp(alpha, t_max * tau, delta) at the grid orders rows, to the bit."""
-    log_ratio, log_alpha, less_one = _CONVERSION[:, rows]
+def _to_dp(taus: np.ndarray, t_max: int, delta: float) -> np.ndarray:
+    """rdp_to_dp(alpha, t_max * tau, delta) at every grid order, to the bit."""
+    log_ratio, log_alpha, less_one = _CONVERSION
     return t_max * taus + log_ratio - (math.log(delta) + log_alpha) / less_one
 
 
-def best_epsilon(amplified: Mapping[int, float], t_max: int, delta: float) -> tuple[float, int]:
+def best_epsilon(curve: AmplifiedCurve, t_max: int, delta: float) -> tuple[float, int]:
     """Compose t_max token positions at every order, convert to (epsilon, delta)
     and return (epsilon, order) of the smallest; ties go to the first order.
     A negative epsilon is reported as 0.
 
-    Every floor (an AmplifiedCurve's floors; a plain mapping's floor is its
-    value, at orders of DEFAULT_ALPHA_GRID) is converted in one array pass,
-    and orders are visited by that epsilon, ties by rank, up to the first
-    whose epsilon exceeds the best so far or is infinite.
+    The curve's floors are converted in one array pass, and orders are visited
+    by that epsilon, ties by order, up to the first whose epsilon exceeds the
+    best so far or is infinite.
     """
     if t_max < 1:
         raise ValueError("t_max must be positive")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    floors, orders, rows = getattr(amplified, "floors", amplified), DEFAULT_ALPHA_GRID, slice(None)
-    if isinstance(floors, Mapping):
-        orders, rows = list(floors), [_grid_row(alpha) for alpha in floors]
-        floors = np.array(list(floors.values()), dtype=float)
-        if not (floors >= 0).all():
-            raise ValueError("RDP value must be nonnegative")
-    bounds = _to_dp(floors, t_max, delta, rows)
-    best = (math.inf, -1, None)  # (eps, rank, order); outranks every infinite eps
-    for rank in np.argsort(bounds, kind="stable").tolist():
-        if bounds[rank] > best[0] or bounds[rank] == math.inf:
+    bounds = _to_dp(curve.floors, t_max, delta)
+    best = (math.inf, 0)  # (eps, order); outranks every infinite eps
+    for row in np.argsort(bounds, kind="stable").tolist():
+        if bounds[row] > best[0] or bounds[row] == math.inf:
             break
-        alpha = orders[rank]
-        best = min(best, (rdp_to_dp(alpha, t_max * amplified[alpha], delta), rank, alpha))
-    best_eps, _, best_alpha = best
-    if best_alpha is None:
+        alpha = DEFAULT_ALPHA_GRID[row]
+        best = min(best, (rdp_to_dp(alpha, t_max * curve[alpha], delta), alpha))
+    best_eps, best_alpha = best
+    if best_eps == math.inf:
         raise AmplificationOverflowError("no order of the grid gives a finite epsilon")
     return max(best_eps, 0.0), best_alpha
 

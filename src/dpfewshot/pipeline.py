@@ -424,7 +424,7 @@ def report_privacy(config: RunConfig, dataset_size: int, label_counts=None) -> d
             "tau_at_best_alpha": {part: c * alpha for part, c in parts.items()},
             "full_run_epsilon": eps_run, "full_run_best_alpha": alpha_run,
         }
-        excluded = [a for a in DEFAULT_ALPHA_GRID if a not in amplified]
+        excluded = [a for a, floor in zip(DEFAULT_ALPHA_GRID, amplified.floors) if floor == math.inf]
         if excluded:
             entry["excluded_alphas"] = excluded
         epsilons[mode] = entry

@@ -114,6 +114,10 @@ class SyntheticProvider:
         check_seed(self.seed, "seed")
         if self.vocab_size < 1:
             raise ValueError(f"vocab_size must be positive, got {self.vocab_size}")
+        if not 0 <= self.spread < math.inf:
+            raise ValueError(f"spread must be nonnegative and finite, got {self.spread}")
+        if not 0 <= self.outlier_fraction <= 1:
+            raise ValueError(f"outlier_fraction must lie in [0, 1], got {self.outlier_fraction}")
 
     @functools.cached_property
     def vocab(self) -> tuple[str, ...]:
@@ -186,8 +190,8 @@ class HttpProvider:
             raise ValueError(f"max_retries must be nonnegative, got {self.max_retries}")
         if self.max_logprobs < 1:
             raise ValueError(f"max_logprobs must be positive, got {self.max_logprobs}")
-        if not self.timeout > 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout must lie in (0, {threading.TIMEOUT_MAX:.0f}] seconds, got {self.timeout}")
         if self.session is None:
             import requests
 

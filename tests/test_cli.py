@@ -1,5 +1,6 @@
 import json
 import secrets
+import threading
 import warnings
 
 import pytest
@@ -396,6 +397,10 @@ class TestRefusals:
          "d.csv:3: missing text or label value"),
         ("generate --dataset {dir}/d.csv --sigma1 1", {"d.csv": "text,label\nok,\n"},
          "d.csv:2: example label must be non-empty"),
+        *((f"generate --labels a,b --n-shots 1 --sigma1 1 --spread {spread}", {},
+           f"spread must be nonnegative and finite, got {spread}") for spread in ("nan", "inf")),
+        ("generate --labels a,b --n-shots 1 --sigma1 1 --outlier-fraction 7", {},
+         "outlier_fraction must lie in [0, 1], got 7.0"),
     ])
     def test_refusal_exits_2_before_any_provider_call(self, tmp_path, capsys, monkeypatch, argv, files, message):
         for name, content in files.items():
@@ -534,6 +539,16 @@ class TestRefusals:
         )
         assert code == EXIT_CONFIG
         assert "max_retries must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout", ["inf", "1e300"])
+    def test_unrepresentable_timeout_exits_2(self, config_file, capsys, timeout):
+        code = run_cli(
+            "generate", "--config", str(config_file),
+            "--provider", "http", "--base-url", "http://127.0.0.1:9", "--model", "x", "--timeout", timeout,
+        )
+        assert code == EXIT_CONFIG
+        message = f"timeout must lie in (0, {threading.TIMEOUT_MAX:.0f}] seconds, got {float(timeout)}"
+        assert message in capsys.readouterr().err
 
     def test_zero_vocab_size_exits_2(self, tmp_path, capsys):
         code = run_cli(

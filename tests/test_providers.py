@@ -183,6 +183,16 @@ class TestRestrictTopk:
 
 
 class TestSyntheticProvider:
+    @pytest.mark.parametrize("kw, message", [
+        *(({"spread": spread}, f"spread must be nonnegative and finite, got {spread}")
+          for spread in (-0.1, math.nan, math.inf)),
+        *(({"outlier_fraction": fraction}, f"outlier_fraction must lie in [0, 1], got {fraction}")
+          for fraction in (-0.1, 1.5, 7, math.nan)),
+    ])
+    def test_refused_at_construction(self, kw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SyntheticProvider(seed=1, **kw)
+
     def test_distribution_sums_to_one(self):
         provider = SyntheticProvider(seed=4, vocab_size=50)
         dist = as_dists(provider.next_token_distribution(["pub", "p"], label="x", position=0, top_n=100))[1]
@@ -447,11 +457,12 @@ class TestHttpProvider:
         ({"base_url": ""}, "needs base_url and model"),
         ({"model": ""}, "needs base_url and model"),
         ({"max_retries": -1}, "max_retries must be nonnegative, got -1"),
-        ({"timeout": 0}, "timeout must be positive, got 0"),
+        *(({"timeout": t}, f"timeout must lie in (0, {threading.TIMEOUT_MAX:.0f}] seconds, got {t}")
+          for t in (0, -1.0, math.nan, math.inf, 1e300)),
         ({"max_logprobs": 0}, "max_logprobs must be positive, got 0"),
     ])
     def test_refused_at_construction(self, kw, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             HttpProvider(**{"base_url": "http://api.test", "model": "m", **kw})
 
     def test_retries_on_server_error_then_succeeds(self):
