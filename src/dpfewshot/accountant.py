@@ -3,10 +3,10 @@
 The per-token mechanism is a fixed composition of Gaussian mechanisms.
 RELEASES lists each kind of release a token makes, with its count, its
 sensitivity, the noise multiplier that scales it and the reader that counts
-its draws in a token's trace; the draw sites, the audit and the report read
-it.  Each release's noise is its multiplier times
-its sensitivity, so every primitive has an exactly linear RDP curve
-tau(alpha) = alpha / (2 multiplier^2).
+its draws in a token's trace; the draw sites draw through it (Release.draw),
+and the charge, the audit and the report read it.  Each release's noise is
+its multiplier times its sensitivity, so every primitive has an exactly
+linear RDP curve tau(alpha) = alpha / (2 multiplier^2).
 
 Accounting pipeline, evaluated per integer order alpha and minimized over
 a grid:
@@ -150,8 +150,8 @@ class Release:
     multiplier held in the profile's multiplier_field.  trace_name names its
     counter in the audit, part its charge in the privacy report, and drawn
     counts the draws one token's AggregationTrace records.  count reads only
-    t_hat and theta, so it is listed at any multiplier; coefficient and total
-    refuse one that cannot be priced (None, zero, or no positive finite square)."""
+    t_hat and theta, so it is listed at any multiplier; total refuses one
+    that cannot be priced (None, zero, or no positive finite square)."""
 
     trace_name: str
     part: str
@@ -165,19 +165,18 @@ class Release:
         radius scales a sensitivity stated per unit radius."""
         return self.sensitivity * radius * multiplier
 
-    def _priced(self, profile: MechanismProfile) -> float:
-        s = getattr(profile, self.multiplier_field)
-        if s is None or not (s > 0 and 0 < s * s < math.inf):
-            raise ValueError(f"noise multipliers must be positive with a positive, finite square, got {s}")
-        return s
-
-    def coefficient(self, profile: MechanismProfile) -> float:
-        """RDP coefficient of one release: tau(alpha) = coefficient * alpha."""
-        return 1.0 / (2.0 * self._priced(profile)**2)
+    def draw(self, statistic, profile: MechanismProfile, rng, radius: float = 1.0):
+        """statistic plus one release's noise: a normal per entry (a bare one for a scalar)."""
+        shape = getattr(statistic, "shape", None)
+        noise = rng.standard_normal() if shape is None else rng.standard_normal(shape)
+        return statistic + self.noise_std(getattr(profile, self.multiplier_field), radius) * noise
 
     def total(self, profile: MechanismProfile) -> float:
         """RDP coefficient of all count releases."""
-        return self.count(profile) / (2.0 * self._priced(profile)**2)
+        s = getattr(profile, self.multiplier_field)
+        if s is None or not (s > 0 and 0 < s * s < math.inf):
+            raise ValueError(f"noise multipliers must be positive with a positive, finite square, got {s}")
+        return self.count(profile) / (2.0 * s**2)
 
 
 #: The releases charged for one token: the loop's full counts, and two scores
@@ -193,15 +192,9 @@ RELEASES = (MEAN_ESTIMATE, COVERAGE_CHECK, RADIUS_SEARCH)
 
 
 def per_iteration_coefficient(profile: MechanismProfile) -> float:
-    """Linear coefficient c of the per-token curve tau(alpha) = c * alpha."""
-    # The radius search enters as one total and the loop release by release:
-    # the published epsilons were computed so, and the two forms can differ
-    # in the last bit.
-    return (
-        RADIUS_SEARCH.total(profile)
-        + MEAN_ESTIMATE.count(profile) * MEAN_ESTIMATE.coefficient(profile)
-        + COVERAGE_CHECK.count(profile) * COVERAGE_CHECK.coefficient(profile)
-    )
+    """Linear coefficient c of the per-token curve tau(alpha) = c * alpha:
+    the correctly rounded sum of every release's total, in any table order."""
+    return math.fsum(release.total(profile) for release in RELEASES)
 
 
 def _log_expm1(t: float) -> float:

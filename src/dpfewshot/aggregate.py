@@ -87,16 +87,6 @@ class AggregationTrace:
     goodradius_steps: list[RadiusSearchStep]
 
 
-def noisy_mean_raw(
-    points: np.ndarray, radius: float, sigma1: float, rng: np.random.Generator
-) -> np.ndarray:
-    """One MEAN_ESTIMATE release at this radius, divided by M: no remap."""
-    points = np.asarray(points, dtype=float)
-    m, k = points.shape
-    noise = MEAN_ESTIMATE.noise_std(sigma1, radius) * rng.standard_normal(k)
-    return (points.sum(axis=0) + noise) / m
-
-
 def radius_coverage_check(
     dists: np.ndarray, check_radius: float, cfg: AggregationConfig, rng: np.random.Generator
 ) -> tuple[bool, int, float]:
@@ -107,7 +97,7 @@ def radius_coverage_check(
     COVERAGE_CHECK release (one draw) and compares it against mu * M.
     """
     raw = coverage_count(dists, check_radius)
-    noisy = raw + COVERAGE_CHECK.noise_std(cfg.sigma2) * rng.standard_normal()
+    noisy = COVERAGE_CHECK.draw(raw, cfg, rng)
     return noisy >= cfg.mu * cfg.m, raw, noisy
 
 
@@ -125,13 +115,13 @@ def adaptive_aggregate(
         raise ValueError(f"expected points of shape {(cfg.m, cfg.k)}, got {points.shape}")
 
     search_steps: list[RadiusSearchStep] = []
-    target_r = good_radius(
-        points, cfg.coverage_target, cfg.sigma0, cfg.theta, streams.goodradius, search_steps
-    )
+    target_r = good_radius(points, cfg.coverage_target, cfg, streams.goodradius, search_steps)
 
     current_r = SIMPLEX_RADIUS
     radius_sequence = [current_r]
-    center, degenerate = project_to_simplex(noisy_mean_raw(points, current_r, cfg.sigma1, streams.mean))
+    center, degenerate = project_to_simplex(
+        MEAN_ESTIMATE.draw(points.sum(axis=0), cfg, streams.mean, current_r) / cfg.m
+    )
     degenerate_events = int(degenerate)
     checks: list[tuple[int, float]] = []
     break_reason = BREAK_MAX_ITERS
@@ -151,7 +141,7 @@ def adaptive_aggregate(
         radius_sequence.append(current_r)
         projected = project_to_ball(points, center, current_r, dists)
         center, degenerate = project_to_simplex(
-            noisy_mean_raw(projected, current_r, cfg.sigma1, streams.mean)
+            MEAN_ESTIMATE.draw(projected.sum(axis=0), cfg, streams.mean, current_r) / cfg.m
         )
         degenerate_events += int(degenerate)
 
@@ -170,9 +160,12 @@ def adaptive_aggregate(
 def baseline_aggregate(points: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Fixed-noise mean: one MEAN_ESTIMATE release at R = sqrt(2)/2, over M.
 
+    sigma is the matched one (matched_baseline_sigma), a field of no profile.
     No simplex remap; token selection takes the argmax of this raw vector.
     """
-    return noisy_mean_raw(points, SIMPLEX_RADIUS, sigma, rng)
+    points = np.asarray(points, dtype=float)
+    noise = MEAN_ESTIMATE.noise_std(sigma, SIMPLEX_RADIUS) * rng.standard_normal(points.shape[1])
+    return (points.sum(axis=0) + noise) / len(points)
 
 
 def select_token(p: np.ndarray, support):

@@ -82,8 +82,10 @@ _OPTIONS = _option_table()
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Parse a flat ``key = value`` file; '#' starts a comment line."""
+    """Parse a flat ``key = value`` file; '#' starts a comment line.  A key
+    set twice is refused, naming both lines."""
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -94,6 +96,9 @@ def read_config_file(path) -> dict[str, str]:
         key = key.strip()
         if key not in _OPTIONS:
             raise ConfigurationError(f"{path}:{lineno}: unknown option {key!r}")
+        if key in lines:
+            raise ConfigurationError(f"{path}:{lineno}: option {key!r} is already set on line {lines[key]}")
+        lines[key] = lineno
         values[key] = value.strip()
     return values
 

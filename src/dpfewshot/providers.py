@@ -192,6 +192,8 @@ class HttpProvider:
             raise ValueError(f"max_logprobs must be positive, got {self.max_logprobs}")
         if not 0 < self.timeout <= threading.TIMEOUT_MAX:
             raise ValueError(f"timeout must lie in (0, {threading.TIMEOUT_MAX:.0f}] seconds, got {self.timeout}")
+        if not 0 <= self.backoff < math.inf:
+            raise ValueError(f"backoff must be nonnegative and finite, got {self.backoff}")
         if self.session is None:
             import requests
 

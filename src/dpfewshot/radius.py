@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accountant import RADIUS_SEARCH, binary_search_iterations
+from .accountant import RADIUS_SEARCH, MechanismProfile, binary_search_iterations
 from .simplex import SIMPLEX_RADIUS, distances
 
 
@@ -97,8 +97,7 @@ class CoverageScore:
 def good_radius(
     points: np.ndarray,
     t: int,
-    sigma0: float,
-    theta: float,
+    profile: MechanismProfile,
     rng: np.random.Generator,
     trace: list[RadiusSearchStep],
 ) -> float:
@@ -106,8 +105,8 @@ def good_radius(
     a noisy bisection for r with L(r) >= t and L(r/2) < t.
 
     Both noisy evaluations happen before the branch, drawing mid/2 first,
-    for exactly binary_search_iterations(theta) iterations, so every run
-    consumes the RADIUS_SEARCH draws the accountant charges.  The first
+    for exactly binary_search_iterations(profile.theta) iterations, so every
+    run consumes the RADIUS_SEARCH draws the accountant charges.  The first
     two branches coincide deliberately: both evaluations are part of the
     analyzed mechanism and both are charged, so they are not collapsed into one.
 
@@ -116,20 +115,15 @@ def good_radius(
     Every evaluation still releases a fresh noisy value.
     """
     score = CoverageScore(points)
-    if not sigma0 >= 0:
-        raise ValueError("sigma0 must be nonnegative")
-    if not 0.0 < theta <= SIMPLEX_RADIUS:
-        raise ValueError(f"theta must lie in (0, sqrt(2)/2], got {theta}")
     exact: dict[float, float] = {}
-    std = RADIUS_SEARCH.noise_std(sigma0)
 
     def noisy_score(r: float) -> float:
         if r not in exact:
             exact[r] = score.l_value(t, r)
-        return exact[r] + std * rng.standard_normal()
+        return RADIUS_SEARCH.draw(exact[r], profile, rng)
 
     r_low, r_high = 0.0, SIMPLEX_RADIUS
-    for _ in range(binary_search_iterations(theta)):
+    for _ in range(binary_search_iterations(profile.theta)):
         r_mid = (r_low + r_high) / 2.0
         noisy_half = noisy_score(r_mid / 2.0)
         noisy_mid = noisy_score(r_mid)

@@ -1,14 +1,16 @@
 """Shared generators for clustered probability-vector test instances, the
-Gaussian RDP formula the accountant's table is checked against, a scalar
-transcription of the subsampling bound its term array must match bit for
-bit, and the scalar ranking whose visits best_epsilon's array pass must
-repeat."""
+adaptive aggregator's mean estimate, the Gaussian RDP formula the
+accountant's table is checked against, a scalar transcription of the
+subsampling bound its term array must match bit for bit, and the scalar
+ranking whose visits best_epsilon's array pass must repeat."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from dpfewshot.accountant import MEAN_ESTIMATE, MechanismProfile
 
 
 def peaked_center(rng: np.random.Generator, k: int, top_logit: float = 3.5) -> np.ndarray:
@@ -63,6 +65,13 @@ def clustered_points(
         vertex[idx] = 1.0
         points.append(vertex)
     return np.stack(points), center
+
+
+def mean_estimate(points: np.ndarray, radius: float, sigma1: float, rng) -> np.ndarray:
+    """The adaptive aggregator's mean estimate of points at this radius: one
+    MEAN_ESTIMATE draw on their sum, over M."""
+    profile = MechanismProfile(sigma0=0.0, sigma1=sigma1, sigma2=0.0, t_hat=1)
+    return MEAN_ESTIMATE.draw(points.sum(axis=0), profile, rng, radius) / len(points)
 
 
 def gaussian_rdp(sensitivity: float, noise_std: float, alpha: float) -> float:

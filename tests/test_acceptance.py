@@ -34,7 +34,6 @@ from dpfewshot.aggregate import (
     AggregationConfig,
     adaptive_aggregate,
     baseline_aggregate,
-    noisy_mean_raw,
     radius_coverage_check,
 )
 from dpfewshot.pipeline import (
@@ -115,7 +114,7 @@ def test_accountant_closed_forms():
 
     assert binary_search_iterations(0.1) == 3
     counter = DrawCounter()
-    good_radius(np.tile([0.5, 0.5], (4, 1)), 1, 1.0, 0.1, counter, [])
+    good_radius(np.tile([0.5, 0.5], (4, 1)), 1, MechanismProfile(1.0, None, 0.0, 1, theta=0.1), counter, [])
     assert counter.draws == 2 * 3
 
     elapsed = perf_counter() - t0
@@ -284,7 +283,7 @@ def test_radius_search_fidelity():
         points, _ = helpers.clustered_points(rng, m, k, cluster_radius=float(rng.uniform(0.02, 0.12)))
         t = math.ceil(0.8 * m)
         score = CoverageScore(points)
-        r = good_radius(points, t, 0.0, theta, substream(seed, "acc4"), [])
+        r = good_radius(points, t, MechanismProfile(0.0, None, 0.0, 1, theta), substream(seed, "acc4"), [])
         assert score.l_value(t, r + theta) >= t, (seed, r)
         pairwise = pairwise_distances(points)[np.triu_indices(m, 1)]
         grid = np.unique(np.concatenate([pairwise, np.arange(0.0, SIMPLEX_RADIUS + theta / 4, theta / 4)]))
@@ -422,7 +421,7 @@ def test_noise_law_statistics():
     radius, sigma1 = 0.3, 0.7
     rng = substream(61, "mean-noise")
     residuals = np.stack(
-        [noisy_mean_raw(points, radius, sigma1, rng) * 5 - total for _ in range(reps)]
+        [helpers.mean_estimate(points, radius, sigma1, rng) * 5 - total for _ in range(reps)]
     )
     mean_std = residuals.std()
     assert mean_std == pytest.approx(2 * radius * sigma1, rel=0.02)

@@ -108,8 +108,7 @@ class TestReleases:
             assert release.sensitivity * r == pytest.approx(sensitivity, rel=1e-15)
             assert release.noise_std(getattr(profile, release.multiplier_field), r) == pytest.approx(std, rel=1e-15)
             one_release = gaussian_rdp(sensitivity, std, alpha)
-            assert release.coefficient(profile) * alpha == pytest.approx(one_release, rel=1e-12)
-            assert release.total(profile) == pytest.approx(count * release.coefficient(profile), rel=1e-12)
+            assert release.total(profile) * alpha == pytest.approx(count * one_release, rel=1e-12)
 
     def test_noise_std_forms_sensitivity_times_radius_first(self):
         # the draw sites' bits: (2 R) sigma, exact for the unit radius and the sensitivity 1
@@ -121,16 +120,16 @@ class TestReleases:
             assert COVERAGE_CHECK.noise_std(sigma) == sigma
 
     def test_every_release_is_charged(self):
-        # the coefficient's sum is hand-ordered, so the published epsilons keep
-        # their last bit; it must still charge every release of the table
+        # the coefficient is the correctly rounded sum over the table, so no
+        # order of the table moves a bit of it
         rng = np.random.default_rng(34)
         profiles = [PROFILE] + [
             MechanismProfile(*10.0 ** rng.uniform(-2, 2, size=3), int(rng.integers(1, 9)), rng.uniform(0.01, 0.7))
             for _ in range(200)
         ]
         for profile in profiles:
-            total = math.fsum(release.total(profile) for release in accountant.RELEASES)
-            assert per_iteration_coefficient(profile) == pytest.approx(total, rel=1e-15), profile
+            totals = [release.total(profile) for release in accountant.RELEASES]
+            assert per_iteration_coefficient(profile) == math.fsum(totals) == math.fsum(totals[::-1]), profile
 
     def test_each_release_reads_its_draws_from_a_trace(self):
         # a noiseless run that keeps every check passing draws each release's full count
@@ -151,7 +150,7 @@ class TestReleases:
     def test_unpriceable_multiplier_counts_but_is_refused_when_priced(self, sigma):
         profile = MechanismProfile(sigma0=10.0, sigma1=sigma, sigma2=3.0, t_hat=2)
         assert MEAN_ESTIMATE.count(profile) == 3
-        for price in (MEAN_ESTIMATE.coefficient, MEAN_ESTIMATE.total):
+        for price in (MEAN_ESTIMATE.total, per_iteration_coefficient):
             with pytest.raises(ValueError, match=re.escape(f"positive, finite square, got {sigma}")):
                 price(profile)
 
@@ -580,8 +579,9 @@ class TestValidation:
             MechanismProfile(1.0, -1.0, 1.0, 1)
         with pytest.raises(ValueError):
             MechanismProfile(1.0, 1.0, 1.0, -1)
-        with pytest.raises(ValueError):
-            MechanismProfile(1.0, 1.0, 1.0, 1, theta=0.9)
+        for theta in (0.0, 0.8, 0.9):
+            with pytest.raises(ValueError, match="^theta must lie in"):
+                MechanismProfile(1.0, 1.0, 1.0, 1, theta=theta)
 
     @pytest.mark.parametrize("field", ["sigma0", "sigma1", "sigma2"])
     def test_profile_rejects_infinite_multiplier(self, field):

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import helpers
-from dpfewshot.accountant import COVERAGE_CHECK, MEAN_ESTIMATE, RADIUS_SEARCH, binary_search_iterations
+from dpfewshot.accountant import (
+    COVERAGE_CHECK,
+    MEAN_ESTIMATE,
+    RADIUS_SEARCH,
+    RELEASES,
+    MechanismProfile,
+    binary_search_iterations,
+)
 from dpfewshot.aggregate import (
     BREAK_COVERAGE_FAILED,
     BREAK_MAX_ITERS,
@@ -15,7 +22,6 @@ from dpfewshot.aggregate import (
     AggregationTrace,
     adaptive_aggregate,
     baseline_aggregate,
-    noisy_mean_raw,
     radius_coverage_check,
     select_token,
 )
@@ -35,12 +41,12 @@ class TestNoisyMean:
     def test_noiseless_is_exact_mean(self):
         points = np.array([[1.0, 0.0], [0.0, 1.0]])
         rng = substream(0, "m")
-        np.testing.assert_allclose(noisy_mean_raw(points, 0.5, 0.0, rng), [0.5, 0.5])
+        np.testing.assert_allclose(helpers.mean_estimate(points, 0.5, 0.0, rng), [0.5, 0.5])
 
     def test_identical_points_pass_through(self):
         p = np.array([0.2, 0.3, 0.5])
         points = np.tile(p, (9, 1))
-        out, _ = project_to_simplex(noisy_mean_raw(points, 0.7, 0.0, substream(1, "m")))
+        out, _ = project_to_simplex(helpers.mean_estimate(points, 0.7, 0.0, substream(1, "m")))
         np.testing.assert_allclose(out, p, atol=1e-15)
 
     def test_noise_scale_on_sum(self):
@@ -48,7 +54,7 @@ class TestNoisyMean:
         radius, sigma1, n = 0.3, 0.8, 4000
         rng = substream(2, "stats")
         residuals = np.stack(
-            [noisy_mean_raw(points, radius, sigma1, rng) * 4 - points.sum(axis=0) for _ in range(n)]
+            [helpers.mean_estimate(points, radius, sigma1, rng) * 4 - points.sum(axis=0) for _ in range(n)]
         )
         assert residuals.std() == pytest.approx(2 * radius * sigma1, rel=0.05)
 
@@ -104,23 +110,28 @@ class Ones:
 
 @pytest.mark.parametrize("sigma", [0.37, 1.0, 7.3])
 class TestDrawSitesAddTheTablesNoise:
-    """With every standard normal 1, each draw site adds exactly its
-    release's noise_std to the exact statistic."""
+    """With every standard normal 1, each release's draw adds exactly
+    sensitivity * radius * its multiplier to the statistic, and each draw
+    site adds its release's noise_std to the exact statistic."""
+
+    @pytest.mark.parametrize("radius", [1.0, 0.3, SIMPLEX_RADIUS, 1e-3])
+    @pytest.mark.parametrize("release", RELEASES, ids=lambda release: release.trace_name)
+    def test_release_draw(self, sigma, release, radius):
+        profile = MechanismProfile(sigma0=sigma, sigma1=2 * sigma, sigma2=3 * sigma, t_hat=1)
+        noise = release.sensitivity * radius * getattr(profile, release.multiplier_field)
+        assert release.draw(0.0, profile, Ones(), radius) == noise
+        assert (release.draw(np.zeros(6), profile, Ones(), radius) == noise).all()
 
     def test_radius_search_scores(self, sigma):
         points, _ = helpers.clustered_points(np.random.default_rng(4), 12, 5)
         steps = []
-        good_radius(points, 10, sigma, 0.05, Ones(), steps)
+        profile = MechanismProfile(sigma0=sigma, sigma1=None, sigma2=0.0, t_hat=1, theta=0.05)
+        good_radius(points, 10, profile, Ones(), steps)
         score, std = CoverageScore(points), RADIUS_SEARCH.noise_std(sigma)
         assert len(steps) == binary_search_iterations(0.05)
         for step in steps:
             assert step.noisy_half == score.l_value(10, step.midpoint / 2.0) + std
             assert step.noisy_mid == score.l_value(10, step.midpoint) + std
-
-    @pytest.mark.parametrize("radius", [0.3, SIMPLEX_RADIUS, 1e-3])
-    def test_mean_estimate(self, sigma, radius):
-        out = noisy_mean_raw(np.zeros((1, 6)), radius, sigma, Ones())
-        assert (out == MEAN_ESTIMATE.noise_std(sigma, radius)).all()
 
     def test_baseline_is_a_mean_estimate_at_the_simplex_radius(self, sigma):
         out = baseline_aggregate(np.zeros((1, 6)), sigma, Ones())
@@ -341,6 +352,11 @@ def reference_project_to_ball(points, center, radius):
     return np.where(dists > radius, pulled, points)
 
 
+def reference_mean(points, radius, cfg, rng):
+    """A mean estimate: the sum plus noise of std 2 R sigma1, over M."""
+    return (points.sum(axis=0) + 2.0 * radius * cfg.sigma1 * rng.standard_normal(cfg.k)) / cfg.m
+
+
 def reference_adaptive_aggregate(points, cfg, streams):
     """The aggregator without shared distances or cached scores: each check
     and each projection measures its own distances, with np.linalg.norm,
@@ -352,7 +368,7 @@ def reference_adaptive_aggregate(points, cfg, streams):
     )
     current_r = SIMPLEX_RADIUS
     radius_sequence = [current_r]
-    center, degenerate = reference_project_to_simplex(noisy_mean_raw(points, current_r, cfg.sigma1, streams.mean))
+    center, degenerate = reference_project_to_simplex(reference_mean(points, current_r, cfg, streams.mean))
     degenerate_events = int(degenerate)
     checks = []
     break_reason = BREAK_MAX_ITERS
@@ -371,7 +387,7 @@ def reference_adaptive_aggregate(points, cfg, streams):
         radius_sequence.append(current_r)
         projected = reference_project_to_ball(points, center, current_r)
         center, degenerate = reference_project_to_simplex(
-            noisy_mean_raw(projected, current_r, cfg.sigma1, streams.mean)
+            reference_mean(projected, current_r, cfg, streams.mean)
         )
         degenerate_events += int(degenerate)
     trace = AggregationTrace(

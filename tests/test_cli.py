@@ -207,6 +207,17 @@ class TestGenerate:
         assert code == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
 
+    def test_repeated_key_exits_2_naming_both_lines(self, config_file, tmp_path, capsys):
+        config_file.write_text(BASE_CONFIG + "sigma1 = 60\n")
+        demos = tmp_path / "out" / "demos.jsonl"
+        code = run_cli(
+            "generate", "--config", str(config_file),
+            "--demos-out", str(demos), "--traces-out", str(tmp_path / "out" / "traces.jsonl"),
+        )
+        assert code == EXIT_CONFIG
+        assert "run.cfg:15: option 'sigma1' is already set on line 11" in capsys.readouterr().err
+        assert not demos.exists()
+
     def test_radius_search_consumes_what_is_charged(self, tmp_path, capsys):
         # theta = sqrt(2)/32 sits where the charged count steps: 4 iterations,
         # 8 draws per token, whichever way the noisy scores branch

@@ -59,8 +59,8 @@ GOLDEN = {
     "generate_stdout": "eb8783a03b6c69571f7856c73be68f005a295ca3c0db433ef5c1346284aa7758",
     "traces": "228f3dd5d15eca4f54185b2718d600ee06a162e07b4cf01e9a258b30b80f8124",
     "radius": "d0c349997fc44bc6b055a131bcd3cc6ac3dc15ddfa509a89f53a2be4aaa06585",
-    "utility": "44ee75415d23335051be68bf59210a66a6a0c2403b3ba96891a2646adb72b583",
-    "privacy_sigma1": "9f696880758a1ae32aadf1366a8a9e3e0284b64ee84a433178acc200ada9b989",
+    "utility": "73b0c74e24c28fc822c44834e06f8494ff4a44310243d4af60dbc9c31fd55b32",
+    "privacy_sigma1": "a2d97e922a1bb8e109c7f9c71c880a39c42fb22105f045234e5ab44d9768d8e8",
     "privacy_calibrated": "55887d384acdfef59b9bc326632c8faa0834d86100df01e8c04d7aabc20f4ea5",
     "aggregator_corpus": "ff837784e87fa060c4154b5ee2e72af8bf89f698eae7ff620335fff9cd047174",
 }

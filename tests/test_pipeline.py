@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dpfewshot import pipeline, providers
+from dpfewshot import accountant, pipeline, providers
 from dpfewshot.pipeline import (
     ConfigurationError,
     RunConfig,
@@ -28,6 +28,7 @@ from dpfewshot.accountant import (
     SubsamplingContext,
     binary_search_iterations,
     calibrate_sigma1,
+    per_iteration_coefficient,
 )
 from dpfewshot.aggregate import (
     BREAK_COVERAGE_FAILED,
@@ -345,6 +346,21 @@ class TestOutputsAndAudit:
         assert set(report["epsilon"]) == {"dataset", "label"}
         assert_reports_each_release(report, (*RELEASES, extra), config.mechanism(0.6))
         assert report["per_token_rdp"]["extra_release_coeff"] == 5 / (2 * 3.0**2)
+
+    def test_a_release_added_to_the_table_is_charged(self, monkeypatch):
+        # dyadic multipliers make every total exact: 0.75 + 4 + 0.5, then 2.5 more
+        extra = Release("extra_draws", "extra_releases", "sigma2", 1.0, lambda p: 5, lambda t: 0)
+        config = noiseless_config(sigma1=0.5, sigma0=2.0, sigma2=1.0)
+        counts = {label: 30000 for label in LABELS}
+        profile = config.mechanism(0.5)
+        coefficient, report = per_iteration_coefficient(profile), report_privacy(config, 120000, counts)
+        for module in (accountant, pipeline):
+            monkeypatch.setattr(module, "RELEASES", (*RELEASES, extra))
+        charged = report_privacy(config, 120000, counts)
+        assert per_iteration_coefficient(profile) == coefficient + extra.total(profile) == 7.75
+        assert charged["per_token_rdp"]["coefficient"] == 7.75
+        for mode, entry in report["epsilon"].items():
+            assert charged["epsilon"][mode]["epsilon"] > entry["epsilon"], mode
 
     @pytest.mark.parametrize("field, value", [("lam", -1.0), ("mu", 0.0), ("rho", 1.5)])
     def test_bad_aggregator_field_is_refused_before_any_provider_call(self, field, value):

@@ -460,6 +460,7 @@ class TestHttpProvider:
         *(({"timeout": t}, f"timeout must lie in (0, {threading.TIMEOUT_MAX:.0f}] seconds, got {t}")
           for t in (0, -1.0, math.nan, math.inf, 1e300)),
         ({"max_logprobs": 0}, "max_logprobs must be positive, got 0"),
+        *(({"backoff": b}, f"backoff must be nonnegative and finite, got {b}") for b in (-1.0, math.nan, math.inf)),
     ])
     def test_refused_at_construction(self, kw, message):
         with pytest.raises(ValueError, match=re.escape(message)):

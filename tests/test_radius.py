@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from dpfewshot.accountant import RADIUS_SEARCH, binary_search_iterations
+from dpfewshot.accountant import RADIUS_SEARCH, MechanismProfile, binary_search_iterations
 from dpfewshot.radius import CoverageScore, good_radius
 from dpfewshot.rng import substream
 from dpfewshot.simplex import SIMPLEX_RADIUS, coverage_count, distances
@@ -21,6 +21,11 @@ class CountingRng:
     def standard_normal(self):
         self.draws += 1
         return self._values.pop(0) if self._values else 0.0
+
+
+def profile(sigma0, theta=0.1):
+    """The radius search's part of a checked mechanism: sigma0 and theta."""
+    return MechanismProfile(sigma0=sigma0, sigma1=None, sigma2=0.0, t_hat=1, theta=theta)
 
 
 def always_covering(m=8):
@@ -172,13 +177,13 @@ class TestScreen:
         with pytest.raises(ValueError, match="finite"):
             CoverageScore(points)
         with pytest.raises(ValueError, match="finite"):
-            good_radius(points, 2, 1.0, 0.1, CountingRng(), [])
+            good_radius(points, 2, profile(1.0), CountingRng(), [])
 
 
 class TestGoodRadius:
     def test_full_tolerance_returns_bracket_midpoint(self):
         rng = CountingRng()
-        result = good_radius(always_covering(), 1, 1.0, SIMPLEX_RADIUS, rng, [])
+        result = good_radius(always_covering(), 1, profile(1.0, SIMPLEX_RADIUS), rng, [])
         assert result == pytest.approx(math.sqrt(2) / 4)
         assert rng.draws == 0
 
@@ -193,21 +198,21 @@ class TestGoodRadius:
             for points in (always_covering(), never_covering(3)):
                 rng = CountingRng()
                 steps = []
-                good_radius(points, 3, 2.0, theta, rng, steps)
+                good_radius(points, 3, profile(2.0, theta), rng, steps)
                 assert rng.draws == 2 * iterations, theta
                 assert len(steps) == iterations, theta
 
     def test_noiseless_identical_points_converge_below_theta(self):
         points = np.tile([0.2, 0.3, 0.5], (8, 1))
         rng = substream(0, "unused")
-        r = good_radius(points, 8, 0.0, 0.1, rng, [])
+        r = good_radius(points, 8, profile(0.0), rng, [])
         assert 0.0 <= r <= 0.1
 
     def test_uncoverable_demand_pins_to_bracket_top(self):
         # two antipodal clusters, full coverage demanded: no radius in the
         # bracket reaches across, so the search climbs to the top
         points = np.vstack([np.tile([1.0, 0.0], (4, 1)), np.tile([0.0, 1.0], (4, 1))])
-        r = good_radius(points, 8, 0.0, 0.1, substream(1, "x"), [])
+        r = good_radius(points, 8, profile(0.0), substream(1, "x"), [])
         assert r == pytest.approx(SIMPLEX_RADIUS, abs=0.1)
 
     def test_noiseless_output_has_coverage_at_theta_slack(self):
@@ -217,7 +222,7 @@ class TestGoodRadius:
             points, _ = helpers.clustered_points(rng, m, 6)
             t = math.ceil(0.8 * m)
             score = CoverageScore(points)
-            r = good_radius(points, t, 0.0, 0.1, substream(seed, "nl"), [])
+            r = good_radius(points, t, profile(0.0), substream(seed, "nl"), [])
             assert score.l_value(t, r + 0.1) >= t
 
     def test_branches_follow_noisy_scores(self):
@@ -226,10 +231,10 @@ class TestGoodRadius:
         points = never_covering(10)  # L(r) = 5
         # half passes: +6 pushes the first noisy value over t
         rng = CountingRng([6.0, -99.0, 99.0, 99.0, 99.0, 99.0])
-        r_half = good_radius(points, t, 0.5, 0.3, rng, [])
+        r_half = good_radius(points, t, profile(0.5, 0.3), rng, [])
         # both fail: bracket floor rises instead
         rng = CountingRng([-99.0, -99.0, 99.0, 99.0, 99.0, 99.0])
-        r_fail = good_radius(points, t, 0.5, 0.3, rng, [])
+        r_fail = good_radius(points, t, profile(0.5, 0.3), rng, [])
         assert r_half < r_fail
 
     def test_each_radius_is_scored_once_and_every_value_drawn(self, monkeypatch):
@@ -240,7 +245,7 @@ class TestGoodRadius:
         l_value = CoverageScore.l_value
         monkeypatch.setattr(CoverageScore, "l_value", lambda self, t, r: scored.append(r) or l_value(self, t, r))
         rng, steps = CountingRng(), []
-        good_radius(always_covering(), 5, 1.0, 0.002, rng, steps)
+        good_radius(always_covering(), 5, profile(1.0, 0.002), rng, steps)
         iterations = binary_search_iterations(0.002)
         assert [s.branch for s in steps] == ["half_pass"] * iterations
         assert rng.draws == 2 * iterations
@@ -248,20 +253,14 @@ class TestGoodRadius:
 
     def test_seeded_determinism(self):
         points, _ = helpers.clustered_points(np.random.default_rng(5), 12, 4)
-        first = good_radius(points, 10, 2.0, 0.1, substream(99, "gr"), [])
-        second = good_radius(points, 10, 2.0, 0.1, substream(99, "gr"), [])
+        first = good_radius(points, 10, profile(2.0), substream(99, "gr"), [])
+        second = good_radius(points, 10, profile(2.0), substream(99, "gr"), [])
         assert first == second
 
     def test_trace_records_midpoints(self):
         points, _ = helpers.clustered_points(np.random.default_rng(6), 10, 4)
         steps = []
-        good_radius(points, 8, 1.0, 0.1, substream(3, "tr"), steps)
+        good_radius(points, 8, profile(1.0), substream(3, "tr"), steps)
         assert len(steps) == 3
         assert steps[0].midpoint == pytest.approx(math.sqrt(2) / 4)
         assert all(s.branch in ("half_pass", "mid_pass", "raise_low") for s in steps)
-
-    def test_rejects_bad_theta(self):
-        with pytest.raises(ValueError):
-            good_radius(always_covering(), 1, 1.0, 0.0, CountingRng(), [])
-        with pytest.raises(ValueError):
-            good_radius(always_covering(), 1, 1.0, 0.8, CountingRng(), [])
